@@ -268,6 +268,14 @@ def m_group_elements(gf: GF) -> List[A2Matrix]:
     return out
 
 
+def m_stabilizer(gf: GF) -> List[A2Matrix]:
+    """C_M(m2) for m2 = e_{alpha+beta}(1): the 2q elements [[1, b], [0, 1]]
+    on the outer coordinates, each with either sigma flag (sigma fixes
+    U_{alpha+beta})."""
+    return [A2Matrix(gf, ((1, 0, b), (0, 1, 0), (0, 0, 1)), flag)
+            for b in gf.elements() for flag in (0, 1)]
+
+
 def pair_for_value(gf: GF, x: int) -> Tuple[A2Matrix, A2Matrix]:
     """(m1, m2)_x = (sigma e_{alpha+beta}(x^2), e_{alpha+beta}(1))."""
     x2 = gf.mul(x, x)
@@ -275,25 +283,15 @@ def pair_for_value(gf: GF, x: int) -> Tuple[A2Matrix, A2Matrix]:
 
 
 def enumerate_m_conjugacy(q: int, values: Sequence[int]) -> List[List[int]]:
-    """Partition of the pairs (m1, m2)_x under simultaneous M(F_q)-conjugacy,
-    found by exhausting the finite group."""
+    """Partition of the pairs (m1, m2)_x under simultaneous M(F_q)-conjugacy:
+    classes in order of first member, members in input order.
+
+    Every pair has the same m2, so a conjugator lies in C_M(m2), and two
+    pairs are conjugate exactly when their m1 have the same C_M(m2)-orbit."""
     gf = GF(q)
-    group = m_group_elements(gf)
-    pairs = {x: pair_for_value(gf, x) for x in values}
-    classes: List[List[int]] = []
+    conjugators = [(m, m.inverse()) for m in m_stabilizer(gf)]
+    classes: Dict[frozenset, List[int]] = {}
     for x in values:
-        placed = False
-        for cls in classes:
-            y = cls[0]
-            target = pairs[y]
-            for m in group:
-                minv = m.inverse()
-                if (m * pairs[x][0] * minv, m * pairs[x][1] * minv) == target:
-                    cls.append(x)
-                    placed = True
-                    break
-            if placed:
-                break
-        if not placed:
-            classes.append([x])
-    return classes
+        m1 = pair_for_value(gf, x)[0]
+        classes.setdefault(frozenset(m * m1 * minv for m, minv in conjugators), []).append(x)
+    return list(classes.values())

@@ -21,10 +21,12 @@ from crlab.matrixoracle import (
     enumerate_m_conjugacy,
     evaluate_word,
     m_group_elements,
+    m_stabilizer,
     matrix_oracle_check,
     mat_det,
     mat_inv,
     mat_mul,
+    pair_for_value,
     sigma_element,
     sigma_twist,
     transvection,
@@ -214,3 +216,56 @@ def test_enumerate_m_conjugacy_f2():
 
 def test_enumerate_single_value():
     assert enumerate_m_conjugacy(4, [0]) == [[0]]
+
+
+def brute_force_m_conjugacy(q, values):
+    """Reference partition: first-fit search over every element of M."""
+    gf = GF(q)
+    group = m_group_elements(gf)
+    pairs = {x: pair_for_value(gf, x) for x in values}
+    classes = []
+    for x in values:
+        for cls in classes:
+            target = pairs[cls[0]]
+            if any((m * pairs[x][0] * m.inverse(), m * pairs[x][1] * m.inverse()) == target
+                   for m in group):
+                cls.append(x)
+                break
+        else:
+            classes.append([x])
+    return classes
+
+
+@pytest.mark.parametrize("q", [2, 4])
+def test_m_stabilizer_is_centralizer_of_m2(q):
+    gf = GF(q)
+    m2 = transvection(gf, 3, 1)
+    brute = {g for g in m_group_elements(gf) if g * m2 * g.inverse() == m2}
+    stab = m_stabilizer(gf)
+    assert len(stab) == len(set(stab)) == 2 * q
+    assert set(stab) == brute
+
+
+def test_m_stabilizer_f16_is_a_centralizing_subgroup():
+    gf = GF(16)
+    m2 = transvection(gf, 3, 1)
+    stab = set(m_stabilizer(gf))
+    assert len(stab) == 32
+    assert all(g * m2 * g.inverse() == m2 for g in stab)
+    assert all(g * h in stab for g in stab for h in stab)
+
+
+@pytest.mark.parametrize("q, values", [
+    (2, [0, 1]), (2, [1, 0]), (2, [1, 0, 1]),
+    (4, [0, 1, 2, 3]), (4, [3, 2, 1, 0]), (4, [3, 0, 3, 1]),
+])
+def test_enumerate_m_conjugacy_matches_brute_force(q, values):
+    assert enumerate_m_conjugacy(q, values) == brute_force_m_conjugacy(q, values)
+
+
+def test_enumerate_m_conjugacy_keeps_first_member_order():
+    assert enumerate_m_conjugacy(4, [3, 0, 3, 1]) == [[3, 3], [0], [1]]
+
+
+def test_enumerate_m_conjugacy_f16_is_singletons():
+    assert enumerate_m_conjugacy(16, range(16)) == [[x] for x in range(16)]

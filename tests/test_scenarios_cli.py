@@ -1,6 +1,10 @@
 """Scenario runner and CLI behavior: statuses, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -111,3 +115,11 @@ def test_cli_rparabolic(capsys):
 def test_cli_bad_input(capsys):
     assert main(["pairing", "a+d", "a", "--system", "d4"]) == 2
     capsys.readouterr()
+
+
+def test_python_dash_m_crlab_runs_the_cli():
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    done = subprocess.run([sys.executable, "-m", "crlab", "verify", "w0-combinatorics"],
+                          cwd=root, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
