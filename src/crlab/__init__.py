@@ -18,8 +18,6 @@ from .chevalley import (
     RootElement,
     TorusValue,
     WeylRep,
-    act_torus,
-    act_weyl_rep,
     adjoint,
     centralizer_system,
     collect,
@@ -44,7 +42,6 @@ from .rootsys import (
     RootMap,
     RootSystem,
     compose_word,
-    diagram_act,
     extends_to_ambient,
     fixed_cocharacter_lattice,
     longest_element,
@@ -54,7 +51,6 @@ from .rootsys import (
     root_system,
     subsystem_roots,
     verify_w0_identities,
-    weyl_act,
 )
 from .scenarios import Report, run_scenario, scenario_names
 

@@ -119,13 +119,12 @@ class TorusValue:
 
 
 FRAME_KINDS = (WeylRep, GraphAut, TorusValue)
-Atom = object
 
 
 class GroupWord:
     __slots__ = ("system", "registry", "atoms", "tail_collected")
 
-    def __init__(self, system: RootSystem, registry: VariableRegistry, atoms: Iterable[Atom],
+    def __init__(self, system: RootSystem, registry: VariableRegistry, atoms: Iterable,
                  tail_collected: bool = True):
         self.system = system
         self.registry = registry
@@ -273,10 +272,6 @@ class RadicalElement:
         self.registry = registry
         self.order = tuple(order)
         self.coeffs = {r: c for r, c in coeffs.items() if not c.is_zero}
-
-    @classmethod
-    def zero(cls, system, registry, order):
-        return cls(system, registry, order, {})
 
     def coefficient(self, root) -> Polynomial:
         if isinstance(root, int):
@@ -463,18 +458,6 @@ def conjugate_generic(u: RadicalElement, g: GroupWord,
     return frame, tail
 
 
-def act_weyl_rep(n_xi: WeylRep, e: RootElement) -> RootElement:
-    """n_xi e n_xi^-1 = e at the reflected root (sign-free in char 2)."""
-    return RootElement(n_xi.map(e.root), e.coeff)
-
-
-def act_torus(cochar: Cocharacter, unit: str, e: RootElement) -> RootElement:
-    """chi(u) e_zeta(x) chi(u)^-1 = e_zeta(u^<zeta,chi> x)."""
-    p = pairing(e.root, cochar)
-    u = e.coeff.registry.var(unit)
-    return RootElement(e.root, (u ** p) * e.coeff)
-
-
 # ---------------------------------------------------------------------------
 # Adjoint action on the Chevalley basis
 
@@ -635,23 +618,18 @@ class SolvedSystem:
     def is_zero(self, v: str) -> bool:
         return any(self.rep(z) == self.rep(v) for z in self._zeroed)
 
-    @property
-    def zeros(self) -> set:
-        return {v for v in self.unknowns if self.is_zero(v)}
-
-    def classes(self) -> List[set]:
-        groups: Dict[str, set] = {}
+    def classes(self) -> List[List[str]]:
+        """Classes of two or more unknowns, each in name order (x9 before
+        x10), ordered by their first name."""
+        groups: Dict[str, List[str]] = {}
         for v in self.unknowns:
-            groups.setdefault(self.rep(v), set()).add(v)
-        return [g for g in groups.values() if len(g) > 1]
+            groups.setdefault(self.rep(v), []).append(v)
+        out = [sorted(g, key=_var_sort_key) for g in groups.values() if len(g) > 1]
+        return sorted(out, key=lambda g: _var_sort_key(g[0]))
 
     @property
     def triangular(self) -> bool:
         return not self.residuals
-
-    def free_unknowns(self) -> List[str]:
-        reps = {self.rep(v) for v in self.unknowns if not self.is_zero(v)}
-        return sorted(reps, key=_var_sort_key)
 
     def binding(self, registry: VariableRegistry) -> Dict[str, Polynomial]:
         out = {}
@@ -751,6 +729,13 @@ def _apply_rule(q: Polynomial, unknowns: set, solved: SolvedSystem) -> bool:
     return False
 
 
+def _linear_pair(p: Polynomial) -> Optional[List[str]]:
+    """The two variable names of a binomial x + y, else None."""
+    if len(p.terms) == 2 and all(len(m) == 1 and m[0][1] == 1 for m in p.terms):
+        return [p.registry.names[m[0][0]] for m in p.terms]
+    return None
+
+
 class CentralizerReport:
     def __init__(self, system, registry, radical, varmap, constraints, solved):
         self.system = system
@@ -768,41 +753,16 @@ class CentralizerReport:
     def linear_classes(self) -> List[List[str]]:
         """Equality classes read off the degree-one binomial equations only
         (the raw coordinate equalities, before quadratic propagation)."""
-        parent = {v: v for v in self.constraints.unknowns}
-
-        def rep(v):
-            while parent[v] != v:
-                parent[v] = parent[parent[v]]
-                v = parent[v]
-            return v
-
+        linear = SolvedSystem(self.constraints.unknowns)
+        unknowns = set(self.constraints.unknowns)
         for p in self.constraints.equations:
-            if len(p.terms) != 2:
-                continue
-            names = []
-            for m in p.terms:
-                if len(m) == 1 and m[0][1] == 1:
-                    names.append(p.registry.names[m[0][0]])
-            if len(names) == 2 and all(n in parent for n in names):
-                ra, rb = rep(names[0]), rep(names[1])
-                if ra != rb:
-                    lo, hi = sorted((ra, rb), key=_var_sort_key)
-                    parent[hi] = lo
-        groups: Dict[str, List[str]] = {}
-        for v in self.constraints.unknowns:
-            groups.setdefault(rep(v), []).append(v)
-        out = [sorted(g, key=_var_sort_key) for g in groups.values() if len(g) > 1]
-        return sorted(out, key=lambda g: _var_sort_key(g[0]))
+            pair = _linear_pair(p)
+            if pair is not None and unknowns.issuperset(pair):
+                linear.merge(*pair)
+        return linear.classes()
 
     def nonlinear_equations(self) -> List[Polynomial]:
-        out = []
-        for p in self.constraints.equations:
-            linear_binomial = len(p.terms) == 2 and all(
-                len(m) == 1 and m[0][1] == 1 for m in p.terms
-            )
-            if not linear_binomial:
-                out.append(p)
-        return out
+        return [p for p in self.constraints.equations if _linear_pair(p) is None]
 
     def subgroup_description(self) -> str:
         if self.solved is None or not self.solved.triangular:

@@ -65,10 +65,6 @@ class VariableRegistry:
                 return n
         return None
 
-    @property
-    def unit_names(self) -> tuple:
-        return tuple(n for n, k in zip(self.names, self.kinds) if k == UNIT)
-
     def var(self, name: str) -> "Polynomial":
         i = self.index(name)
         return Polynomial(self, frozenset({((i, 1),)}))
@@ -198,16 +194,6 @@ class Polynomial:
             return False
         (m,) = self.terms
         return all(self.registry.kinds[i] == UNIT for i, _ in m)
-
-    def single_variable_power(self) -> Optional[Tuple[str, int]]:
-        """(name, exponent) when the polynomial is a single one-variable monomial."""
-        if len(self.terms) != 1:
-            return None
-        (m,) = self.terms
-        if len(m) != 1:
-            return None
-        i, e = m[0]
-        return self.registry.names[i], e
 
     def split_by_units(self) -> Dict[Monomial, "Polynomial"]:
         """Group terms by their unit-variable part.

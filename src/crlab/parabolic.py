@@ -10,12 +10,11 @@ root pairs nonnegatively with lambda.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 from typing import List, Optional, Sequence, Tuple
 
 from .chevalley import GroupWord, RadicalElement, normalize
-from .rootsys import Cocharacter, RootSystem, pairing
+from .rootsys import Cocharacter, RootSystem, pairing, row_reduce
 
 
 class RParabolicData:
@@ -105,51 +104,15 @@ def _fundamental_coweights(system: RootSystem) -> List[Cocharacter]:
     """Integral multiples of the fundamental coweights: column i pairs to
     det(C) against alpha_i and to 0 against the other simples."""
     n = system.rank
-    C = [[Fraction(system.cartan[i][j]) for j in range(n)] for i in range(n)]
-    # adjugate via Gauss-Jordan on [C | I], then scale by det
-    det = _det(C)
-    inv = _inverse(C)
+    # [C | I] reduces to [I | C^-1]; det(C) * C^-1 is the integral adjugate
+    reduced, _, det = row_reduce([list(row) + [int(i == j) for j in range(n)]
+                                  for i, row in enumerate(system.cartan)])
     out = []
     for i in range(n):
-        col = [inv[j][i] * det for j in range(n)]
+        col = [reduced[j][n + i] * det for j in range(n)]
         assert all(c.denominator == 1 for c in col)
         out.append(system.cocharacter([int(c) for c in col]))
     return out
-
-
-def _det(M):
-    n = len(M)
-    A = [row[:] for row in M]
-    det = Fraction(1)
-    for i in range(n):
-        p = next((r for r in range(i, n) if A[r][i] != 0), None)
-        if p is None:
-            return Fraction(0)
-        if p != i:
-            A[i], A[p] = A[p], A[i]
-            det = -det
-        det *= A[i][i]
-        inv = Fraction(1) / A[i][i]
-        for r in range(i + 1, n):
-            f = A[r][i] * inv
-            for c in range(i, n):
-                A[r][c] -= f * A[i][c]
-    return det
-
-
-def _inverse(M):
-    n = len(M)
-    A = [row[:] + [Fraction(1 if i == j else 0) for j in range(n)] for i, row in enumerate(M)]
-    for i in range(n):
-        p = next(r for r in range(i, n) if A[r][i] != 0)
-        A[i], A[p] = A[p], A[i]
-        inv = Fraction(1) / A[i][i]
-        A[i] = [x * inv for x in A[i]]
-        for r in range(n):
-            if r != i and A[r][i] != 0:
-                f = A[r][i]
-                A[r] = [x - f * y for x, y in zip(A[r], A[i])]
-    return [row[n:] for row in A]
 
 
 class MinimalityReport:

@@ -14,11 +14,17 @@ labels 5..11 are pinned by the action of n_alpha*sigma on labels, which must
 come out as the cycle (4 5 8 11 10 7)(6 9)(12).  The table below is the
 unique assignment with that property (tests/test_rootsys.py redoes the
 brute-force search).
+
+Roots are singletons per system: RootSystem builds each Root once, every
+operation returns one of those objects, and root_system() caches the systems,
+so root equality is identity.
 """
 
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Mapping, Optional, Sequence
 
 
@@ -112,16 +118,6 @@ class Root:
     def __add__(self, other: "Root") -> Optional["Root"]:
         s = tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
         return self.system.root_or_none(s)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Root)
-            and self.system.type_label == other.system.type_label
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.system.type_label, self.coeffs))
 
     def __str__(self):
         return _combo(self.coeffs, self.system.short_names)
@@ -476,11 +472,6 @@ def reflect(xi: Root, zeta: Root) -> Root:
     return xi.system.root(tuple(zeta.coeffs[i] - p * xi.coeffs[i] for i in range(xi.system.rank)))
 
 
-def diagram_act(sigma: RootMap, zeta: Root) -> Root:
-    """Image of a root under a diagram symmetry (any RootMap works)."""
-    return sigma(zeta)
-
-
 def _token_map(system: RootSystem, token) -> RootMap:
     if isinstance(token, RootMap):
         return token
@@ -505,10 +496,6 @@ def compose_word(system: RootSystem, word: Iterable) -> RootMap:
     for token in word:
         m = m.compose(_token_map(system, token))
     return m
-
-
-def weyl_act(system: RootSystem, word: Iterable, zeta: Root) -> Root:
-    return compose_word(system, word)(zeta)
 
 
 def subsystem_roots(system: RootSystem, simples: Sequence[Root]) -> tuple:
@@ -620,54 +607,57 @@ def verify_w0_identities(system: RootSystem, L_simples: Sequence[Root], lam: Coc
     return W0Report(True, ext, checks)
 
 
+def row_reduce(rows: Sequence[Sequence]) -> tuple:
+    """Gauss-Jordan elimination over the rationals.
+
+    Returns (reduced rows, pivot columns, signed pivot product): the reduced
+    row echelon form as Fractions, the column of each pivot in order, and the
+    product of the pivots times the sign of the row swaps, which is the
+    determinant when the rows form a square matrix of full rank.
+    """
+    A = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    product = Fraction(1)
+    for c in range(len(A[0])):
+        r = len(pivots)
+        p = next((i for i in range(r, len(A)) if A[i][c] != 0), None)
+        if p is None:
+            continue
+        if p != r:
+            A[r], A[p] = A[p], A[r]
+            product = -product
+        pivot = A[r][c]
+        product *= pivot
+        A[r] = [x / pivot for x in A[r]]
+        for i in range(len(A)):
+            if i != r and A[i][c] != 0:
+                f = A[i][c]
+                A[i] = [x - f * y for x, y in zip(A[i], A[r])]
+        pivots.append(c)
+    return A, pivots, product
+
+
 def fixed_cocharacter_lattice(system: RootSystem, m: RootMap) -> list:
     """Primitive generators of the integral cocharacters fixed by a root map
     (the kernel of m - 1 on the coweight lattice), sign-normalized."""
-    from fractions import Fraction
-
     n = system.rank
     mat = m.matrix
-    rows = [[Fraction(mat[i][j] - (1 if i == j else 0)) for j in range(n)] for i in range(n)]
-    pivots = []
-    r = 0
-    for c in range(n):
-        p = next((i for i in range(r, n) if rows[i][c] != 0), None)
-        if p is None:
-            continue
-        rows[r], rows[p] = rows[p], rows[r]
-        inv = Fraction(1) / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(n):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
+    rows, pivots, _ = row_reduce([[mat[i][j] - (i == j) for j in range(n)] for i in range(n)])
     basis = []
     for fc in (c for c in range(n) if c not in pivots):
         v = [Fraction(0)] * n
         v[fc] = Fraction(1)
         for i, pc in enumerate(pivots):
             v[pc] = -rows[i][fc]
-        den = 1
-        for x in v:
-            den = den * x.denominator // _gcd(den, x.denominator)
+        den = lcm(*(x.denominator for x in v))
         ints = [int(x * den) for x in v]
-        g = 0
-        for x in ints:
-            g = _gcd(g, abs(x))
+        g = gcd(*ints)
         if g:
             ints = [x // g for x in ints]
         if next((x for x in ints if x != 0), 0) < 0:
             ints = [-x for x in ints]
         basis.append(tuple(ints))
     return basis
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def label_cycles(images: Mapping[int, int]) -> str:

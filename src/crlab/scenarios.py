@@ -125,8 +125,14 @@ def _eq_step(name, anchor, expected_obj, actual_obj, render=str, equal=None):
     return Step(name, anchor, run)
 
 
-def _bool_step(name, anchor, fn):
-    return Step(name, anchor, fn)
+def _check(name, anchor, holds, want, otherwise):
+    """Step that passes when holds(rng) is true; it shows `want` as the
+    expected text, and as the actual text `want` or `otherwise`."""
+    def run(rng):
+        ok = holds(rng)
+        return ok, want, want if ok else otherwise
+
+    return Step(name, anchor, run)
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +287,7 @@ def _steps_d4_gir() -> List[Step]:
     def containment(rng):
         ok = all(word_in_rparabolic(g, lam) for g in gens)
         return ok, "PASS", "all three generators lie in the lambda parabolic" if ok else "a generator escapes"
-    steps.append(_bool_step(
+    steps.append(Step(
         "containment", "n[a]*sigma, (a+c)^v torus and e11(1)*e2(s) lie in P(a+2b+c+d)^v",
         containment))
 
@@ -319,7 +325,7 @@ def _steps_d4_gir() -> List[Step]:
         ]
         ok = not bad
         return ok, "T", "T" if ok else f"root elements survive at {bad}"
-    steps.append(_bool_step(
+    steps.append(Step(
         "centralizer-L-torus",
         "no Levi root element commutes with both (a+c)^v and (c+d)^v images",
         levi_torus))
@@ -347,34 +353,23 @@ def _steps_d4_gir() -> List[Step]:
         [RootElement(sys.root_by_label(-12), reg.one()), RootElement(sys.root_by_label(-2), s)],
         [sys.root_by_label(-12), sys.root_by_label(-2)], reg)
 
-    def exclusion(rng):
-        ok = limit_along(lam, None, tail) is None
-        return ok, "no limit", "no limit" if ok else "limit exists"
-    steps.append(_bool_step(
+    steps.append(_check(
         "bruhat-exclusion", "e-12(1)*e-2(s) has no limit along (a+2b+c+d)^v",
-        exclusion))
+        lambda rng: limit_along(lam, None, tail) is None, "no limit", "limit exists"))
 
-    def nonk(rng):
-        flagged = any(
-            isinstance(a, RootElement) and a.coeff.involves_sqrt for a in v.atoms
-        )
-        return flagged, "not k-rational as presented", (
-            "not k-rational as presented" if flagged else "k-rational")
-    steps.append(_bool_step(
+    steps.append(_check(
         "nonk-flag", "the conjugating element carries the square-root constant",
-        nonk))
+        lambda rng: any(isinstance(a, RootElement) and a.coeff.involves_sqrt for a in v.atoms),
+        "not k-rational as presented", "k-rational"))
 
     reg.add("u12arg")
     y = reg.var("u12arg")
     u12 = word(sys, reg, RootElement(sys.root_by_label(12), y))
 
-    def u12_commutes(rng):
-        ok = all(word_equal(conjugate(g, u12), u12) for g in gens)
-        return ok, "U_12 centralizes all generators", (
-            "U_12 centralizes all generators" if ok else "U_12 moved")
-    steps.append(_bool_step(
+    steps.append(_check(
         "u12-centralizes", "e12(y) commutes with every generator of the conjugated group",
-        u12_commutes))
+        lambda rng: all(word_equal(conjugate(g, u12), u12) for g in gens),
+        "U_12 centralizes all generators", "U_12 moved"))
 
     uneg = word(sys, reg, RootElement(sys.root_by_label(-12), y))
     moved = conjugate(h_expected, uneg)
@@ -430,12 +425,10 @@ def _steps_a2() -> List[Step]:
         "sigma e1(x)*e2(y)*e3(z) sigma^-1 = e1(y)*e2(x)*e3(xy+z)",
         expected, got, render=render_word, equal=word_equal))
 
-    def oracle1(rng):
-        ok = matrix_oracle_check(sigma * u * sigma.inverse(), expected, rng)
-        return ok, "matrices agree at 8 random F16 points", (
-            "matrices agree at 8 random F16 points" if ok else "matrix mismatch")
-    steps.append(_bool_step("sigma-conjugation-oracle",
-                            "the same identity holds as 3x3 matrices", oracle1))
+    steps.append(_check(
+        "sigma-conjugation-oracle", "the same identity holds as 3x3 matrices",
+        lambda rng: matrix_oracle_check(sigma * u * sigma.inverse(), expected, rng),
+        "matrices agree at 8 random F16 points", "matrix mismatch"))
 
     vec = LieVector.basis_e(sys, reg, 1) + LieVector.basis_e(sys, reg, 2)
     steps.append(_eq_step(
@@ -449,11 +442,10 @@ def _steps_a2() -> List[Step]:
             assign = {"x": rng.randrange(16), "y": rng.randrange(16), "z": rng.randrange(16)}
             X = lie_vector_matrix(vec, assign, gf)
             ok = ok and lie_adjoint(gf, sigma_element(gf), X) == X
-        return ok, "sl3 adjoint of sigma fixes the matrix of e1+e2", (
-            "sl3 adjoint of sigma fixes the matrix of e1+e2" if ok else "matrix moved")
-    steps.append(_bool_step("adjoint-fixed-oracle",
-                            "the fixed vector is fixed in the sl3 matrix model too",
-                            oracle_adjoint))
+        return ok
+    steps.append(_check(
+        "adjoint-fixed-oracle", "the fixed vector is fixed in the sl3 matrix model too",
+        oracle_adjoint, "sl3 adjoint of sigma fixes the matrix of e1+e2", "matrix moved"))
 
     v = word(sys, reg, RootElement(alpha, x), RootElement(beta, x))
     curve_conj = conjugate(v, sigma)
@@ -471,13 +463,11 @@ def _steps_a2() -> List[Step]:
         render_word(curve_expected) + " ; " + render_word(m2),
         render_word(curve_conj) + " ; " + render_word(m2_conj)))
 
-    def oracle2(rng):
-        ok = matrix_oracle_check(v * sigma * v.inverse(), curve_expected, rng)
-        ok = ok and matrix_oracle_check(v * m2 * v.inverse(), m2, rng)
-        return ok, "matrices agree at 8 random F16 points", (
-            "matrices agree at 8 random F16 points" if ok else "matrix mismatch")
-    steps.append(_bool_step("pair-formula-oracle",
-                            "both pair components check out as matrices", oracle2))
+    steps.append(_check(
+        "pair-formula-oracle", "both pair components check out as matrices",
+        lambda rng: (matrix_oracle_check(v * sigma * v.inverse(), curve_expected, rng)
+                     and matrix_oracle_check(v * m2 * v.inverse(), m2, rng)),
+        "matrices agree at 8 random F16 points", "matrix mismatch"))
 
     classes4 = enumerate_m_conjugacy(4, list(range(4)))
     steps.append(_eq_step(
@@ -527,13 +517,11 @@ def _steps_d4_nonsep() -> List[Step]:
         fixed = adjoint(curve, vec) == vec
         residual = collect([a for a in got.atoms if isinstance(a, RootElement)],
                            [sys.root_by_label(12)], reg).coefficient(12)
-        ok = fixed and residual == xx * xx
-        return ok, "adjoint-fixed but group-moved", (
-            "adjoint-fixed but group-moved" if ok else "witness failed")
-    steps.append(_bool_step(
+        return fixed and residual == xx * xx
+    steps.append(_check(
         "nonseparability-witness",
         "e6+e9 is adjoint-fixed while the matching curve moves the group element",
-        curve_vs_adjoint))
+        curve_vs_adjoint, "adjoint-fixed but group-moved", "witness failed"))
     return steps
 
 
@@ -552,7 +540,7 @@ def _steps_w0() -> List[Step]:
         ok = report.hypothesis_ok and report.all_ok
         detail = ", ".join(f"{n}:{'ok' if good else 'FAIL'}" for n, good, _ in report.checks)
         return ok, "fixes-levi-roots:ok, maps-radical-to-opposite:ok", detail or "hypothesis failed"
-    steps.append(_bool_step(
+    steps.append(Step(
         "d4-composite-identities",
         "w = w0L-bar o w0G-bar fixes the A1^3 Levi roots and flips the radical",
         d4_identities))
@@ -560,24 +548,17 @@ def _steps_w0() -> List[Step]:
     a3 = root_system("a3")
     La3 = [a3.simple("a"), a3.simple("b")]
 
-    def a3_none(rng):
-        partial = {r: -r for r in subsystem_roots(a3, La3)}
-        witness = extends_to_ambient(a3, La3, partial)
-        ok = witness is None
-        return ok, "no ambient extension", "no ambient extension" if ok else "witness found"
-    steps.append(_bool_step(
+    steps.append(_check(
         "a3-extension-absent",
         "the -1 realization of the A2 Levi does not extend over the A3 radical",
-        a3_none))
+        lambda rng: extends_to_ambient(a3, La3, {r: -r for r in subsystem_roots(a3, La3)}) is None,
+        "no ambient extension", "witness found"))
 
-    def a3_report(rng):
-        report = verify_w0_identities(a3, La3, a3.cocharacter((1, 2, 3)))
-        ok = not report.hypothesis_ok
-        return ok, "hypothesis failure", "hypothesis failure" if ok else "unexpectedly extended"
-    steps.append(_bool_step(
+    steps.append(_check(
         "a3-hypothesis-failure",
         "the composite-map argument is reported unavailable for (A3, L_ab)",
-        a3_report))
+        lambda rng: not verify_w0_identities(a3, La3, a3.cocharacter((1, 2, 3))).hypothesis_ok,
+        "hypothesis failure", "unexpectedly extended"))
 
     def a3_realization(rng):
         w0, sigma_l = minus_one_realization(a3, La3)
@@ -590,21 +571,16 @@ def _steps_w0() -> List[Step]:
         ok = ok and all(word_map(r) == -r for r in sub)
         return ok, "w0L o sigma_L = -1 on the Levi", (
             "w0L o sigma_L = -1 on the Levi" if ok else "composite not -1")
-    steps.append(_bool_step(
+    steps.append(Step(
         "a2-realization",
         "w0 of the A2 Levi needs the diagram flip to realize -1",
         a3_realization))
 
-    def vacuous(rng):
-        lam_reg = d4.cocharacter((1, 1, 1, 1))
-        report = verify_w0_identities(d4, [], lam_reg)
-        ok = report.all_ok
-        return ok, "regular case: -1 flips everything", (
-            "regular case: -1 flips everything" if ok else "failed")
-    steps.append(_bool_step(
+    steps.append(_check(
         "regular-lambda-vacuous",
         "with no Levi simples the composite is -1 and flips every root",
-        vacuous))
+        lambda rng: verify_w0_identities(d4, [], d4.cocharacter((1, 1, 1, 1))).all_ok,
+        "regular case: -1 flips everything", "failed"))
     return steps
 
 
@@ -625,6 +601,10 @@ def scenario_names() -> List[str]:
     return list(SCENARIOS)
 
 
+def _failure(exc: Exception) -> tuple:
+    return "FAIL", "no error", f"{type(exc).__name__}: {exc}"
+
+
 def run_scenario(name: str, seed: int = 0) -> Report:
     if name not in SCENARIOS:
         raise KeyError(
@@ -632,12 +612,17 @@ def run_scenario(name: str, seed: int = 0) -> Report:
     start = time.perf_counter()
     rng = random.Random(seed)
     results = []
-    for step in SCENARIOS[name]():
+    try:
+        steps = SCENARIOS[name]()
+    except Exception as exc:  # a builder that raises becomes one failed step
+        steps = []
+        results.append(StepResult("build", "the scenario builds its steps", *_failure(exc)))
+    for step in steps:
         try:
             ok, expected, actual = step.run(rng)
             status = "PASS" if ok else "FAIL"
         except Exception as exc:  # surface engine errors as step failures
-            status, expected, actual = "FAIL", "no error", f"{type(exc).__name__}: {exc}"
+            status, expected, actual = _failure(exc)
         results.append(StepResult(step.name, step.anchor, status, expected, actual))
     elapsed_ms = int((time.perf_counter() - start) * 1000)
     return Report(name, results, elapsed_ms)

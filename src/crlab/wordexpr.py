@@ -31,6 +31,8 @@ from .rootsys import Cocharacter, Root, RootSystem
 
 _NAME = re.compile(r"[A-Za-z]+[0-9]*")
 _INT = re.compile(r"-?[0-9]+")
+_DIGITS = re.compile(r"[0-9]+")
+_ROOT_ATOM = re.compile(r"e-?[0-9]")
 
 
 def default_kind(name: str) -> str:
@@ -188,13 +190,9 @@ def _parse_combo(text: str, system: RootSystem) -> tuple:
         sc.pos += 1
     while not sc.done:
         sc.skip_ws()
-        num = 1
-        m = re.compile(r"[0-9]+").match(sc.text, sc.pos)
-        if m:
-            num = int(m.group(0))
-            sc.pos = m.end()
-            if sc.peek() == "*":
-                sc.pos += 1
+        num = sc.match_re(_DIGITS)
+        if num is not None and sc.peek() == "*":
+            sc.pos += 1
         name = sc.match_re(_NAME)
         if name is None:
             raise ExprError(f"expected a simple-root name in {text!r}")
@@ -205,7 +203,7 @@ def _parse_combo(text: str, system: RootSystem) -> tuple:
                 break
         if idx is None:
             raise ExprError(f"unknown simple root {name!r} in {text!r}")
-        coeffs[idx] += sign * num
+        coeffs[idx] += sign * int(num or 1)
         sc.skip_ws()
         if sc.done:
             break
@@ -259,7 +257,7 @@ def _atoms_inverse(atoms):
 
 def _parse_atom(sc, system, registry, auto):
     c = sc.peek()
-    if c == "e" and re.compile(r"e-?[0-9]").match(sc.text, sc.pos):
+    if c == "e" and _ROOT_ATOM.match(sc.text, sc.pos):
         sc.pos += 1
         label = int(sc.match_re(_INT))
         inner = sc.balanced_parens()

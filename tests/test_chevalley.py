@@ -15,10 +15,9 @@ from crlab.chevalley import (
     GroupWord,
     LieVector,
     RootElement,
+    SolvedSystem,
     TorusValue,
     WeylRep,
-    act_torus,
-    act_weyl_rep,
     adjoint,
     centralizer_system,
     closure,
@@ -273,26 +272,29 @@ def test_generic_conjugation_trivial_u():
 
 
 def test_act_weyl_rep():
+    # n_xi e n_xi^-1 is e at the reflected root, sign-free in characteristic 2
     sys, reg = d4_setup()
-    n_a = WeylRep(sys.simple("a"))
-    got = act_weyl_rep(n_a, e(sys, reg, 4, "x4"))
-    assert got.root == sys.root_by_label(5)
-    n_12 = WeylRep(sys.root_by_label(12))
-    got = act_weyl_rep(n_12, e(sys, reg, 11, 1))
-    assert got.root == sys.root_by_label(-4)
-    assert act_weyl_rep(n_a, e(sys, reg, 2, 0)).coeff.is_zero
+    n_a = word(sys, reg, WeylRep(sys.simple("a")))
+    got = conjugate(n_a, word(sys, reg, e(sys, reg, 4, "x4")))
+    assert got.atoms == (e(sys, reg, 5, "x4"),)
+    n_12 = word(sys, reg, WeylRep(sys.root_by_label(12)))
+    got = conjugate(n_12, word(sys, reg, e(sys, reg, 11, 1)))
+    assert got.atoms == (e(sys, reg, -4, 1),)
+    assert conjugate(n_a, word(sys, reg, e(sys, reg, 2, 0))).atoms == ()
 
 
 def test_act_torus_pairings():
+    # chi(u) e_zeta(x) chi(u)^-1 = e_zeta(u^<zeta,chi> x)
     sys, reg = d4_setup()
-    chi = sys.cocharacter((1, 0, 1, 0))  # (alpha+gamma)^v
+    chi = word(sys, reg, TorusValue(sys.cocharacter((1, 0, 1, 0)), "t"))  # (alpha+gamma)^v
     t = reg.var("t")
     x = reg.var("x4")
-    got = act_torus(chi, "t", RootElement(sys.root_by_label(12), x))
-    assert got.coeff == x
-    got = act_torus(chi, "t", RootElement(sys.root_by_label(4), x))
-    assert got.coeff == t ** -2 * x
-    assert act_torus(chi, "t", e(sys, reg, 4, 1)).root == sys.root_by_label(4)
+    got = conjugate(chi, word(sys, reg, RootElement(sys.root_by_label(12), x)))
+    assert got.atoms == (RootElement(sys.root_by_label(12), x),)
+    got = conjugate(chi, word(sys, reg, RootElement(sys.root_by_label(4), x)))
+    assert got.atoms == (RootElement(sys.root_by_label(4), t ** -2 * x),)
+    got = conjugate(chi, word(sys, reg, e(sys, reg, 4, 1)))
+    assert [a.root for a in got.atoms] == [sys.root_by_label(4)]
 
 
 # ---------------------------------------------------------------------------
@@ -383,6 +385,16 @@ def test_centralizer_of_nsigma_alone():
     assert x[5] * x[10] + x[6] * x[9] in eqs
     classes = rep.solved.classes()
     assert {"x6", "x9"} <= set().union(*classes)
+
+
+def test_solved_system_classes_sort_by_name_number():
+    solved = SolvedSystem(["x12", "x11", "x10", "x9", "x4"])
+    solved.merge("x12", "x9")
+    solved.merge("x11", "x10")
+    assert solved.classes() == [["x9", "x12"], ["x10", "x11"]]
+    solved.merge("x10", "x12")
+    assert solved.classes() == [["x9", "x10", "x11", "x12"]]
+    assert solved.rep("x11") == "x9"
 
 
 def test_centralizer_of_M_is_U12():

@@ -15,6 +15,7 @@ from crlab.chevalley import (
     word,
 )
 from crlab.parabolic import (
+    _fundamental_coweights,
     limit_along,
     minimality_certificate,
     refine,
@@ -254,3 +255,12 @@ def test_minimality_rejects_outside_generators():
     bad = word(sys, reg, RootElement(sys.root_by_label(-12), reg.one()))
     with pytest.raises(ValueError):
         minimality_certificate(data, [bad])
+
+
+@pytest.mark.parametrize("label", ["a1", "a2", "a3", "a4", "d4"])
+def test_fundamental_coweights_pair_to_det_with_their_own_simple_root(label):
+    sys = root_system(label)
+    det = {"a1": 2, "a2": 3, "a3": 4, "a4": 5, "d4": 4}[label]
+    for i, mu in enumerate(_fundamental_coweights(sys)):
+        for j, alpha in enumerate(sys.simple_roots):
+            assert pairing(alpha, mu) == (det if i == j else 0)

@@ -13,17 +13,17 @@ import pytest
 from crlab.rootsys import (
     Cocharacter,
     compose_word,
-    diagram_act,
     extends_to_ambient,
+    fixed_cocharacter_lattice,
     label_cycles,
     longest_element,
     minus_one_realization,
     pairing,
     reflect,
     root_system,
+    row_reduce,
     subsystem_roots,
     verify_w0_identities,
-    weyl_act,
 )
 
 
@@ -181,11 +181,11 @@ def test_reflect_is_involution_everywhere():
 def test_sigma_action():
     sys = d4()
     sigma = sys.sigma()
-    assert diagram_act(sigma, sys.simple("a")) == sys.simple("c")
-    assert diagram_act(sigma, sys.simple("c")) == sys.simple("d")
-    assert diagram_act(sigma, sys.simple("d")) == sys.simple("a")
-    assert diagram_act(sigma, sys.simple("b")) == sys.simple("b")
-    assert diagram_act(sigma, sys.root_by_label(12)) == sys.root_by_label(12)
+    assert sigma(sys.simple("a")) is sys.simple("c")
+    assert sigma(sys.simple("c")) is sys.simple("d")
+    assert sigma(sys.simple("d")) is sys.simple("a")
+    assert sigma(sys.simple("b")) is sys.simple("b")
+    assert sigma(sys.root_by_label(12)) is sys.root_by_label(12)
 
 
 def test_nsigma_label_permutation_is_the_fixed_cycle():
@@ -202,14 +202,14 @@ def test_weyl_act_orbit_stays_inside_roots():
     for _ in range(200):
         word = [rng.choice(tokens) for _ in range(rng.randrange(0, 9))]
         zeta = rng.choice(sys.roots)
-        img = weyl_act(sys, word, zeta)
+        img = compose_word(sys, word)(zeta)
         assert img in sys.roots
 
 
 def test_weyl_act_empty_word_is_identity():
     sys = d4()
     for r in sys.roots:
-        assert weyl_act(sys, [], r) == r
+        assert compose_word(sys, [])(r) is r
 
 
 def test_pairing_is_weyl_invariant():
@@ -350,3 +350,50 @@ def test_root_str_and_labels():
     assert str(-sys.root_by_label(5)) == "-a-b"
     assert sys.root_by_label(-7) == -sys.root_by_label(7)
     assert str(Cocharacter(sys, (1, 0, 1, 0))) == "a+c"
+
+
+# ---------------------------------------------------------------------------
+# root identity and the shared row reduction
+
+
+def test_roots_are_singletons_per_system():
+    sys = d4()
+    assert root_system("D4") is root_system("d4")
+    assert sys.root((1, 2, 1, 1)) is sys.root_by_label(12)
+    for r in sys.roots:
+        assert -(-r) is r
+    assert sys.simple("a") + sys.simple("b") is sys.root_by_label(5)
+    assert sys.root_by_label(11) + sys.simple("b") is sys.root_by_label(12)
+    # equal coefficients in another system are another root
+    assert root_system("a4").root((1, 1, 1, 1)) != sys.root_by_label(11)
+
+
+@pytest.mark.parametrize("label,det", [("A1", 2), ("A2", 3), ("A3", 4), ("A4", 5), ("D4", 4)])
+def test_row_reduce_inverts_the_cartan_matrix(label, det):
+    C = root_system(label).cartan
+    n = len(C)
+    reduced, pivots, product = row_reduce([list(row) + [int(i == j) for j in range(n)]
+                                           for i, row in enumerate(C)])
+    assert product == det
+    assert pivots == list(range(n))
+    assert all(reduced[i][:n] == [int(i == j) for j in range(n)] for i in range(n))
+    inverse = [row[n:] for row in reduced]
+    for i in range(n):
+        for j in range(n):
+            assert sum(C[i][k] * inverse[k][j] for k in range(n)) == int(i == j)
+
+
+def test_row_reduce_signs_swaps_and_reports_rank():
+    reduced, pivots, product = row_reduce([[0, 1], [1, 0]])
+    assert (reduced, pivots, product) == ([[1, 0], [0, 1]], [0, 1], -1)
+    reduced, pivots, _ = row_reduce([[2, 4, 6], [1, 2, 3]])
+    assert pivots == [0]
+    assert reduced == [[1, 2, 3], [0, 0, 0]]
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "A3", "A4", "D4"])
+def test_fixed_cocharacter_lattice_of_identity_and_minus_one(label):
+    sys = root_system(label)
+    units = [tuple(int(i == j) for j in range(sys.rank)) for i in range(sys.rank)]
+    assert fixed_cocharacter_lattice(sys, sys.identity_map()) == units
+    assert fixed_cocharacter_lattice(sys, sys.minus_one_map()) == []

@@ -8,8 +8,11 @@ from pathlib import Path
 
 import pytest
 
+from crlab import scenarios
 from crlab.cli import main
 from crlab.scenarios import run_scenario, scenario_names
+
+GOLDEN = Path(__file__).resolve().parent / "data" / "canonical_golden.json"
 
 
 FULLY_PASSING = ["d4-gcr-not-gcrk", "a2-conjugacy", "d4-nonseparability", "w0-combinatorics"]
@@ -123,3 +126,28 @@ def test_python_dash_m_crlab_runs_the_cli():
     done = subprocess.run([sys.executable, "-m", "crlab", "verify", "w0-combinatorics"],
                           cwd=root, env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_canonical_json_matches_the_golden_file(seed):
+    # the file pins canonical_json() of every scenario byte for byte; a change
+    # of any scenario's behaviour must update it in the same change
+    golden = json.loads(GOLDEN.read_text())
+    for name in scenario_names():
+        assert run_scenario(name, seed=seed).canonical_json() == golden[f"{seed}/{name}"], name
+
+
+@pytest.mark.parametrize("exc", [RuntimeError("engine broke"), ValueError("bad table")])
+def test_a_builder_that_raises_is_one_failed_step(monkeypatch, capsys, exc):
+    def broken():
+        raise exc
+    monkeypatch.setitem(scenarios.SCENARIOS, "d4-nonseparability", broken)
+    assert main(["verify", "--all", "--format", "json"]) == 1
+    reports = json.loads(capsys.readouterr().out)
+    assert [r["scenario"] for r in reports] == scenario_names()
+    broken_report = reports[scenario_names().index("d4-nonseparability")]
+    assert broken_report["pass"] is False
+    assert [(s["name"], s["status"], s["expected"], s["actual"]) for s in broken_report["steps"]] == [
+        ("build", "FAIL", "no error", f"{type(exc).__name__}: {exc}")]
+    assert all(r["pass"] for r in reports if r["scenario"] in FULLY_PASSING
+               and r["scenario"] != "d4-nonseparability")
