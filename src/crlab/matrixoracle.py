@@ -112,7 +112,9 @@ def mat_inv(gf: GF, A: Mat) -> Mat:
 
 
 def sigma_twist(gf: GF, A: Mat) -> Mat:
-    return mat_mul(gf, mat_mul(gf, J, mat_inv(gf, mat_transpose(A))), J)
+    B = mat_inv(gf, A)
+    # (A^T)^-1 = (A^-1)^T, and conjugating by J reverses rows and columns
+    return tuple(tuple(B[2 - j][2 - i] for j in range(3)) for i in range(3))
 
 
 class A2Matrix:

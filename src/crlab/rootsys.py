@@ -17,7 +17,9 @@ brute-force search).
 
 Roots are singletons per system: RootSystem builds each Root once, every
 operation returns one of those objects, and root_system() caches the systems,
-so root equality is identity.
+so root equality is identity.  RootSystem also tabulates addition once, one
+entry per ordered pair of root indices holding the sum root or None when the
+sum is not a root, so Root.__add__ is two index operations.
 """
 
 from __future__ import annotations
@@ -116,8 +118,7 @@ class Root:
         return self.system.roots[(self.index + n) % (2 * n)]
 
     def __add__(self, other: "Root") -> Optional["Root"]:
-        s = tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
-        return self.system.root_or_none(s)
+        return self.system._sums[self.index][other.index]
 
     def __str__(self):
         return _combo(self.coeffs, self.system.short_names)
@@ -261,6 +262,10 @@ class RootSystem:
         self.n_pos = len(positives)
         self.roots = tuple(Root(self, c, i) for i, c in enumerate(coeff_list))
         self._index = {c: i for i, c in enumerate(coeff_list)}
+        self._sums = tuple(
+            tuple(self.root_or_none(tuple(x + y for x, y in zip(a, b))) for b in coeff_list)
+            for a in coeff_list
+        )
         self.simple_roots = tuple(
             self.root(tuple(1 if j == i else 0 for j in range(self.rank)))
             for i in range(self.rank)
@@ -424,19 +429,18 @@ class RootSystem:
             queue = nxt
         return tuple(seen.values())
 
-    def weyl_and_diagram_elements(self) -> tuple:
-        """All maps w∘d for w in the Weyl group and d a diagram symmetry.
-
-        Ordered with d = 'id' first so that searches preferring inner
-        witnesses are deterministic.
-        """
-        out = []
+    def _weyl_diagram_pairs(self):
+        """Yield (w, d), w a Weyl element and d a diagram symmetry: d sorted by
+        name with 'id' first, then w in weyl_elements() order.  Searches that
+        prefer inner witnesses scan in this order, so it is deterministic."""
         diag = self.diagram_symmetries()
         for name in sorted(diag, key=lambda n: (n != "id", n)):
-            d = diag[name]
             for w in self.weyl_elements():
-                out.append(w.compose(d))
-        return tuple(out)
+                yield w, diag[name]
+
+    def weyl_and_diagram_elements(self) -> tuple:
+        """All maps w∘d, in the order of _weyl_diagram_pairs()."""
+        return tuple(w.compose(d) for w, d in self._weyl_diagram_pairs())
 
 
 _SYSTEMS: dict = {}
@@ -556,19 +560,21 @@ def extends_to_ambient(
     With radical_stable=True (the default) a witness must also map the
     standard radical root set (positive roots outside the subsystem) onto
     itself, which is what lets the witness act on the corresponding unipotent
-    radical.  Returns a deterministic first witness or None.
+    radical.  Returns None, or the first witness w∘d in the order of
+    system.weyl_and_diagram_elements(): diagram symmetries by name with 'id'
+    first, Weyl elements in BFS order.  Candidates are tested on root
+    indices, and only the returned witness is composed.
     """
     sub = set(subsystem_roots(system, L_simples))
     if set(partial) != sub:
         raise ValueError("partial map must be defined exactly on the Levi subsystem")
-    radical = [r for r in system.positive_roots if r not in sub]
+    targets = [(r.index, t.index) for r, t in partial.items()]
+    radical = [r.index for r in system.positive_roots if r not in sub] if radical_stable else []
     radical_set = set(radical)
-    for m in system.weyl_and_diagram_elements():
-        if any(m(r) != partial[r] for r in sub):
-            continue
-        if radical_stable and any(m(r) not in radical_set for r in radical):
-            continue
-        return m
+    for w, d in system._weyl_diagram_pairs():
+        wi, di = w.images, d.images
+        if all(wi[di[i]] == t for i, t in targets) and all(wi[di[i]] in radical_set for i in radical):
+            return w.compose(d)
     return None
 
 

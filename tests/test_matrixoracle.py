@@ -17,6 +17,7 @@ from crlab.chevalley import (
 from crlab.matrixoracle import (
     GF,
     IDENT,
+    J,
     A2Matrix,
     enumerate_m_conjugacy,
     evaluate_word,
@@ -26,6 +27,7 @@ from crlab.matrixoracle import (
     mat_det,
     mat_inv,
     mat_mul,
+    mat_transpose,
     pair_for_value,
     sigma_element,
     sigma_twist,
@@ -269,3 +271,28 @@ def test_enumerate_m_conjugacy_keeps_first_member_order():
 
 def test_enumerate_m_conjugacy_f16_is_singletons():
     assert enumerate_m_conjugacy(16, range(16)) == [[x] for x in range(16)]
+
+
+def literal_sigma_twist(gf, A):
+    return mat_mul(gf, mat_mul(gf, J, mat_inv(gf, mat_transpose(A))), J)
+
+
+def test_sigma_twist_is_the_literal_j_conjugate():
+    gf = GF(4)
+    for g in m_group_elements(gf):
+        assert sigma_twist(gf, g.mat) == literal_sigma_twist(gf, g.mat)
+    gf = GF(16)
+    rng = random.Random(16)
+    mats = []
+    for _ in range(40):
+        A = IDENT
+        for _ in range(rng.randrange(1, 8)):
+            t = transvection(gf, rng.choice((1, 2, 3, -1, -2, -3)), rng.randrange(16))
+            A = mat_mul(gf, A, t.mat)
+        mats.append(A)
+        assert sigma_twist(gf, A) == literal_sigma_twist(gf, A)
+        assert sigma_twist(gf, sigma_twist(gf, A)) == A
+    for A, B in zip(mats, mats[1:]):
+        assert sigma_twist(gf, mat_mul(gf, A, B)) == mat_mul(gf, sigma_twist(gf, A), sigma_twist(gf, B))
+    with pytest.raises(ZeroDivisionError):
+        sigma_twist(gf, ((1, 2, 3), (2, 4, 6), (0, 0, 1)))

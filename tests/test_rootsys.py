@@ -318,6 +318,43 @@ def test_extends_to_ambient_d4_levi_has_witness():
     assert {m(r) for r in radical} == set(radical)
 
 
+def brute_force_extension(system, L_simples, partial, radical_stable=True):
+    """Reference: the full scan over every composed map of W x| Diag."""
+    sub = set(subsystem_roots(system, L_simples))
+    radical = [r for r in system.positive_roots if r not in sub]
+    radical_set = set(radical)
+    for m in system.weyl_and_diagram_elements():
+        if any(m(r) != partial[r] for r in sub):
+            continue
+        if radical_stable and any(m(r) not in radical_set for r in radical):
+            continue
+        return m
+    return None
+
+
+@pytest.mark.parametrize("label", ["A3", "D4"])
+def test_extends_to_ambient_matches_brute_force(label):
+    # every Levi, -1 and seeded partial maps induced by W x| Diag, both
+    # radical_stable values: the same first witness, or None for both
+    sys = root_system(label)
+    maps = sys.weyl_and_diagram_elements()
+    rng = random.Random(6)
+    outcomes = set()
+    for k in range(sys.rank + 1):
+        for L in itertools.combinations(sys.simple_roots, k):
+            sub = subsystem_roots(sys, L)
+            partials = [{r: -r for r in sub}]
+            partials += [{r: m(r) for r in sub} for m in rng.sample(maps, 2)]
+            for partial in partials:
+                for radical_stable in (True, False):
+                    got = extends_to_ambient(sys, L, partial, radical_stable)
+                    want = brute_force_extension(sys, L, partial, radical_stable)
+                    assert (got is None) == (want is None)
+                    assert got is None or got.images == want.images
+                    outcomes.add(got is None)
+    assert outcomes == {True, False}
+
+
 def test_verify_w0_identities_d4():
     sys = d4()
     L = [sys.simple("a"), sys.simple("c"), sys.simple("d")]
@@ -397,3 +434,13 @@ def test_fixed_cocharacter_lattice_of_identity_and_minus_one(label):
     units = [tuple(int(i == j) for j in range(sys.rank)) for i in range(sys.rank)]
     assert fixed_cocharacter_lattice(sys, sys.identity_map()) == units
     assert fixed_cocharacter_lattice(sys, sys.minus_one_map()) == []
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "A3", "A4", "D4"])
+def test_root_sum_table(label):
+    sys = root_system(label)
+    for r in sys.roots:
+        assert r + (-r) is None
+        for s in sys.roots:
+            want = sys.root_or_none(tuple(a + b for a, b in zip(r.coeffs, s.coeffs)))
+            assert r + s is want  # the cached root, or None

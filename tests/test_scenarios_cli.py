@@ -10,6 +10,7 @@ import pytest
 
 from crlab import scenarios
 from crlab.cli import main
+from crlab.rootsys import RootMap
 from crlab.scenarios import run_scenario, scenario_names
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "canonical_golden.json"
@@ -151,3 +152,19 @@ def test_a_builder_that_raises_is_one_failed_step(monkeypatch, capsys, exc):
         ("build", "FAIL", "no error", f"{type(exc).__name__}: {exc}")]
     assert all(r["pass"] for r in reports if r["scenario"] in FULLY_PASSING
                and r["scenario"] != "d4-nonseparability")
+
+
+def test_w0_combinatorics_composes_only_witnesses(monkeypatch):
+    # the ambient-extension search tests candidates on root indices; composing
+    # all 1,152 maps of W x| Diag again would make thousands of calls
+    run_scenario("w0-combinatorics")
+    calls = []
+    compose = RootMap.compose
+
+    def counted(self, other):
+        calls.append(1)
+        return compose(self, other)
+
+    monkeypatch.setattr(RootMap, "compose", counted)
+    assert run_scenario("w0-combinatorics").passed
+    assert len(calls) <= 20
