@@ -167,14 +167,22 @@ def closure(system: RootSystem, roots: Iterable[Root]) -> Optional[set]:
     return S
 
 
-def validate_closed_nilpotent(system: RootSystem, roots: Sequence[Root]):
-    S = set(roots)
-    if any(-r in S for r in S):
+def _closed_sums(roots: Sequence[Root]) -> Tuple[Dict[Root, int], Dict[int, int]]:
+    """Positions of a closed nilpotent list of k roots, and its sums by
+    position: p*k + q -> position of roots[p] + roots[q] where that is a root."""
+    pos = {r: i for i, r in enumerate(roots)}
+    if any(-r in pos for r in pos):
         raise ValueError("root set contains a root and its negative")
-    for a, b in itertools.combinations(roots, 2):
+    k = len(roots)
+    sums: Dict[int, int] = {}
+    for (p, a), (q, b) in itertools.combinations(enumerate(roots), 2):
         c = a + b
-        if c is not None and c not in S:
+        if c is None:
+            continue
+        if c not in pos:
             raise ValueError(f"root set not closed: {a} + {b} = {c} missing")
+        sums[p * k + q] = sums[q * k + p] = pos[c]
+    return pos, sums
 
 
 def grading(system: RootSystem, roots: Sequence[Root]) -> Dict[Root, int]:
@@ -209,6 +217,9 @@ def collect(x, order: Sequence[Root], registry: Optional[VariableRegistry] = Non
 
     `x` is a GroupWord of RootElements or an iterable of RootElements; `order`
     fixes the target sequence of roots and must list a closed nilpotent set.
+    Atoms carry their position in `order`, and sums come from the closedness
+    check, so the loop does no root arithmetic; its rewrites are those of the
+    same adjacent-swap loop run on roots.
     """
     if isinstance(x, GroupWord):
         registry = x.registry
@@ -221,8 +232,8 @@ def collect(x, order: Sequence[Root], registry: Optional[VariableRegistry] = Non
         registry = atoms[0].coeff.registry
     order = tuple(order)
     system = order[0].system if order else None
-    validate_closed_nilpotent(system, order)
-    pos = {r: i for i, r in enumerate(order)}
+    pos, sums = _closed_sums(order)
+    k = len(order)
     seq: List[List] = []
     for a in atoms:
         if not isinstance(a, RootElement):
@@ -230,7 +241,7 @@ def collect(x, order: Sequence[Root], registry: Optional[VariableRegistry] = Non
         if a.root not in pos:
             raise ValueError(f"root {a.root} outside the collection set")
         if not a.coeff.is_zero:
-            seq.append([a.root, a.coeff])
+            seq.append([pos[a.root], a.coeff])
 
     fuel = _COLLECT_FUEL
     i = 0
@@ -238,27 +249,27 @@ def collect(x, order: Sequence[Root], registry: Optional[VariableRegistry] = Non
         if fuel <= 0:
             raise RuntimeError("collection did not terminate within fuel budget")
         fuel -= 1
-        (ra, ca), (rb, cb) = seq[i], seq[i + 1]
-        if ra == rb:
-            merged = ca + cb
+        a, b = seq[i], seq[i + 1]
+        if a[0] == b[0]:
+            merged = a[1] + b[1]
             if merged.is_zero:
                 del seq[i:i + 2]
             else:
-                seq[i:i + 2] = [[ra, merged]]
-            i = max(i - 1, 0)
-        elif pos[ra] > pos[rb]:
-            c = ra + rb
-            repl = [[rb, cb], [ra, ca]]
-            if c is not None:
-                prod = ca * cb
-                if not prod.is_zero:
-                    repl.append([c, prod])
-            seq[i:i + 2] = repl
-            i = max(i - 1, 0)
+                a[1] = merged
+                del seq[i + 1]
+        elif a[0] > b[0]:
+            c = sums.get(a[0] * k + b[0])
+            if c is None:
+                seq[i], seq[i + 1] = b, a
+            else:  # nonzero: the coefficient ring has no zero divisors
+                seq[i:i + 2] = [b, a, [c, a[1] * b[1]]]
         else:
             i += 1
+            continue
+        if i:
+            i -= 1
 
-    coeffs = {r: c for r, c in seq}
+    coeffs = {order[p]: c for p, c in seq}
     return RadicalElement(system, registry, order, coeffs)
 
 

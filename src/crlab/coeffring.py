@@ -8,6 +8,11 @@ the syntactic condition of s-freeness.
 A polynomial is a set of monomials (F2 coefficients are presence bits); a
 monomial is a sorted tuple of (variable index, exponent) pairs.  Registries
 are append-only so that scenario code can introduce coordinates on the fly.
+
+Two monomials multiply by one merge of their sorted pairs.  A product of
+polynomials XORs, for each term m1 of the smaller factor, the set
+{m1*m2 : m2 in the larger factor} into the result; that is exact mod 2
+because m2 -> m1*m2 is injective, so no row holds a product twice.
 """
 
 from __future__ import annotations
@@ -22,6 +27,8 @@ SOLVABLE_CANDIDATE = "SOLVABLE_CANDIDATE"
 UNSOLVABLE_OVER_K = "UNSOLVABLE_OVER_K"
 
 Monomial = Tuple[Tuple[int, int], ...]
+
+_ONE = frozenset({()})
 
 
 class VariableRegistry:
@@ -87,14 +94,31 @@ class VariableRegistry:
 
 
 def _mul_mono(reg: VariableRegistry, m1: Monomial, m2: Monomial) -> Monomial:
-    acc = dict(m1)
-    for i, e in m2:
-        acc[i] = acc.get(i, 0) + e
-    out = tuple(sorted((i, e) for i, e in acc.items() if e != 0))
-    for i, e in out:
-        if e < 0 and reg.kinds[i] != UNIT:
-            raise ValueError(f"negative exponent on non-unit variable {reg.names[i]!r}")
-    return out
+    """Product of two monomials by one merge of their sorted pairs."""
+    if not m1:
+        return m2
+    if not m2:
+        return m1
+    out = []
+    i = j = 0
+    n1, n2 = len(m1), len(m2)
+    while i < n1 and j < n2:
+        a, b = m1[i], m2[j]
+        if a[0] < b[0]:
+            out.append(a)
+            i += 1
+        elif b[0] < a[0]:
+            out.append(b)
+            j += 1
+        else:
+            e = a[1] + b[1]
+            if e:
+                if e < 0 and reg.kinds[a[0]] != UNIT:
+                    raise ValueError(f"negative exponent on non-unit variable {reg.names[a[0]]!r}")
+                out.append((a[0], e))
+            i += 1
+            j += 1
+    return tuple(out) + m1[i:] + m2[j:]
 
 
 class Polynomial:
@@ -120,15 +144,18 @@ class Polynomial:
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
+        small, big = self.terms, other.terms
+        if small == _ONE:
+            return other
+        if big == _ONE:
+            return self
+        if len(small) > len(big):
+            small, big = big, small
+        reg = self.registry
         acc: set = set()
-        for m1 in self.terms:
-            for m2 in other.terms:
-                m = _mul_mono(self.registry, m1, m2)
-                if m in acc:
-                    acc.remove(m)
-                else:
-                    acc.add(m)
-        return Polynomial(self.registry, frozenset(acc))
+        for m1 in small:
+            acc ^= {_mul_mono(reg, m1, m2) for m2 in big}
+        return Polynomial(reg, frozenset(acc))
 
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:
@@ -158,7 +185,7 @@ class Polynomial:
 
     @property
     def is_one(self) -> bool:
-        return self.terms == frozenset({()})
+        return self.terms == _ONE
 
     def __bool__(self):
         return not self.is_zero

@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 from typing import List, Optional
 
-from .coeffring import ORDINARY, SQRT, UNIT, Polynomial, VariableRegistry
+from .coeffring import ORDINARY, SQRT, UNIT, Polynomial, VariableRegistry, _mul_mono
 from .chevalley import (
     GraphAut,
     GroupWord,
@@ -115,31 +115,44 @@ def parse_poly(text: str, registry: VariableRegistry, auto_register: bool = True
 
 def _parse_sum(sc, reg, auto):
     p = _parse_product(sc, reg, auto)
-    while True:
+    sc.skip_ws()
+    if sc.peek() != "+":
+        return p
+    terms = set(p.terms)
+    while sc.peek() == "+":
+        sc.pos += 1
+        terms ^= _parse_product(sc, reg, auto).terms
         sc.skip_ws()
-        if sc.peek() == "+":
-            sc.pos += 1
-            p = p + _parse_product(sc, reg, auto)
-        else:
-            return p
+    return Polynomial(reg, frozenset(terms))
 
 
 def _parse_product(sc, reg, auto):
-    p = _parse_factor(sc, reg, auto)
+    """One product of factors.  Variable powers merge into a single
+    monomial; only parenthesized and constant factors multiply as
+    polynomials."""
+    m: tuple = ()
+    p = None
     while True:
+        f = _parse_factor(sc, reg, auto)
+        if isinstance(f, Polynomial):
+            p = f if p is None else p * f
+        else:
+            m = _mul_mono(reg, m, f)
         sc.skip_ws()
         c = sc.peek()
         if c == "*":
             sc.pos += 1
             sc.skip_ws()
             c = sc.peek()
-        if c == "(" or c.isalnum():
-            p = p * _parse_factor(sc, reg, auto)
-        else:
-            return p
+        if c != "(" and not c.isalnum():
+            break
+    mono = Polynomial(reg, frozenset({m}))
+    return mono if p is None else p * mono
 
 
 def _parse_factor(sc, reg, auto):
+    """A Polynomial for a parenthesized or constant factor, a monomial
+    for a power of a variable."""
     sc.skip_ws()
     if sc.peek() == "(":
         inner = sc.balanced_parens()
@@ -154,14 +167,23 @@ def _parse_factor(sc, reg, auto):
             if not auto:
                 raise ExprError(f"unknown variable {name!r}")
             reg.add(name, default_kind(name))
-        base = reg.var(name)
-    if sc.peek() == "^":
-        sc.pos += 1
-        e = sc.match_re(_INT)
-        if e is None:
-            raise ExprError(f"expected an exponent at position {sc.pos}")
-        return base ** int(e)
-    return base
+        base = reg.index(name)
+    e = _parse_exponent(sc)
+    if isinstance(base, Polynomial):
+        return base if e == 1 else base ** e
+    if e < 0 and reg.kinds[base] != UNIT:
+        raise ValueError("only unit monomials are invertible")
+    return ((base, e),) if e else ()
+
+
+def _parse_exponent(sc):
+    if sc.peek() != "^":
+        return 1
+    sc.pos += 1
+    e = sc.match_re(_INT)
+    if e is None:
+        raise ExprError(f"expected an exponent at position {sc.pos}")
+    return int(e)
 
 
 # ---------------------------------------------------------------------------
@@ -235,19 +257,8 @@ def parse_word(text: str, system: RootSystem, registry: VariableRegistry,
             continue
         atom = _parse_atom(sc, system, registry, auto_register)
         sc.skip_ws()
-        if sc.peek() == "^":
-            sc.pos += 1
-            e = sc.match_re(_INT)
-            if e is None:
-                raise ExprError(f"expected an exponent at position {sc.pos}")
-            k = int(e)
-            if k < 0:
-                inv = _atoms_inverse([atom])
-                atoms.extend(inv * (-k))
-            else:
-                atoms.extend([atom] * k)
-        else:
-            atoms.append(atom)
+        k = _parse_exponent(sc)
+        atoms.extend(_atoms_inverse([atom]) * -k if k < 0 else [atom] * k)
     return GroupWord(system, registry, atoms)
 
 

@@ -9,6 +9,7 @@ import random
 
 import pytest
 
+from crlab import chevalley
 from crlab.coeffring import UNIT, SQRT, VariableRegistry
 from crlab.chevalley import (
     GraphAut,
@@ -133,6 +134,67 @@ def test_collect_confluence_under_preshuffle():
             if c is not None:
                 w.insert(i + 2, RootElement(c, a.coeff * b.coeff))
         assert collect(w, order, reg) == base
+
+
+
+def reference_collect(atoms, order):
+    """The collection loop run on Root keys, with the sum computed by root
+    arithmetic at each out-of-order pair; returns the coefficients."""
+    pos = {r: i for i, r in enumerate(order)}
+    seq = [[a.root, a.coeff] for a in atoms if not a.coeff.is_zero]
+    i = 0
+    while i < len(seq) - 1:
+        (ra, ca), (rb, cb) = seq[i], seq[i + 1]
+        if ra == rb:
+            merged = ca + cb
+            if merged.is_zero:
+                del seq[i:i + 2]
+            else:
+                seq[i:i + 2] = [[ra, merged]]
+            i = max(i - 1, 0)
+        elif pos[ra] > pos[rb]:
+            c = ra + rb
+            repl = [[rb, cb], [ra, ca]]
+            if c is not None:
+                prod = ca * cb
+                if not prod.is_zero:
+                    repl.append([c, prod])
+            seq[i:i + 2] = repl
+            i = max(i - 1, 0)
+        else:
+            i += 1
+    return {r: c for r, c in seq}
+
+
+@pytest.mark.parametrize("typ,labels,seed", [
+    ("d4", range(4, 13), 41),   # the radical U of the paper's D4 parabolic
+    ("d4", range(1, 13), 42),   # all positive roots of D4
+    ("a3", range(1, 7), 43),    # all positive roots of A3
+])
+def test_collect_matches_reference(typ, labels, seed):
+    sys = root_system(typ)
+    reg = VariableRegistry()
+    t = reg.add("t", UNIT)
+    xs = [reg.add(f"x{i}") for i in range(4, 8)] + [reg.add("s", SQRT)]
+    order = default_order(sys, radical_roots(sys, labels))
+    rng = random.Random(seed)
+    for _ in range(60):
+        atoms = []
+        for _ in range(rng.randrange(0, 40)):
+            coeff = rng.choice(xs) * t ** rng.randint(-2, 2)
+            if rng.random() < 0.3:
+                coeff = coeff + rng.choice(xs)
+            atoms.append(RootElement(sys.root_by_label(rng.choice(list(labels))), coeff))
+        assert collect(atoms, order, reg).coeffs == reference_collect(atoms, order)
+
+
+def test_collect_out_of_fuel_raises(monkeypatch):
+    sys, reg = d4_setup()
+    order = radical_roots(sys, range(4, 13))
+    atoms = [e(sys, reg, label, "x4") for label in range(12, 3, -1)]
+    monkeypatch.setattr(chevalley, "_COLLECT_FUEL", 5)
+    with pytest.raises(RuntimeError):
+        collect(atoms, order, reg)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from crlab.coeffring import (
     UNSOLVABLE_OVER_K,
     Polynomial,
     VariableRegistry,
+    _mul_mono,
     classify_square_obstruction,
 )
 
@@ -161,3 +162,86 @@ def test_sqrt_uniqueness():
     reg = make_registry()
     with pytest.raises(ValueError):
         reg.add("s2", SQRT)
+
+
+# ---------------------------------------------------------------------------
+# the product against a reference
+
+
+def reference_mul_mono(reg, m1, m2):
+    """Monomial product through a dict of exponents and a sort."""
+    acc = dict(m1)
+    for i, e in m2:
+        acc[i] = acc.get(i, 0) + e
+    out = tuple(sorted((i, e) for i, e in acc.items() if e != 0))
+    for i, e in out:
+        if e < 0 and reg.kinds[i] != UNIT:
+            raise ValueError(f"negative exponent on non-unit variable {reg.names[i]!r}")
+    return out
+
+
+def reference_mul(p, q):
+    acc = set()
+    for m1 in p.terms:
+        for m2 in q.terms:
+            m = reference_mul_mono(p.registry, m1, m2)
+            if m in acc:
+                acc.remove(m)
+            else:
+                acc.add(m)
+    return Polynomial(p.registry, frozenset(acc))
+
+
+def random_laurent(reg, rng):
+    """Sum of monomials over ordinary, unit and square-root variables; the
+    unit variables may carry negative exponents."""
+    terms = set()
+    for _ in range(rng.randrange(6)):
+        powers = {}
+        for _ in range(rng.randrange(4)):
+            name = rng.choice(["x4", "x5", "x12", "y", "s", "t", "u"])
+            lo = -3 if reg.kind(name) == UNIT else 0
+            powers[name] = powers.get(name, 0) + rng.randint(lo, 3)
+        terms ^= reg.monomial(powers).terms
+    return Polynomial(reg, frozenset(terms))
+
+
+def test_product_matches_reference():
+    reg = make_registry()
+    reg.add("u", UNIT)
+    t, u = reg.var("t"), reg.var("u")
+    rng = random.Random(2024)
+    fixed = [reg.zero(), reg.one(), t * t ** -1, t ** -2 * u, reg.var("x4") + reg.one(), t + t ** -1]
+    polys = fixed + [random_laurent(reg, rng) for _ in range(60)]
+    assert (t * t ** -1).is_one
+    for p in polys:
+        assert p * p == reference_mul(p, p)
+        assert p * reg.one() == p and reg.one() * p == p
+        assert (p * reg.zero()).is_zero
+    for _ in range(400):
+        p, q = rng.choice(polys), rng.choice(polys)
+        assert p * q == reference_mul(p, q)
+        assert p * q == q * p
+
+
+def test_monomial_products_match_reference():
+    reg = make_registry()
+    rng = random.Random(7)
+    units = [reg.index("t")]
+    others = [reg.index(n) for n in ("x4", "x9", "y", "s")]
+
+    def mono():
+        idx = sorted(rng.sample(units + others, rng.randrange(4)))
+        return tuple((i, rng.choice([-2, -1, 1, 2]) if i in units else rng.randint(1, 3)) for i in idx)
+
+    for _ in range(500):
+        m1, m2 = mono(), mono()
+        assert _mul_mono(reg, m1, m2) == reference_mul_mono(reg, m1, m2)
+
+
+def test_negative_exponent_on_ordinary_variable_raises():
+    reg = make_registry()
+    with pytest.raises(ValueError):
+        reg.monomial({"x4": -1})
+    with pytest.raises(ValueError):
+        reg.var("x4") ** -1

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from crlab.coeffring import UNIT, VariableRegistry
+from crlab.coeffring import UNIT, Polynomial, VariableRegistry
 from crlab.chevalley import GraphAut, RootElement, TorusValue, WeylRep, word, word_equal
 from crlab.rootsys import root_system
 from crlab.wordexpr import (
@@ -114,3 +114,82 @@ def test_render_round_trip_random():
         back = parse_word(text, sys, reg)
         assert render_word(back) == text
         assert len(back.atoms) == len(w.atoms)
+
+
+# ---------------------------------------------------------------------------
+# sums and products of the polynomial grammar
+
+
+def test_parse_poly_sums_and_products():
+    reg = VariableRegistry()
+    assert parse_poly("x4+x4", reg).is_zero
+    assert parse_poly("x4x4", reg) == parse_poly("x4^2", reg)
+    assert parse_poly("2x4", reg).is_zero
+    assert parse_poly("x4^0", reg).is_one
+    assert parse_poly("t^-1t", reg).is_one
+    p = parse_poly("(x4+1)^2x5", reg)
+    x4, x5 = reg.var("x4"), reg.var("x5")
+    assert p == x4 * x4 * x5 + x5
+    assert parse_poly("x5 (x4+1) x4", reg) == x5 * x4 * x4 + x5 * x4
+    with pytest.raises(ValueError):
+        parse_poly("x4^-1", reg)
+    with pytest.raises(ValueError):
+        parse_poly("x4^-1x4", reg)
+    with pytest.raises(ExprError):
+        parse_poly("x4^", reg)
+
+
+# names with digits: a letters-only name runs into the next one when rendered
+_POLY_NAMES = ("x4", "x5", "x12", "ab7", "t1", "t2")
+
+
+def random_rendered(reg, rng, nterms):
+    """A random polynomial of exactly `nterms` terms."""
+    terms = set()
+    while len(terms) < nterms:
+        powers = {}
+        for name in rng.sample(_POLY_NAMES, rng.randrange(4)):
+            powers[name] = rng.choice([-2, -1, 1, 3]) if reg.kind(name) == UNIT else rng.randint(1, 4)
+        terms |= reg.monomial(powers).terms
+    return Polynomial(reg, frozenset(terms))
+
+
+def make_poly_registry():
+    reg = VariableRegistry()
+    for name in _POLY_NAMES:
+        parse_poly(name, reg)
+    return reg
+
+
+def test_rendered_polynomials_parse_back():
+    reg = make_poly_registry()
+    rng = random.Random(5)
+    for _ in range(200):
+        p = random_rendered(reg, rng, rng.randrange(8))
+        assert parse_poly(str(p), reg) == p
+
+
+def test_parse_long_sum_is_linear(monkeypatch):
+    reg = make_poly_registry()
+    p = random_rendered(reg, random.Random(11), 300)
+    text = str(p)
+    calls = []
+    for name in ("__add__", "__mul__"):
+        orig = getattr(Polynomial, name)
+
+        def counted(a, b, orig=orig):
+            calls.append(1)
+            return orig(a, b)
+        monkeypatch.setattr(Polynomial, name, counted)
+    assert parse_poly(text, reg) == p
+    assert len(calls) <= 10
+
+
+@pytest.mark.xfail(strict=True, raises=ValueError,
+                   reason="ROADMAP item 1: render_word joins variable names without a separator")
+def test_letters_only_names_round_trip():
+    sys = root_system("d4")
+    reg = VariableRegistry()
+    w = parse_word("e4(x*t^-1)", sys, reg)
+    assert render_word(w) == "e4(xt^-1)"
+    assert word_equal(parse_word(render_word(w), sys, reg), w)
