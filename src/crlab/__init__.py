@@ -29,8 +29,10 @@ from .chevalley import (
 )
 from .matrixoracle import (
     GF,
+    PolyRing,
     enumerate_m_conjugacy,
     evaluate_word,
+    exact_word,
     lie_adjoint,
     lie_vector_matrix,
     matrix_oracle_check,

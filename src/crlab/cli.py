@@ -89,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="run a registered verification scenario")
     v.add_argument("scenario", nargs="?", help="scenario name")
     v.add_argument("--all", action="store_true", help="run every registered scenario")
-    v.add_argument("--seed", type=int, default=0, help="seed for randomized oracle steps")
+    v.add_argument("--seed", type=int, default=0, help="accepted and ignored: no verification step is randomized")
     v.add_argument("--format", choices=("text", "json"), default="text")
     v.set_defaults(func=_cmd_verify)
 

@@ -162,12 +162,13 @@ class Polynomial:
             return self.unit_inverse() ** (-n)
         out = self.registry.one()
         base = self
-        while n:
+        while True:
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
-        return out
+            if not n:
+                return out
+            base = base * base
 
     def unit_inverse(self) -> "Polynomial":
         """Inverse of a unit monomial (single term over unit variables)."""

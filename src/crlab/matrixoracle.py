@@ -8,10 +8,18 @@ pinning: sigma e_alpha(x) sigma^-1 = e_beta(x) and sigma fixes U_{alpha+beta}.
 Group elements of SL3 x <sigma> are (matrix, flag) pairs multiplied through
 the twisted rule (A, s)(B, t) = (A sigma^s(B), s+t).
 
-Everything is evaluated over F2, F4 or F16, elements encoded as ints in a
-polynomial basis (F4: u^2+u+1, F16: u^4+u+1).  This module deliberately does
-not use the symbolic engine except to read polynomial coefficients off
-words, so it is an independent check of the collection machinery.
+The kernels are generic over a coefficient ring of characteristic 2 that
+offers add, mul, pow, inv, zero, one and value(coeff, assign).  Two rings
+exist:
+  - GF(q), q = 2, 4 or 16, elements encoded as ints in a polynomial basis
+    (F4: u^2+u+1, F16: u^4+u+1), for enumerating M(F_q) and evaluating a
+    word at a point;
+  - PolyRing(registry), the engine's own F2[vars, s][units^+-1], for
+    evaluating a word once at the generic point.  SL3 x <sigma> over this
+    domain is faithful, so two words are equal exactly when their matrices
+    over PolyRing are.
+The engine is used only to read polynomial coefficients off words, so this
+module is an independent check of the collection machinery.
 """
 
 from __future__ import annotations
@@ -21,6 +29,7 @@ import random
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .chevalley import GraphAut, GroupWord, RootElement, TorusValue, WeylRep
+from .coeffring import Polynomial, VariableRegistry
 
 _IRRED = {2: 0b10, 4: 0b111, 16: 0b10011}
 
@@ -34,6 +43,12 @@ class GF:
         self.q = q
         self.poly = _IRRED[q]
         self.bits = q.bit_length() - 1
+
+    def zero(self) -> int:
+        return 0
+
+    def one(self) -> int:
+        return 1
 
     def add(self, a: int, b: int) -> int:
         return a ^ b
@@ -50,6 +65,8 @@ class GF:
         return r
 
     def pow(self, a: int, n: int) -> int:
+        if n < 0:
+            a, n = self.inv(a), -n
         r = 1
         while n:
             if n & 1:
@@ -63,20 +80,62 @@ class GF:
             raise ZeroDivisionError("inverting 0 in a finite field")
         return self.pow(a, self.q - 2)
 
+    def value(self, coeff: Polynomial, assign: Dict[str, int]) -> int:
+        return coeff.evaluate(assign, self)
+
     def elements(self) -> range:
         return range(self.q)
 
 
+class PolyRing:
+    """The engine's polynomial ring of one registry, evaluated at its generic
+    point: `value` returns the coefficient itself, and the assignment maps
+    each name to its own variable (`generic_point`).  Only unit monomials are
+    inverted, which is all an SL3 determinant or a torus entry needs."""
+
+    def __init__(self, registry: VariableRegistry):
+        self.registry = registry
+
+    def zero(self) -> Polynomial:
+        return self.registry.zero()
+
+    def one(self) -> Polynomial:
+        return self.registry.one()
+
+    def add(self, a: Polynomial, b: Polynomial) -> Polynomial:
+        return a + b
+
+    def mul(self, a: Polynomial, b: Polynomial) -> Polynomial:
+        return a * b
+
+    def pow(self, a: Polynomial, n: int) -> Polynomial:
+        return a ** n
+
+    def inv(self, a: Polynomial) -> Polynomial:
+        return a.unit_inverse()
+
+    def value(self, coeff: Polynomial, assign) -> Polynomial:
+        return coeff
+
+    def generic_point(self) -> Dict[str, Polynomial]:
+        return {name: self.registry.var(name) for name in self.registry.names}
+
+
 Mat = Tuple[Tuple[int, ...], ...]
 
-IDENT: Mat = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 J: Mat = ((0, 0, 1), (0, 1, 0), (1, 0, 0))
 
 
-def mat_mul(gf: GF, A: Mat, B: Mat) -> Mat:
+def identity(ring) -> Mat:
+    one, zero = ring.one(), ring.zero()
+    return ((one, zero, zero), (zero, one, zero), (zero, zero, one))
+
+
+def mat_mul(ring, A: Mat, B: Mat) -> Mat:
+    add, mul = ring.add, ring.mul
     return tuple(
         tuple(
-            gf.add(gf.add(gf.mul(A[i][0], B[0][j]), gf.mul(A[i][1], B[1][j])), gf.mul(A[i][2], B[2][j]))
+            add(add(mul(A[i][0], B[0][j]), mul(A[i][1], B[1][j])), mul(A[i][2], B[2][j]))
             for j in range(3)
         )
         for i in range(3)
@@ -87,55 +146,67 @@ def mat_transpose(A: Mat) -> Mat:
     return tuple(tuple(A[j][i] for j in range(3)) for i in range(3))
 
 
-def mat_det(gf: GF, A: Mat) -> int:
-    d = 0
+def _j_transpose_j(A: Mat) -> Mat:
+    """J A^T J: conjugating by J reverses rows and columns."""
+    return tuple(tuple(A[2 - j][2 - i] for j in range(3)) for i in range(3))
+
+
+def mat_det(ring, A: Mat):
+    add, mul = ring.add, ring.mul
+    d = ring.zero()
     for j0, j1, j2 in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        d ^= gf.mul(A[0][j0], gf.mul(A[1][j1], A[2][j2]))
-        d ^= gf.mul(A[0][j2], gf.mul(A[1][j1], A[2][j0]))
+        d = add(d, mul(A[0][j0], mul(A[1][j1], A[2][j2])))
+        d = add(d, mul(A[0][j2], mul(A[1][j1], A[2][j0])))
     return d
 
 
-def mat_inv(gf: GF, A: Mat) -> Mat:
-    det = mat_det(gf, A)
-    dinv = gf.inv(det)
-    cof = [[0] * 3 for _ in range(3)]
+def mat_inv(ring, A: Mat) -> Mat:
+    add, mul = ring.add, ring.mul
+    dinv = ring.inv(mat_det(ring, A))
+    cof = [[None] * 3 for _ in range(3)]
     for i in range(3):
         for j in range(3):
             r = [k for k in range(3) if k != i]
             c = [k for k in range(3) if k != j]
-            minor = gf.add(
-                gf.mul(A[r[0]][c[0]], A[r[1]][c[1]]),
-                gf.mul(A[r[0]][c[1]], A[r[1]][c[0]]),
+            minor = add(
+                mul(A[r[0]][c[0]], A[r[1]][c[1]]),
+                mul(A[r[0]][c[1]], A[r[1]][c[0]]),
             )
-            cof[j][i] = gf.mul(minor, dinv)  # transpose of cofactors; signs vanish
+            cof[j][i] = mul(minor, dinv)  # transpose of cofactors; signs vanish
     return tuple(tuple(row) for row in cof)
 
 
-def sigma_twist(gf: GF, A: Mat) -> Mat:
-    B = mat_inv(gf, A)
-    # (A^T)^-1 = (A^-1)^T, and conjugating by J reverses rows and columns
-    return tuple(tuple(B[2 - j][2 - i] for j in range(3)) for i in range(3))
+def sigma_twist(ring, A: Mat) -> Mat:
+    # (A^T)^-1 = (A^-1)^T
+    return _j_transpose_j(mat_inv(ring, A))
 
 
 class A2Matrix:
-    """Element of SL3 x <sigma> as (matrix, sigma flag)."""
+    """Element of SL3 x <sigma> as (matrix, sigma flag); the sigma twist of
+    the matrix is computed at most once."""
 
-    __slots__ = ("gf", "mat", "flag")
+    __slots__ = ("ring", "mat", "flag", "_twisted")
 
-    def __init__(self, gf: GF, mat: Mat, flag: int = 0):
-        self.gf = gf
+    def __init__(self, ring, mat: Mat, flag: int = 0):
+        self.ring = ring
         self.mat = mat
         self.flag = flag & 1
+        self._twisted = None
+
+    def twisted(self) -> Mat:
+        if self._twisted is None:
+            self._twisted = sigma_twist(self.ring, self.mat)
+        return self._twisted
 
     def __mul__(self, other: "A2Matrix") -> "A2Matrix":
-        right = sigma_twist(self.gf, other.mat) if self.flag else other.mat
-        return A2Matrix(self.gf, mat_mul(self.gf, self.mat, right), self.flag ^ other.flag)
+        right = other.twisted() if self.flag else other.mat
+        return A2Matrix(self.ring, mat_mul(self.ring, self.mat, right), self.flag ^ other.flag)
 
     def inverse(self) -> "A2Matrix":
-        minv = mat_inv(self.gf, self.mat)
         if self.flag:
-            minv = sigma_twist(self.gf, minv)
-        return A2Matrix(self.gf, minv, self.flag)
+            # (A, 1)^-1 = (sigma(A^-1), 1), and sigma(A^-1) = J A^T J
+            return A2Matrix(self.ring, _j_transpose_j(self.mat), 1)
+        return A2Matrix(self.ring, mat_inv(self.ring, self.mat))
 
     def __eq__(self, other):
         return isinstance(other, A2Matrix) and self.mat == other.mat and self.flag == other.flag
@@ -150,79 +221,83 @@ class A2Matrix:
 _ROOT_POSITIONS = {1: (0, 1), 2: (1, 2), 3: (0, 2), -1: (1, 0), -2: (2, 1), -3: (2, 0)}
 
 
-def transvection(gf: GF, label: int, x: int) -> A2Matrix:
+def transvection(ring, label: int, x) -> A2Matrix:
     i, j = _ROOT_POSITIONS[label]
-    m = [[1 if a == b else 0 for b in range(3)] for a in range(3)]
+    m = [list(row) for row in identity(ring)]
     m[i][j] = x
-    return A2Matrix(gf, tuple(tuple(row) for row in m))
+    return A2Matrix(ring, tuple(tuple(row) for row in m))
 
 
-def torus_matrix(gf: GF, cochar_coeffs: Sequence[int], t: int) -> A2Matrix:
+def torus_matrix(ring, cochar_coeffs: Sequence[int], t) -> A2Matrix:
     c1, c2 = cochar_coeffs
+    zero = ring.zero()
     # alpha^v(t) = diag(t, t^-1, 1), beta^v(t) = diag(1, t, t^-1)
-    d1 = gf.pow(t, c1) if c1 >= 0 else gf.pow(gf.inv(t), -c1)
-    d2e = c2 - c1
-    d2 = gf.pow(t, d2e) if d2e >= 0 else gf.pow(gf.inv(t), -d2e)
-    d3e = -c2
-    d3 = gf.pow(t, d3e) if d3e >= 0 else gf.pow(gf.inv(t), -d3e)
-    return A2Matrix(gf, ((d1, 0, 0), (0, d2, 0), (0, 0, d3)))
+    d1, d2, d3 = ring.pow(t, c1), ring.pow(t, c2 - c1), ring.pow(t, -c2)
+    return A2Matrix(ring, ((d1, zero, zero), (zero, d2, zero), (zero, zero, d3)))
 
 
-def sigma_element(gf: GF) -> A2Matrix:
-    return A2Matrix(gf, IDENT, 1)
+def sigma_element(ring) -> A2Matrix:
+    return A2Matrix(ring, identity(ring), 1)
 
 
-def evaluate_word(w: GroupWord, assign: Dict[str, int], gf: GF) -> A2Matrix:
-    """Evaluate an A2 group word at a point; raises on non-A2 atoms."""
+def evaluate_word(w: GroupWord, assign: Dict[str, object], ring) -> A2Matrix:
+    """Evaluate an A2 group word at a point of `ring`; raises on non-A2 atoms."""
     if w.system.type_label != "A2":
         raise ValueError("the matrix model is for A2 only")
-    out = A2Matrix(gf, IDENT)
+    out = A2Matrix(ring, identity(ring))
     for atom in w.atoms:
         if isinstance(atom, RootElement):
-            out = out * transvection(gf, atom.root.label, atom.coeff.evaluate(assign, gf))
+            out = out * transvection(ring, atom.root.label, ring.value(atom.coeff, assign))
         elif isinstance(atom, WeylRep):
             lbl = atom.root.label
+            one = ring.one()
             n = (
-                transvection(gf, lbl, 1)
-                * transvection(gf, -lbl, 1)
-                * transvection(gf, lbl, 1)
+                transvection(ring, lbl, one)
+                * transvection(ring, -lbl, one)
+                * transvection(ring, lbl, one)
             )
             out = out * n
         elif isinstance(atom, TorusValue):
-            out = out * torus_matrix(gf, atom.cochar.coeffs, assign[atom.unit])
+            out = out * torus_matrix(ring, atom.cochar.coeffs, assign[atom.unit])
         elif isinstance(atom, GraphAut):
             if atom.map.is_identity():
                 continue
-            out = out * sigma_element(gf)
+            out = out * sigma_element(ring)
         else:
             raise ValueError(f"cannot evaluate atom {atom!r}")
     return out
 
 
-def lie_adjoint(gf: GF, m: A2Matrix, X: Mat) -> Mat:
+def exact_word(w: GroupWord) -> A2Matrix:
+    """The word as a matrix over its registry's polynomial ring."""
+    ring = PolyRing(w.registry)
+    return evaluate_word(w, ring.generic_point(), ring)
+
+
+def lie_adjoint(ring, m: A2Matrix, X: Mat) -> Mat:
     """Ad(m) X on 3x3 matrices; the sigma flag contributes X -> J X^T J
     (the differential of g -> J (g^T)^-1 J in characteristic 2)."""
     if m.flag:
-        X = mat_mul(gf, mat_mul(gf, J, mat_transpose(X)), J)
+        X = _j_transpose_j(X)
     A = m.mat
-    return mat_mul(gf, mat_mul(gf, A, X), mat_inv(gf, A))
+    return mat_mul(ring, mat_mul(ring, A, X), mat_inv(ring, A))
 
 
 _H_DIAGONALS = {0: (1, 1, 0), 1: (0, 1, 1)}  # h_{alpha^v}, h_{beta^v} mod 2
 
 
-def lie_vector_matrix(v, assign: Dict[str, int], gf: GF) -> Mat:
+def lie_vector_matrix(v, assign: Dict[str, object], ring) -> Mat:
     """Evaluate an A2 LieVector into sl3 (Chevalley basis to elementary
     matrices, coroots to diagonals, everything mod 2)."""
-    out = [[0, 0, 0], [0, 0, 0], [0, 0, 0]]
+    out = [[ring.zero()] * 3 for _ in range(3)]
     for root, coeff in v.e.items():
         i, j = _ROOT_POSITIONS[root.label]
-        out[i][j] ^= coeff.evaluate(assign, gf)
+        out[i][j] = ring.add(out[i][j], ring.value(coeff, assign))
     for idx, coeff in v.h.items():
-        c = coeff.evaluate(assign, gf)
+        c = ring.value(coeff, assign)
         for k, bit in enumerate(_H_DIAGONALS[idx]):
             if bit:
-                out[k][k] ^= c
+                out[k][k] = ring.add(out[k][k], c)
     return tuple(tuple(row) for row in out)
 
 
@@ -245,15 +320,10 @@ def random_assignment(words: Iterable[GroupWord], gf: GF, rng: random.Random) ->
     return assign
 
 
-def matrix_oracle_check(lhs: GroupWord, rhs: GroupWord, rng: random.Random,
-                        points: int = 8, q: int = 16) -> bool:
-    """Compare two A2 words as matrices at `points` random assignments."""
-    gf = GF(q)
-    for _ in range(points):
-        assign = random_assignment([lhs, rhs], gf, rng)
-        if evaluate_word(lhs, assign, gf) != evaluate_word(rhs, assign, gf):
-            return False
-    return True
+def matrix_oracle_check(lhs: GroupWord, rhs: GroupWord) -> bool:
+    """Decide lhs == rhs in SL3 x <sigma> exactly, by comparing the two words
+    as matrices over the polynomial ring."""
+    return exact_word(lhs) == exact_word(rhs)
 
 
 def m_group_elements(gf: GF) -> List[A2Matrix]:

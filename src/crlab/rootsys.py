@@ -176,12 +176,13 @@ class RootMap:
     the integer matrix used for the dual action on cocharacters.
     """
 
-    __slots__ = ("system", "images", "_matrix")
+    __slots__ = ("system", "images", "_matrix", "_inverse")
 
     def __init__(self, system: "RootSystem", images: Sequence[int], check: bool = True):
         self.system = system
         self.images = tuple(images)
         self._matrix = None
+        self._inverse = None
         if check:
             n2 = 2 * system.n_pos
             if len(self.images) != n2 or sorted(self.images) != list(range(n2)):
@@ -226,10 +227,13 @@ class RootMap:
         )
 
     def inverse(self) -> "RootMap":
-        inv = [0] * len(self.images)
-        for i, j in enumerate(self.images):
-            inv[j] = i
-        return RootMap(self.system, inv, check=False)
+        """The inverse map, built once; maps are immutable."""
+        if self._inverse is None:
+            inv = [0] * len(self.images)
+            for i, j in enumerate(self.images):
+                inv[j] = i
+            self._inverse = RootMap(self.system, inv, check=False)
+        return self._inverse
 
     def is_identity(self) -> bool:
         return all(i == j for i, j in enumerate(self.images))

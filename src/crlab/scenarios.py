@@ -2,14 +2,14 @@
 
 Each scenario is an ordered list of steps; a step records the algebraic
 identity it checks (its anchor), an expected rendering and the actual
-engine output.  Scenarios are deterministic given the seed, which only
-feeds the randomized matrix-oracle samplings.
+engine output.  Every step is deterministic: the A2 matrix-oracle steps
+compare words exactly over the polynomial ring, and no step draws from the
+seed, which `run_scenario` still accepts.
 """
 
 from __future__ import annotations
 
 import json
-import random
 import time
 from typing import Callable, Dict, List
 
@@ -36,7 +36,7 @@ from .chevalley import (
     word_equal,
 )
 from .matrixoracle import (
-    GF,
+    PolyRing,
     enumerate_m_conjugacy,
     lie_adjoint,
     lie_vector_matrix,
@@ -62,7 +62,7 @@ class Step:
     def __init__(self, name: str, anchor: str, run: Callable):
         self.name = name
         self.anchor = anchor
-        self.run = run  # rng -> (ok, expected, actual)
+        self.run = run  # () -> (ok, expected, actual)
 
 
 class StepResult:
@@ -118,7 +118,7 @@ class Report:
 
 
 def _eq_step(name, anchor, expected_obj, actual_obj, render=str, equal=None):
-    def run(rng):
+    def run():
         ok = equal(expected_obj, actual_obj) if equal else expected_obj == actual_obj
         return ok, render(expected_obj), render(actual_obj)
 
@@ -126,10 +126,10 @@ def _eq_step(name, anchor, expected_obj, actual_obj, render=str, equal=None):
 
 
 def _check(name, anchor, holds, want, otherwise):
-    """Step that passes when holds(rng) is true; it shows `want` as the
+    """Step that passes when holds() is true; it shows `want` as the
     expected text, and as the actual text `want` or `otherwise`."""
-    def run(rng):
-        ok = holds(rng)
+    def run():
+        ok = holds()
         return ok, want, want if ok else otherwise
 
     return Step(name, anchor, run)
@@ -284,7 +284,7 @@ def _steps_d4_gir() -> List[Step]:
     torus_ac = word(sys, reg, TorusValue(sys.cocharacter((1, 0, 1, 0)), "t"))
     gens = [nsig, torus_ac, h_expected]
 
-    def containment(rng):
+    def containment():
         ok = all(word_in_rparabolic(g, lam) for g in gens)
         return ok, "PASS", "all three generators lie in the lambda parabolic" if ok else "a generator escapes"
     steps.append(Step(
@@ -314,7 +314,7 @@ def _steps_d4_gir() -> List[Step]:
         "the opposite-radical centralizer of M is U_-12",
         "U_-12", rep3.subgroup_description()))
 
-    def levi_torus(rng):
+    def levi_torus():
         chi1 = sys.cocharacter((1, 0, 1, 0))
         chi2 = sys.cocharacter((0, 0, 1, 1))
         bad = [
@@ -355,11 +355,11 @@ def _steps_d4_gir() -> List[Step]:
 
     steps.append(_check(
         "bruhat-exclusion", "e-12(1)*e-2(s) has no limit along (a+2b+c+d)^v",
-        lambda rng: limit_along(lam, None, tail) is None, "no limit", "limit exists"))
+        lambda: limit_along(lam, None, tail) is None, "no limit", "limit exists"))
 
     steps.append(_check(
         "nonk-flag", "the conjugating element carries the square-root constant",
-        lambda rng: any(isinstance(a, RootElement) and a.coeff.involves_sqrt for a in v.atoms),
+        lambda: any(isinstance(a, RootElement) and a.coeff.involves_sqrt for a in v.atoms),
         "not k-rational as presented", "k-rational"))
 
     reg.add("u12arg")
@@ -368,7 +368,7 @@ def _steps_d4_gir() -> List[Step]:
 
     steps.append(_check(
         "u12-centralizes", "e12(y) commutes with every generator of the conjugated group",
-        lambda rng: all(word_equal(conjugate(g, u12), u12) for g in gens),
+        lambda: all(word_equal(conjugate(g, u12), u12) for g in gens),
         "U_12 centralizes all generators", "U_12 moved"))
 
     uneg = word(sys, reg, RootElement(sys.root_by_label(-12), y))
@@ -399,6 +399,9 @@ def _steps_d4_gir() -> List[Step]:
 # scenario: a2-conjugacy
 
 
+EXACT_MATRICES = "matrices over F2[x,y,z,s][t,t^-1] are equal"
+
+
 def _a2_registry():
     reg = VariableRegistry()
     for n in ("x", "y", "z"):
@@ -427,22 +430,18 @@ def _steps_a2() -> List[Step]:
 
     steps.append(_check(
         "sigma-conjugation-oracle", "the same identity holds as 3x3 matrices",
-        lambda rng: matrix_oracle_check(sigma * u * sigma.inverse(), expected, rng),
-        "matrices agree at 8 random F16 points", "matrix mismatch"))
+        lambda: matrix_oracle_check(sigma * u * sigma.inverse(), expected),
+        EXACT_MATRICES, "matrix mismatch"))
 
     vec = LieVector.basis_e(sys, reg, 1) + LieVector.basis_e(sys, reg, 2)
     steps.append(_eq_step(
         "adjoint-fixed", "Ad(sigma)(e1+e2) = e1+e2",
         vec, adjoint(sigma, vec)))
 
-    def oracle_adjoint(rng):
-        gf = GF(16)
-        ok = True
-        for _ in range(8):
-            assign = {"x": rng.randrange(16), "y": rng.randrange(16), "z": rng.randrange(16)}
-            X = lie_vector_matrix(vec, assign, gf)
-            ok = ok and lie_adjoint(gf, sigma_element(gf), X) == X
-        return ok
+    def oracle_adjoint():
+        ring = PolyRing(reg)
+        X = lie_vector_matrix(vec, ring.generic_point(), ring)
+        return lie_adjoint(ring, sigma_element(ring), X) == X
     steps.append(_check(
         "adjoint-fixed-oracle", "the fixed vector is fixed in the sl3 matrix model too",
         oracle_adjoint, "sl3 adjoint of sigma fixes the matrix of e1+e2", "matrix moved"))
@@ -465,9 +464,9 @@ def _steps_a2() -> List[Step]:
 
     steps.append(_check(
         "pair-formula-oracle", "both pair components check out as matrices",
-        lambda rng: (matrix_oracle_check(v * sigma * v.inverse(), curve_expected, rng)
-                     and matrix_oracle_check(v * m2 * v.inverse(), m2, rng)),
-        "matrices agree at 8 random F16 points", "matrix mismatch"))
+        lambda: (matrix_oracle_check(v * sigma * v.inverse(), curve_expected)
+                 and matrix_oracle_check(v * m2 * v.inverse(), m2)),
+        EXACT_MATRICES, "matrix mismatch"))
 
     classes4 = enumerate_m_conjugacy(4, list(range(4)))
     steps.append(_eq_step(
@@ -513,7 +512,7 @@ def _steps_d4_nonsep() -> List[Step]:
         "e6(x)*e9(x) conjugates n[a]*sigma to n[a]*sigma*e12(x^2), nonzero for generic x",
         expected, got, render=render_word, equal=word_equal))
 
-    def curve_vs_adjoint(rng):
+    def curve_vs_adjoint():
         fixed = adjoint(curve, vec) == vec
         residual = collect([a for a in got.atoms if isinstance(a, RootElement)],
                            [sys.root_by_label(12)], reg).coefficient(12)
@@ -535,7 +534,7 @@ def _steps_w0() -> List[Step]:
     lam = _lam(d4)
     L = [d4.simple("a"), d4.simple("c"), d4.simple("d")]
 
-    def d4_identities(rng):
+    def d4_identities():
         report = verify_w0_identities(d4, L, lam)
         ok = report.hypothesis_ok and report.all_ok
         detail = ", ".join(f"{n}:{'ok' if good else 'FAIL'}" for n, good, _ in report.checks)
@@ -551,16 +550,16 @@ def _steps_w0() -> List[Step]:
     steps.append(_check(
         "a3-extension-absent",
         "the -1 realization of the A2 Levi does not extend over the A3 radical",
-        lambda rng: extends_to_ambient(a3, La3, {r: -r for r in subsystem_roots(a3, La3)}) is None,
+        lambda: extends_to_ambient(a3, La3, {r: -r for r in subsystem_roots(a3, La3)}) is None,
         "no ambient extension", "witness found"))
 
     steps.append(_check(
         "a3-hypothesis-failure",
         "the composite-map argument is reported unavailable for (A3, L_ab)",
-        lambda rng: not verify_w0_identities(a3, La3, a3.cocharacter((1, 2, 3))).hypothesis_ok,
+        lambda: not verify_w0_identities(a3, La3, a3.cocharacter((1, 2, 3))).hypothesis_ok,
         "hypothesis failure", "unexpectedly extended"))
 
-    def a3_realization(rng):
+    def a3_realization():
         w0, sigma_l = minus_one_realization(a3, La3)
         if sigma_l is None:
             return False, "sigma_L present", "sigma_L absent"
@@ -579,7 +578,7 @@ def _steps_w0() -> List[Step]:
     steps.append(_check(
         "regular-lambda-vacuous",
         "with no Levi simples the composite is -1 and flips every root",
-        lambda rng: verify_w0_identities(d4, [], d4.cocharacter((1, 1, 1, 1))).all_ok,
+        lambda: verify_w0_identities(d4, [], d4.cocharacter((1, 1, 1, 1))).all_ok,
         "regular case: -1 flips everything", "failed"))
     return steps
 
@@ -606,11 +605,12 @@ def _failure(exc: Exception) -> tuple:
 
 
 def run_scenario(name: str, seed: int = 0) -> Report:
+    """Run every step of a scenario.  `seed` is accepted for callers that
+    pass one; no step is randomized, so it does not change the report."""
     if name not in SCENARIOS:
         raise KeyError(
             f"unknown scenario {name!r}; registered: {', '.join(scenario_names())}")
     start = time.perf_counter()
-    rng = random.Random(seed)
     results = []
     try:
         steps = SCENARIOS[name]()
@@ -619,7 +619,7 @@ def run_scenario(name: str, seed: int = 0) -> Report:
         results.append(StepResult("build", "the scenario builds its steps", *_failure(exc)))
     for step in steps:
         try:
-            ok, expected, actual = step.run(rng)
+            ok, expected, actual = step.run()
             status = "PASS" if ok else "FAIL"
         except Exception as exc:  # surface engine errors as step failures
             status, expected, actual = _failure(exc)

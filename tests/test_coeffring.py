@@ -245,3 +245,33 @@ def test_negative_exponent_on_ordinary_variable_raises():
         reg.monomial({"x4": -1})
     with pytest.raises(ValueError):
         reg.var("x4") ** -1
+
+
+def test_pow_stops_squaring_at_the_top_bit(monkeypatch):
+    reg = make_registry()
+    p = reg.var("x4") + reg.var("y")
+    products = []
+    mul = Polynomial.__mul__
+
+    def counted(a, b):
+        products.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(Polynomial, "__mul__", counted)
+    counts = []
+    for k in range(1, 6):
+        products.clear()
+        p ** k
+        counts.append(len(products))
+    monkeypatch.undo()
+    assert counts == [1, 2, 3, 3, 4]
+
+    power = reg.one()
+    for k in range(10):
+        assert p ** k == power
+        power = power * p
+
+    u = reg.monomial({"t": 3})
+    for k in range(1, 6):
+        assert u ** -k == reg.monomial({"t": -3 * k})
+        assert u ** -k * u ** k == reg.one()

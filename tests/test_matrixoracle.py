@@ -16,11 +16,13 @@ from crlab.chevalley import (
 )
 from crlab.matrixoracle import (
     GF,
-    IDENT,
     J,
+    PolyRing,
     A2Matrix,
     enumerate_m_conjugacy,
     evaluate_word,
+    exact_word,
+    identity,
     m_group_elements,
     m_stabilizer,
     matrix_oracle_check,
@@ -67,13 +69,13 @@ def test_mat_inverse():
         if mat_det(gf, A) == 0:
             continue
         found += 1
-        assert mat_mul(gf, A, mat_inv(gf, A)) == IDENT
+        assert mat_mul(gf, A, mat_inv(gf, A)) == identity(gf)
 
 
 def test_sigma_invariants():
     gf = GF(16)
     sig = sigma_element(gf)
-    assert sig * sig == A2Matrix(gf, IDENT)
+    assert sig * sig == A2Matrix(gf, identity(gf))
     for x in range(16):
         assert sig * transvection(gf, 1, x) * sig == transvection(gf, 2, x)
         assert sig * transvection(gf, -1, x) * sig == transvection(gf, -2, x)
@@ -95,7 +97,6 @@ def test_sl3_determinant_one():
 def test_oracle_sigma_conjugation_identity():
     sys, reg = setup()
     x, y, z = reg.var("x"), reg.var("y"), reg.var("z")
-    rng = random.Random(0)
     sigma = word(sys, reg, GraphAut(sys, "sigma"))
     u = word(sys, reg, RootElement(sys.root_by_label(1), x),
              RootElement(sys.root_by_label(2), y),
@@ -104,43 +105,39 @@ def test_oracle_sigma_conjugation_identity():
     rhs = word(sys, reg, RootElement(sys.root_by_label(1), y),
                RootElement(sys.root_by_label(2), x),
                RootElement(sys.root_by_label(3), x * y + z))
-    assert matrix_oracle_check(lhs, rhs, rng)
+    assert matrix_oracle_check(lhs, rhs)
 
 
 def test_oracle_curve_identity():
     sys, reg = setup()
     x = reg.var("x")
-    rng = random.Random(1)
     v = word(sys, reg, RootElement(sys.root_by_label(1), x),
              RootElement(sys.root_by_label(2), x))
     sigma = word(sys, reg, GraphAut(sys, "sigma"))
     lhs = v * sigma * v.inverse()
     rhs = sigma * word(sys, reg, RootElement(sys.root_by_label(3), x * x))
-    assert matrix_oracle_check(lhs, rhs, rng)
+    assert matrix_oracle_check(lhs, rhs)
 
 
 def test_oracle_trivial_identity():
     sys, reg = setup()
-    rng = random.Random(2)
-    assert matrix_oracle_check(word(sys, reg), word(sys, reg), rng)
+    assert matrix_oracle_check(word(sys, reg), word(sys, reg))
 
 
 def test_oracle_detects_wrong_identity():
     sys, reg = setup()
     x = reg.var("x")
-    rng = random.Random(3)
     lhs = word(sys, reg, RootElement(sys.root_by_label(1), x))
     rhs = word(sys, reg, RootElement(sys.root_by_label(2), x))
-    assert not matrix_oracle_check(lhs, rhs, rng)
+    assert not matrix_oracle_check(lhs, rhs)
 
 
 def test_oracle_rejects_non_a2():
     d4 = root_system("d4")
     reg = VariableRegistry()
-    rng = random.Random(4)
     w = word(d4, reg)
     with pytest.raises(ValueError):
-        matrix_oracle_check(w, w, rng)
+        matrix_oracle_check(w, w)
 
 
 def random_a2_word(sys, reg, rng, max_len=8):
@@ -169,13 +166,91 @@ def test_engine_normal_form_agrees_with_matrices():
     rng = random.Random(2024)
     for _ in range(200):
         w = random_a2_word(sys, reg, rng)
-        canon = normalized_word(w)
+        assert exact_word(w) == exact_word(normalized_word(w))
+
+
+def random_point(rng):
+    return {"x": rng.randrange(16), "y": rng.randrange(16), "z": rng.randrange(16),
+            "s": rng.randrange(16), "t": rng.randrange(1, 16)}
+
+
+def specialize(exact, point, gf):
+    return tuple(tuple(e.evaluate(point, gf) for e in row) for row in exact.mat)
+
+
+def test_exact_word_specializes_to_the_f16_evaluation():
+    sys, reg = setup()
+    rng = random.Random(1612)
+    gf = GF(16)
+    for _ in range(200):
+        w = random_a2_word(sys, reg, rng)
+        exact = exact_word(w)
         for _ in range(8):
-            assign_rng = random.Random(rng.randrange(1 << 30))
-            gf = GF(16)
-            from crlab.matrixoracle import random_assignment
-            assign = random_assignment([w, canon], gf, assign_rng)
-            assert evaluate_word(w, assign, gf) == evaluate_word(canon, assign, gf)
+            point = random_point(rng)
+            numeric = evaluate_word(w, point, gf)
+            assert specialize(exact, point, gf) == numeric.mat
+            assert exact.flag == numeric.flag
+
+
+def test_exact_oracle_rejects_near_miss_identities():
+    sys, reg = setup()
+    x, y, z = reg.var("x"), reg.var("y"), reg.var("z")
+    e1, e2, e3 = (sys.root_by_label(i) for i in (1, 2, 3))
+    sigma = word(sys, reg, GraphAut(sys, "sigma"))
+    lhs = sigma * word(sys, reg, RootElement(e1, x), RootElement(e2, y), RootElement(e3, z)) * sigma.inverse()
+    assert matrix_oracle_check(lhs, word(sys, reg, RootElement(e1, y), RootElement(e2, x),
+                                         RootElement(e3, x * y + z)))
+    # x*y dropped from the e3 coefficient
+    assert not matrix_oracle_check(lhs, word(sys, reg, RootElement(e1, y), RootElement(e2, x),
+                                             RootElement(e3, z)))
+    # e1 and e2 swapped
+    assert not matrix_oracle_check(lhs, word(sys, reg, RootElement(e2, y), RootElement(e1, x),
+                                             RootElement(e3, x * y + z)))
+    assert not matrix_oracle_check(lhs, word(sys, reg, RootElement(e1, x), RootElement(e2, y),
+                                             RootElement(e3, x * y + z)))
+    # e3(x) in place of e3(x^2) in the curve identity
+    v = word(sys, reg, RootElement(e1, x), RootElement(e2, x))
+    curve = v * sigma * v.inverse()
+    assert matrix_oracle_check(curve, sigma * word(sys, reg, RootElement(e3, x * x)))
+    assert not matrix_oracle_check(curve, sigma * word(sys, reg, RootElement(e3, x)))
+    # a constant coefficient is not the identity
+    assert not matrix_oracle_check(word(sys, reg, RootElement(e3, reg.one())), word(sys, reg))
+
+
+def test_exact_oracle_decides_the_uncollected_tail():
+    # e-1(y)^2 = 1 and then e1(x)^2 = 1 in characteristic 2
+    sys, reg = setup()
+    x, y = reg.var("x"), reg.var("y")
+    e1, em1 = sys.root_by_label(1), sys.root_by_label(-1)
+    w = word(sys, reg, RootElement(e1, x), RootElement(em1, y), RootElement(em1, y), RootElement(e1, x))
+    assert matrix_oracle_check(w, word(sys, reg))
+
+
+def test_exact_oracle_with_sqrt_constant_and_negative_torus_power():
+    sys, reg = setup()
+    s, t = reg.var("s"), reg.var("t")
+    e1 = sys.root_by_label(1)
+    h = word(sys, reg, TorusValue(sys.cocharacter((-2, 0)), "t"))  # diag(t^-2, t^2, 1)
+    diag = tuple(exact_word(h).mat[i][i] for i in range(3))
+    assert diag == (t ** -2, t ** 2, reg.one())
+    assert PolyRing(reg).inv(t ** 2) == t ** -2
+    lhs = h * word(sys, reg, RootElement(e1, s)) * h.inverse()
+    assert matrix_oracle_check(lhs, word(sys, reg, RootElement(e1, t ** -4 * s)))
+    assert not matrix_oracle_check(lhs, word(sys, reg, RootElement(e1, t ** 4 * s)))
+    rng = random.Random(5)
+    gf = GF(16)
+    exact = exact_word(lhs)
+    for _ in range(8):
+        point = random_point(rng)
+        assert specialize(exact, point, gf) == evaluate_word(lhs, point, gf).mat
+
+
+def test_inverse_of_every_m_element():
+    gf = GF(4)
+    one = A2Matrix(gf, identity(gf))
+    for g in m_group_elements(gf):
+        assert g * g.inverse() == one
+        assert g.inverse() * g == one
 
 
 def test_lie_adjoint_sigma_fixes_the_sum():
@@ -285,7 +360,7 @@ def test_sigma_twist_is_the_literal_j_conjugate():
     rng = random.Random(16)
     mats = []
     for _ in range(40):
-        A = IDENT
+        A = identity(gf)
         for _ in range(rng.randrange(1, 8)):
             t = transvection(gf, rng.choice((1, 2, 3, -1, -2, -3)), rng.randrange(16))
             A = mat_mul(gf, A, t.mat)

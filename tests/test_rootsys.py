@@ -444,3 +444,12 @@ def test_root_sum_table(label):
         for s in sys.roots:
             want = sys.root_or_none(tuple(a + b for a, b in zip(r.coeffs, s.coeffs)))
             assert r + s is want  # the cached root, or None
+
+
+def test_inverse_is_built_once_and_inverts():
+    d4 = root_system("d4")
+    for m in d4.weyl_and_diagram_elements():
+        inv = m.inverse()
+        assert inv is m.inverse()
+        assert m.compose(inv).is_identity()
+        assert inv.compose(m).is_identity()

@@ -14,6 +14,7 @@ from crlab.rootsys import RootMap
 from crlab.scenarios import run_scenario, scenario_names
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "canonical_golden.json"
+EXPECTED_VERIFY = Path(__file__).resolve().parents[1] / "perfbench" / "expected_verify.json"
 
 
 FULLY_PASSING = ["d4-gcr-not-gcrk", "a2-conjugacy", "d4-nonseparability", "w0-combinatorics"]
@@ -43,6 +44,16 @@ def test_d4_gir_fails_only_on_the_recorded_root11_image():
     assert [s.name for s in failing] == ["n12-action-on-11"]
     assert failing[0].expected == "-12"
     assert failing[0].actual == "-11"
+
+
+def test_verify_all_statuses_match_the_benchmark_table(capsys):
+    # the verify-all benchmark checks every step status against this table;
+    # a renamed or flipped step must show here, not only as failed bench ops
+    expected = json.loads(EXPECTED_VERIFY.read_text())
+    assert main(["verify", "--all", "--format", "json"]) == 1
+    reports = json.loads(capsys.readouterr().out)
+    got = {r["scenario"]: {s["name"]: s["status"] for s in r["steps"]} for r in reports}
+    assert got == expected
 
 
 def test_unknown_scenario():
