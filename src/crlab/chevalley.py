@@ -330,12 +330,14 @@ class RadicalElement:
         return "*".join(f"e{r.label}({self.coeffs[r]})" for r in self.order if r in self.coeffs)
 
 
-def generic_radical_element(system, registry, order: Sequence[Root], prefix: str = "x") -> RadicalElement:
+def _coordinate_name(r: Root) -> str:
+    """The coordinate of e_r in a generic radical element: x12, xm12."""
+    return f"x{r.label}" if r.label > 0 else f"xm{-r.label}"
+
+
+def generic_radical_element(system, registry, order: Sequence[Root]) -> RadicalElement:
     """Product of e_zeta(x_zeta) with fresh symbolic coordinates, in order."""
-    coeffs = {}
-    for r in order:
-        name = f"{prefix}{r.label}" if r.label > 0 else f"{prefix}m{-r.label}"
-        coeffs[r] = registry.add(name)
+    coeffs = {r: registry.add(_coordinate_name(r)) for r in order}
     return RadicalElement(system, registry, order, coeffs)
 
 
@@ -345,9 +347,7 @@ def generic_radical_element(system, registry, order: Sequence[Root], prefix: str
 
 def _atom_conjugate_inverse(atom, e: RootElement) -> RootElement:
     """f^-1 e f for a frame atom f and root element e."""
-    if isinstance(atom, WeylRep):
-        return RootElement(atom.map.inverse()(e.root), e.coeff)
-    if isinstance(atom, GraphAut):
+    if isinstance(atom, (WeylRep, GraphAut)):
         return RootElement(atom.map.inverse()(e.root), e.coeff)
     if isinstance(atom, TorusValue):
         p = pairing(e.root, atom.cochar)
@@ -506,11 +506,6 @@ class LieVector:
         for i, c in other.h.items():
             h[i] = h.get(i, self.registry.zero()) + c
         return LieVector(self.system, self.registry, e, h)
-
-    def scale(self, c: Polynomial) -> "LieVector":
-        return LieVector(self.system, self.registry,
-                         {r: c * v for r, v in self.e.items()},
-                         {i: c * v for i, v in self.h.items()})
 
     def __eq__(self, other):
         return (
@@ -788,7 +783,7 @@ class CentralizerReport:
 
 
 def centralizer_system(generators: Sequence[GroupWord], radical: Sequence[Root],
-                       registry: VariableRegistry, prefix: str = "x") -> CentralizerReport:
+                       registry: VariableRegistry) -> CentralizerReport:
     """Equations saying a generic radical element commutes with each generator.
 
     Torus values carry formal unit parameters, so commuting with the full
@@ -797,8 +792,8 @@ def centralizer_system(generators: Sequence[GroupWord], radical: Sequence[Root],
     """
     radical = tuple(radical)
     system = radical[0].system
-    u = generic_radical_element(system, registry, radical, prefix)
-    varmap = {r: f"{prefix}{r.label}" if r.label > 0 else f"{prefix}m{-r.label}" for r in radical}
+    u = generic_radical_element(system, registry, radical)
+    varmap = {r: _coordinate_name(r) for r in radical}
     equations: List[Polynomial] = []
     for g in generators:
         gmap = normalize(g).frame_map

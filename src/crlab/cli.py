@@ -27,7 +27,7 @@ def _cmd_verify(args) -> int:
         print(f"unknown scenario {args.scenario!r}; registered: {', '.join(scenario_names())}",
               file=_sys.stderr)
         return 2
-    reports = [run_scenario(n, seed=args.seed) for n in names]
+    reports = [run_scenario(n) for n in names]
     if args.format == "json":
         payload = [r.to_dict() for r in reports]
         print(json.dumps(payload[0] if len(payload) == 1 else payload, indent=2))
@@ -89,7 +89,8 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="run a registered verification scenario")
     v.add_argument("scenario", nargs="?", help="scenario name")
     v.add_argument("--all", action="store_true", help="run every registered scenario")
-    v.add_argument("--seed", type=int, default=0, help="accepted and ignored: no verification step is randomized")
+    v.add_argument("--seed", type=int, default=0,
+                   help="accepted for compatibility and ignored: no step is randomized")
     v.add_argument("--format", choices=("text", "json"), default="text")
     v.set_defaults(func=_cmd_verify)
 

@@ -68,12 +68,13 @@ class GF:
         if n < 0:
             a, n = self.inv(a), -n
         r = 1
-        while n:
+        while True:
             if n & 1:
                 r = self.mul(r, a)
-            a = self.mul(a, a)
             n >>= 1
-        return r
+            if not n:
+                return r
+            a = self.mul(a, a)
 
     def inv(self, a: int) -> int:
         if a == 0:

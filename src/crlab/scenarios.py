@@ -1,17 +1,23 @@
 """Named verification scenarios chaining the engine operations.
 
-Each scenario is an ordered list of steps; a step records the algebraic
-identity it checks (its anchor), an expected rendering and the actual
-engine output.  Every step is deterministic: the A2 matrix-oracle steps
-compare words exactly over the polynomial ring, and no step draws from the
-seed, which `run_scenario` still accepts.
+A scenario is a function of one argument, `step`.  It calls
+`step(name, anchor, expected, actual, render=str, equal=None)` once per
+check, in order: `anchor` is the algebraic identity the step checks and
+`actual` a zero-argument thunk that does the engine work.  `run_scenario`
+owns the only `step`: it calls the thunk at once, compares the result with
+`expected` by `equal` (or `==`), records both sides through `render`, and
+turns an exception into that step's FAIL.  `step` returns the computed
+value, or None after an error, so later steps can build on it; code between
+steps that raises ends the scenario with a FAIL step named `build`.  Every
+step is deterministic: the A2 matrix-oracle steps compare words exactly over
+the polynomial ring.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Sequence
 
 from .coeffring import (
     SQRT,
@@ -56,13 +62,6 @@ from .rootsys import (
     verify_w0_identities,
 )
 from .wordexpr import render_word
-
-
-class Step:
-    def __init__(self, name: str, anchor: str, run: Callable):
-        self.name = name
-        self.anchor = anchor
-        self.run = run  # () -> (ok, expected, actual)
 
 
 class StepResult:
@@ -117,26 +116,8 @@ class Report:
         return "\n".join(lines)
 
 
-def _eq_step(name, anchor, expected_obj, actual_obj, render=str, equal=None):
-    def run():
-        ok = equal(expected_obj, actual_obj) if equal else expected_obj == actual_obj
-        return ok, render(expected_obj), render(actual_obj)
-
-    return Step(name, anchor, run)
-
-
-def _check(name, anchor, holds, want, otherwise):
-    """Step that passes when holds() is true; it shows `want` as the
-    expected text, and as the actual text `want` or `otherwise`."""
-    def run():
-        ok = holds()
-        return ok, want, want if ok else otherwise
-
-    return Step(name, anchor, run)
-
-
 # ---------------------------------------------------------------------------
-# shared D4 builders
+# shared builders
 
 
 def _d4_registry() -> VariableRegistry:
@@ -157,6 +138,21 @@ def _lam(sys):
     return sys.cocharacter((1, 2, 1, 1))
 
 
+def _roots(sys, labels: Sequence[int]) -> list:
+    return [sys.root_by_label(i) for i in labels]
+
+
+def _e(sys, label: int, coeff) -> RootElement:
+    return RootElement(sys.root_by_label(label), coeff)
+
+
+def _root_coefficient(w, order: Sequence[int], label: int):
+    """The e_label coefficient once the root elements of w are collected in
+    the order of the labels `order`."""
+    atoms = [a for a in w.atoms if isinstance(a, RootElement)]
+    return collect(atoms, _roots(w.system, order), w.registry).coefficient(label)
+
+
 PERM_CYCLES = "(4 5 8 11 10 7)(6 9)(12)"
 DISPLAY_ORDER = (7, 10, 9, 11, 6, 8, 4, 5, 12)
 W0_WORD = ("a", "b", "a", "c", "b", "a", "d", "b", "a", "c", "b", "d")
@@ -166,233 +162,160 @@ W0_WORD = ("a", "b", "a", "c", "b", "a", "d", "b", "a", "c", "b", "d")
 # scenario: d4-gcr-not-gcrk
 
 
-def _steps_d4_gcr() -> List[Step]:
+def _d4_gcr(step) -> None:
     sys = root_system("d4")
     reg = _d4_registry()
     s = reg.var("s")
-    steps = []
-
     nsig = _nsigma(sys, reg)
-    images = {i: compose_word(sys, ["a", "sigma"])(sys.root_by_label(i)).label for i in range(4, 13)}
-    steps.append(_eq_step(
-        "eq-perm", "n[a]*sigma acts on labels 4..12 as (4 5 8 11 10 7)(6 9)(12)",
-        PERM_CYCLES, label_cycles(images)))
-
-    v = word(sys, reg, RootElement(sys.root_by_label(6), s), RootElement(sys.root_by_label(9), s))
-    got = conjugate(v, nsig)
-    expected = nsig * word(sys, reg, RootElement(sys.root_by_label(12), s * s))
-    steps.append(_eq_step(
-        "conjugation-identity", "e6(s)*e9(s) conjugates n[a]*sigma to n[a]*sigma*e12(s^2)",
-        expected, got, render=render_word, equal=word_equal))
-
     nmap = compose_word(sys, ["a", "sigma"])
-    steps.append(_eq_step(
-        "lir-cocharacter-swap", "n[a]*sigma maps (a+c)^v to (c+d)^v",
-        sys.cocharacter((0, 0, 1, 1)), nmap.act_cochar(sys.cocharacter((1, 0, 1, 0)))))
+    step("eq-perm", "n[a]*sigma acts on labels 4..12 as (4 5 8 11 10 7)(6 9)(12)",
+         PERM_CYCLES, lambda: label_cycles({i: nmap(sys.root_by_label(i)).label for i in range(4, 13)}))
 
-    cube = nsig * nsig * nsig
-    triple = word(sys, reg, WeylRep(sys.simple("a")), WeylRep(sys.simple("c")), WeylRep(sys.simple("d")))
-    steps.append(_eq_step(
-        "lir-cube", "(n[a]*sigma)^3 = n[a]*n[c]*n[d]",
-        triple, cube, render=render_word, equal=word_equal))
+    v = word(sys, reg, _e(sys, 6, s), _e(sys, 9, s))
+    step("conjugation-identity", "e6(s)*e9(s) conjugates n[a]*sigma to n[a]*sigma*e12(s^2)",
+         nsig * word(sys, reg, _e(sys, 12, s * s)), lambda: conjugate(v, nsig),
+         render=render_word, equal=word_equal)
+    step("lir-cocharacter-swap", "n[a]*sigma maps (a+c)^v to (c+d)^v",
+         sys.cocharacter((0, 0, 1, 1)), lambda: nmap.act_cochar(sys.cocharacter((1, 0, 1, 0))))
+    step("lir-cube", "(n[a]*sigma)^3 = n[a]*n[c]*n[d]",
+         word(sys, reg, *(WeylRep(sys.simple(c)) for c in "acd")), lambda: nsig * nsig * nsig,
+         render=render_word, equal=word_equal)
 
-    radical = [sys.root_by_label(i) for i in range(4, 13)]
+    radical = _roots(sys, range(4, 13))
     u = generic_radical_element(sys, reg, radical)
-    g = nsig * word(sys, reg, RootElement(sys.root_by_label(12), s * s))
-    frame, tail = conjugate_generic(u, g, order=[sys.root_by_label(i) for i in DISPLAY_ORDER])
+    g = nsig * word(sys, reg, _e(sys, 12, s * s))
     x = {i: reg.var(f"x{i}") for i in range(4, 13)}
     expected_tail = collect(
         [
-            RootElement(sys.root_by_label(7), x[4] + x[7]),
-            RootElement(sys.root_by_label(10), x[7] + x[10]),
-            RootElement(sys.root_by_label(9), x[6] + x[9]),
-            RootElement(sys.root_by_label(11), x[10] + x[11]),
-            RootElement(sys.root_by_label(6), x[6] + x[9]),
-            RootElement(sys.root_by_label(8), x[8] + x[11]),
-            RootElement(sys.root_by_label(4), x[4] + x[5]),
-            RootElement(sys.root_by_label(5), x[5] + x[8]),
-            RootElement(
-                sys.root_by_label(12),
-                x[5] * x[10] + x[5] * x[11] + x[7] * x[8] + x[7] * x[11] + x[8] * x[10]
-                + x[9] ** 2 + s * s,
-            ),
+            _e(sys, 7, x[4] + x[7]),
+            _e(sys, 10, x[7] + x[10]),
+            _e(sys, 9, x[6] + x[9]),
+            _e(sys, 11, x[10] + x[11]),
+            _e(sys, 6, x[6] + x[9]),
+            _e(sys, 8, x[8] + x[11]),
+            _e(sys, 4, x[4] + x[5]),
+            _e(sys, 5, x[5] + x[8]),
+            _e(sys, 12, x[5] * x[10] + x[5] * x[11] + x[7] * x[8] + x[7] * x[11] + x[8] * x[10]
+               + x[9] ** 2 + s * s),
         ],
-        [sys.root_by_label(i) for i in DISPLAY_ORDER],
+        _roots(sys, DISPLAY_ORDER),
         reg,
     )
-    steps.append(_eq_step(
-        "generic-collection",
-        "all nine coefficients of u^-1 * (n[a]*sigma*e12(s^2)) * u",
-        expected_tail, tail, render=render_word))
+    tail = step("generic-collection", "all nine coefficients of u^-1 * (n[a]*sigma*e12(s^2)) * u",
+                expected_tail, lambda: conjugate_generic(u, g, order=_roots(sys, DISPLAY_ORDER))[1],
+                render=render_word)
 
-    report = centralizer_system([nsig], radical, reg)
-    classes = report.linear_classes()
-    extra = report.nonlinear_equations()
-    actual = "; ".join("=".join(c) for c in classes)
-    if extra:
-        actual += "; " + "; ".join(f"{p}=0" for p in extra)
-    steps.append(_eq_step(
-        "constraint-extraction",
-        "membership of the conjugate in the Levi forces x4=x5=x7=x8=x10=x11 and x6=x9",
-        "x4=x5=x7=x8=x10=x11; x6=x9; x5x10+x6x9=0", actual))
+    def constraints():
+        report = centralizer_system([nsig], radical, reg)
+        classes = "; ".join("=".join(c) for c in report.linear_classes())
+        return classes + "".join(f"; {p}=0" for p in report.nonlinear_equations())
+    step("constraint-extraction",
+         "membership of the conjugate in the Levi forces x4=x5=x7=x8=x10=x11 and x6=x9",
+         "x4=x5=x7=x8=x10=x11; x6=x9; x5x10+x6x9=0", constraints)
 
-    e12_coeff = tail.coefficient(12)
-    bindings = {n: reg.var("y") for n in ("x4", "x5", "x7", "x8", "x10", "x11")}
-    bindings["x6"] = reg.var("x9")
-    substituted = e12_coeff.substitute(bindings)
-    target = reg.var("y") ** 2 + reg.var("x9") ** 2 + s ** 2
-    steps.append(_eq_step(
-        "rationality-substitution",
-        "the equalities reduce the e12 coefficient to y^2+x9^2+s^2",
-        target, substituted))
-    steps.append(_eq_step(
-        "rationality-obstruction",
-        "y^2+x9^2+s^2 = 0 has no solution with s-free coordinates",
-        UNSOLVABLE_OVER_K, classify_square_obstruction(substituted)))
-    return steps
+    y, x9 = reg.var("y"), reg.var("x9")
+    bindings = {n: y for n in ("x4", "x5", "x7", "x8", "x10", "x11")}
+    bindings["x6"] = x9
+    substituted = step("rationality-substitution",
+                       "the equalities reduce the e12 coefficient to y^2+x9^2+s^2",
+                       y ** 2 + x9 ** 2 + s ** 2, lambda: tail.coefficient(12).substitute(bindings))
+    step("rationality-obstruction", "y^2+x9^2+s^2 = 0 has no solution with s-free coordinates",
+         UNSOLVABLE_OVER_K, lambda: classify_square_obstruction(substituted))
 
 
 # ---------------------------------------------------------------------------
 # scenario: d4-gir-not-gcr
 
 
-def _steps_d4_gir() -> List[Step]:
+def _d4_gir(step) -> None:
     sys = root_system("d4")
     reg = _d4_registry()
-    s = reg.var("s")
+    s, one = reg.var("s"), reg.one()
     lam = _lam(sys)
-    steps = []
     nsig = _nsigma(sys, reg)
 
-    v = word(sys, reg, RootElement(sys.root_by_label(-6), s), RootElement(sys.root_by_label(-9), s))
-    got = conjugate(v, nsig)
-    expected = nsig * word(sys, reg, RootElement(sys.root_by_label(-12), s * s))
-    steps.append(_eq_step(
-        "conjugation-identity-opposite",
-        "e-6(s)*e-9(s) conjugates n[a]*sigma to n[a]*sigma*e-12(s^2)",
-        expected, got, render=render_word, equal=word_equal))
-
-    h0 = word(sys, reg, RootElement(sys.root_by_label(11), reg.one()))
-    h = conjugate(v.inverse(), h0)
-    h_expected = word(sys, reg, RootElement(sys.root_by_label(11), reg.one()),
-                      RootElement(sys.root_by_label(2), s))
-    steps.append(_eq_step(
-        "conjugated-generator",
-        "v^-1 e11(1) v = e11(1)*e2(s)",
-        h_expected, h, render=render_word, equal=word_equal))
+    v = word(sys, reg, _e(sys, -6, s), _e(sys, -9, s))
+    step("conjugation-identity-opposite", "e-6(s)*e-9(s) conjugates n[a]*sigma to n[a]*sigma*e-12(s^2)",
+         nsig * word(sys, reg, _e(sys, -12, s * s)), lambda: conjugate(v, nsig),
+         render=render_word, equal=word_equal)
+    h = word(sys, reg, _e(sys, 11, one), _e(sys, 2, s))
+    step("conjugated-generator", "v^-1 e11(1) v = e11(1)*e2(s)",
+         h, lambda: conjugate(v.inverse(), word(sys, reg, _e(sys, 11, one))),
+         render=render_word, equal=word_equal)
 
     torus_ac = word(sys, reg, TorusValue(sys.cocharacter((1, 0, 1, 0)), "t"))
-    gens = [nsig, torus_ac, h_expected]
+    gens = [nsig, torus_ac, h]
+    contained = "all three generators lie in the lambda parabolic"
+    step("containment", "n[a]*sigma, (a+c)^v torus and e11(1)*e2(s) lie in P(a+2b+c+d)^v",
+         "PASS",
+         lambda: contained if all(word_in_rparabolic(g, lam) for g in gens) else "a generator escapes",
+         equal=lambda _, got: got == contained)
 
-    def containment():
-        ok = all(word_in_rparabolic(g, lam) for g in gens)
-        return ok, "PASS", "all three generators lie in the lambda parabolic" if ok else "a generator escapes"
-    steps.append(Step(
-        "containment", "n[a]*sigma, (a+c)^v torus and e11(1)*e2(s) lie in P(a+2b+c+d)^v",
-        containment))
+    radical = _roots(sys, range(4, 13))
+    step("centralizer-nsigma",
+         "commuting with n[a]*sigma forces x4=x5=x7=x8=x10=x11 and x6=x9",
+         "x4=x5=x7=x8=x10=x11; x6=x9",
+         lambda: "; ".join("=".join(c) for c in centralizer_system([nsig], radical, reg).linear_classes()))
 
-    radical = [sys.root_by_label(i) for i in range(4, 13)]
-    rep1 = centralizer_system([nsig], radical, reg)
-    steps.append(_eq_step(
-        "centralizer-nsigma",
-        "commuting with n[a]*sigma forces x4=x5=x7=x8=x10=x11 and x6=x9",
-        "x4=x5=x7=x8=x10=x11; x6=x9",
-        "; ".join("=".join(c) for c in rep1.linear_classes())))
+    def m_radical():
+        rep = centralizer_system([nsig, torus_ac], radical, reg)
+        forced = any(str(p) == "x6^2" for p in rep.solved.forced)
+        return rep.subgroup_description() + (" (forced x6^2)" if forced else " (no square forced)")
+    step("centralizer-M-radical",
+         "the radical centralizer of M collapses to U_12 via the forced x6^2 = 0",
+         "U_12 (forced x6^2)", m_radical)
 
-    rep2 = centralizer_system([nsig, torus_ac], radical, reg)
-    forced = any(str(p) == "x6^2" for p in rep2.solved.forced)
-    steps.append(_eq_step(
-        "centralizer-M-radical",
-        "the radical centralizer of M collapses to U_12 via the forced x6^2 = 0",
-        "U_12 (forced x6^2)",
-        rep2.subgroup_description() + (" (forced x6^2)" if forced else " (no square forced)")))
-
-    opposite = [sys.root_by_label(-i) for i in range(4, 13)]
-    rep3 = centralizer_system([nsig, torus_ac], opposite, reg)
-    steps.append(_eq_step(
-        "centralizer-M-opposite",
-        "the opposite-radical centralizer of M is U_-12",
-        "U_-12", rep3.subgroup_description()))
+    opposite = _roots(sys, range(-4, -13, -1))
+    step("centralizer-M-opposite",
+         "the opposite-radical centralizer of M is U_-12",
+         "U_-12", lambda: centralizer_system([nsig, torus_ac], opposite, reg).subgroup_description())
 
     def levi_torus():
         chi1 = sys.cocharacter((1, 0, 1, 0))
         chi2 = sys.cocharacter((0, 0, 1, 1))
-        bad = [
-            lbl
-            for lbl in (1, 2, 3, -1, -2, -3)
-            if pairing(sys.root_by_label(lbl), chi1) == 0
-            and pairing(sys.root_by_label(lbl), chi2) == 0
-        ]
-        ok = not bad
-        return ok, "T", "T" if ok else f"root elements survive at {bad}"
-    steps.append(Step(
-        "centralizer-L-torus",
-        "no Levi root element commutes with both (a+c)^v and (c+d)^v images",
-        levi_torus))
+        bad = [r.label for r in _roots(sys, (1, 2, 3, -1, -2, -3))
+               if pairing(r, chi1) == 0 and pairing(r, chi2) == 0]
+        return f"root elements survive at {bad}" if bad else "T"
+    step("centralizer-L-torus",
+         "no Levi root element commutes with both (a+c)^v and (c+d)^v images",
+         "T", levi_torus)
 
-    nmap = compose_word(sys, ["a", "sigma"])
-    lattice = fixed_cocharacter_lattice(sys, nmap)
-    steps.append(_eq_step(
-        "torus-fixed-line",
-        "the cocharacters fixed by n[a]*sigma form the line through (a+2b+c+d)^v",
-        [(1, 2, 1, 1)], lattice))
+    step("torus-fixed-line",
+         "the cocharacters fixed by n[a]*sigma form the line through (a+2b+c+d)^v",
+         [(1, 2, 1, 1)], lambda: fixed_cocharacter_lattice(sys, compose_word(sys, ["a", "sigma"])))
 
     n12 = compose_word(sys, W0_WORD)
-    got11 = n12.inverse()(sys.root_by_label(11)).label
-    steps.append(_eq_step(
-        "n12-action-on-11",
-        "the 12-letter longest word sends root 11 to -(root 12) under inverse action",
-        -12, got11))
-    got2 = n12.inverse()(sys.root_by_label(2)).label
-    steps.append(_eq_step(
-        "n12-action-on-2",
-        "the 12-letter longest word sends root 2 to -(root 2) under inverse action",
-        -2, got2))
+    step("n12-action-on-11",
+         "the 12-letter longest word sends root 11 to -(root 12) under inverse action",
+         -12, lambda: n12.inverse()(sys.root_by_label(11)).label)
+    step("n12-action-on-2",
+         "the 12-letter longest word sends root 2 to -(root 2) under inverse action",
+         -2, lambda: n12.inverse()(sys.root_by_label(2)).label)
 
-    tail = collect(
-        [RootElement(sys.root_by_label(-12), reg.one()), RootElement(sys.root_by_label(-2), s)],
-        [sys.root_by_label(-12), sys.root_by_label(-2)], reg)
+    def bruhat():
+        tail = collect([_e(sys, -12, one), _e(sys, -2, s)], _roots(sys, (-12, -2)), reg)
+        return "no limit" if limit_along(lam, None, tail) is None else "limit exists"
+    step("bruhat-exclusion", "e-12(1)*e-2(s) has no limit along (a+2b+c+d)^v", "no limit", bruhat)
 
-    steps.append(_check(
-        "bruhat-exclusion", "e-12(1)*e-2(s) has no limit along (a+2b+c+d)^v",
-        lambda: limit_along(lam, None, tail) is None, "no limit", "limit exists"))
+    not_rational = "not k-rational as presented"
+    step("nonk-flag", "the conjugating element carries the square-root constant", not_rational,
+         lambda: not_rational if any(a.coeff.involves_sqrt for a in v.atoms) else "k-rational")
 
-    steps.append(_check(
-        "nonk-flag", "the conjugating element carries the square-root constant",
-        lambda: any(isinstance(a, RootElement) and a.coeff.involves_sqrt for a in v.atoms),
-        "not k-rational as presented", "k-rational"))
+    y = reg.add("u12arg")
+    u12 = word(sys, reg, _e(sys, 12, y))
+    centralized = "U_12 centralizes all generators"
+    step("u12-centralizes", "e12(y) commutes with every generator of the conjugated group",
+         centralized,
+         lambda: centralized if all(word_equal(conjugate(g, u12), u12) for g in gens) else "U_12 moved")
 
-    reg.add("u12arg")
-    y = reg.var("u12arg")
-    u12 = word(sys, reg, RootElement(sys.root_by_label(12), y))
-
-    steps.append(_check(
-        "u12-centralizes", "e12(y) commutes with every generator of the conjugated group",
-        lambda: all(word_equal(conjugate(g, u12), u12) for g in gens),
-        "U_12 centralizes all generators", "U_12 moved"))
-
-    uneg = word(sys, reg, RootElement(sys.root_by_label(-12), y))
-    moved = conjugate(h_expected, uneg)
-    residual = collect(
-        [a for a in moved.atoms if isinstance(a, RootElement)],
-        [sys.root_by_label(-12), sys.root_by_label(2), sys.root_by_label(11), sys.root_by_label(-4)],
-        reg,
-    ).coefficient(-4)
-    steps.append(_eq_step(
-        "u-opposite-fails",
-        "conjugating e-12(y) by e11(1)*e2(s) leaves the residual e-4(y)",
-        y, residual))
-
+    uneg = word(sys, reg, _e(sys, -12, y))
+    step("u-opposite-fails",
+         "conjugating e-12(y) by e11(1)*e2(s) leaves the residual e-4(y)",
+         y, lambda: _root_coefficient(conjugate(h, uneg), (-12, 2, 11, -4), -4))
     lam_torus = word(sys, reg, TorusValue(lam, "t"))
-    conj_h = conjugate(lam_torus, h_expected)
-    coeff11 = collect(
-        [a for a in conj_h.atoms if isinstance(a, RootElement)],
-        [sys.root_by_label(2), sys.root_by_label(11)], reg).coefficient(11)
-    steps.append(_eq_step(
-        "torus-lambda-fails",
-        "the lambda torus scales the e11 coefficient of e11(1)*e2(s) by t",
-        reg.var("t"), coeff11))
-    return steps
+    step("torus-lambda-fails",
+         "the lambda torus scales the e11 coefficient of e11(1)*e2(s) by t",
+         reg.var("t"), lambda: _root_coefficient(conjugate(lam_torus, h), (2, 11), 11))
 
 
 # ---------------------------------------------------------------------------
@@ -411,188 +334,157 @@ def _a2_registry():
     return reg
 
 
-def _steps_a2() -> List[Step]:
+def _matrices(*pairs) -> str:
+    """EXACT_MATRICES when both sides of every (lhs, rhs) pair are equal matrices."""
+    ok = all(matrix_oracle_check(lhs, rhs) for lhs, rhs in pairs)
+    return EXACT_MATRICES if ok else "matrix mismatch"
+
+
+def _a2(step) -> None:
     sys = root_system("a2")
     reg = _a2_registry()
     x, y, z = reg.var("x"), reg.var("y"), reg.var("z")
-    steps = []
     sigma = word(sys, reg, GraphAut(sys, "sigma"))
-    alpha, beta, ab = (sys.root_by_label(i) for i in (1, 2, 3))
+    alpha, beta, ab = _roots(sys, (1, 2, 3))
 
     u = word(sys, reg, RootElement(alpha, x), RootElement(beta, y), RootElement(ab, z))
-    got = conjugate(sigma, u)
-    expected = word(sys, reg, RootElement(alpha, y), RootElement(beta, x),
-                    RootElement(ab, x * y + z))
-    steps.append(_eq_step(
-        "sigma-conjugation",
-        "sigma e1(x)*e2(y)*e3(z) sigma^-1 = e1(y)*e2(x)*e3(xy+z)",
-        expected, got, render=render_word, equal=word_equal))
-
-    steps.append(_check(
-        "sigma-conjugation-oracle", "the same identity holds as 3x3 matrices",
-        lambda: matrix_oracle_check(sigma * u * sigma.inverse(), expected),
-        EXACT_MATRICES, "matrix mismatch"))
+    expected = word(sys, reg, RootElement(alpha, y), RootElement(beta, x), RootElement(ab, x * y + z))
+    step("sigma-conjugation",
+         "sigma e1(x)*e2(y)*e3(z) sigma^-1 = e1(y)*e2(x)*e3(xy+z)",
+         expected, lambda: conjugate(sigma, u), render=render_word, equal=word_equal)
+    step("sigma-conjugation-oracle", "the same identity holds as 3x3 matrices",
+         EXACT_MATRICES, lambda: _matrices((sigma * u * sigma.inverse(), expected)))
 
     vec = LieVector.basis_e(sys, reg, 1) + LieVector.basis_e(sys, reg, 2)
-    steps.append(_eq_step(
-        "adjoint-fixed", "Ad(sigma)(e1+e2) = e1+e2",
-        vec, adjoint(sigma, vec)))
+    step("adjoint-fixed", "Ad(sigma)(e1+e2) = e1+e2", vec, lambda: adjoint(sigma, vec))
+
+    fixed = "sl3 adjoint of sigma fixes the matrix of e1+e2"
 
     def oracle_adjoint():
         ring = PolyRing(reg)
         X = lie_vector_matrix(vec, ring.generic_point(), ring)
-        return lie_adjoint(ring, sigma_element(ring), X) == X
-    steps.append(_check(
-        "adjoint-fixed-oracle", "the fixed vector is fixed in the sl3 matrix model too",
-        oracle_adjoint, "sl3 adjoint of sigma fixes the matrix of e1+e2", "matrix moved"))
+        return fixed if lie_adjoint(ring, sigma_element(ring), X) == X else "matrix moved"
+    step("adjoint-fixed-oracle", "the fixed vector is fixed in the sl3 matrix model too",
+         fixed, oracle_adjoint)
 
     v = word(sys, reg, RootElement(alpha, x), RootElement(beta, x))
-    curve_conj = conjugate(v, sigma)
     curve_expected = sigma * word(sys, reg, RootElement(ab, x * x))
-    steps.append(_eq_step(
-        "curve-not-centralizing",
-        "e1(x)*e2(x) conjugates sigma to sigma*e3(x^2), a nonzero residual",
-        curve_expected, curve_conj, render=render_word, equal=word_equal))
+    curve_conj = step("curve-not-centralizing",
+                      "e1(x)*e2(x) conjugates sigma to sigma*e3(x^2), a nonzero residual",
+                      curve_expected, lambda: conjugate(v, sigma), render=render_word, equal=word_equal)
 
     m2 = word(sys, reg, RootElement(ab, reg.one()))
-    m2_conj = conjugate(v, m2)
-    steps.append(_eq_step(
-        "pair-formula",
-        "v(x) conjugates (sigma, e3(1)) to (sigma*e3(x^2), e3(1))",
-        render_word(curve_expected) + " ; " + render_word(m2),
-        render_word(curve_conj) + " ; " + render_word(m2_conj)))
+    step("pair-formula",
+         "v(x) conjugates (sigma, e3(1)) to (sigma*e3(x^2), e3(1))",
+         render_word(curve_expected) + " ; " + render_word(m2),
+         lambda: render_word(curve_conj) + " ; " + render_word(conjugate(v, m2)))
+    step("pair-formula-oracle", "both pair components check out as matrices",
+         EXACT_MATRICES,
+         lambda: _matrices((v * sigma * v.inverse(), curve_expected), (v * m2 * v.inverse(), m2)))
 
-    steps.append(_check(
-        "pair-formula-oracle", "both pair components check out as matrices",
-        lambda: (matrix_oracle_check(v * sigma * v.inverse(), curve_expected)
-                 and matrix_oracle_check(v * m2 * v.inverse(), m2)),
-        EXACT_MATRICES, "matrix mismatch"))
-
-    classes4 = enumerate_m_conjugacy(4, list(range(4)))
-    steps.append(_eq_step(
-        "m-conjugacy-f4",
-        "over F4 the four pairs fall into four singleton conjugacy classes",
-        [[0], [1], [2], [3]], sorted(classes4)))
-
-    classes2 = enumerate_m_conjugacy(2, [0, 1])
-    steps.append(_eq_step(
-        "m-conjugacy-f2",
-        "over F2 the pairs for 0 and 1 are not conjugate",
-        [[0], [1]], sorted(classes2)))
-    return steps
+    step("m-conjugacy-f4",
+         "over F4 the four pairs fall into four singleton conjugacy classes",
+         [[0], [1], [2], [3]], lambda: sorted(enumerate_m_conjugacy(4, list(range(4)))))
+    step("m-conjugacy-f2",
+         "over F2 the pairs for 0 and 1 are not conjugate",
+         [[0], [1]], lambda: sorted(enumerate_m_conjugacy(2, [0, 1])))
 
 
 # ---------------------------------------------------------------------------
 # scenario: d4-nonseparability
 
 
-def _steps_d4_nonsep() -> List[Step]:
+def _d4_nonsep(step) -> None:
     sys = root_system("d4")
     reg = _d4_registry()
-    steps = []
     nsig = _nsigma(sys, reg)
     vec = LieVector.basis_e(sys, reg, 6) + LieVector.basis_e(sys, reg, 9)
-    steps.append(_eq_step(
-        "adjoint-fixed-weyl", "Ad(n[a]*sigma)(e6+e9) = e6+e9",
-        vec, adjoint(nsig, vec)))
+    step("adjoint-fixed-weyl", "Ad(n[a]*sigma)(e6+e9) = e6+e9", vec, lambda: adjoint(nsig, vec))
 
     torus_ac = word(sys, reg, TorusValue(sys.cocharacter((1, 0, 1, 0)), "t"))
-    steps.append(_eq_step(
-        "adjoint-fixed-torus", "Ad((a+c)^v(t))(e6+e9) = e6+e9",
-        vec, adjoint(torus_ac, vec)))
+    step("adjoint-fixed-torus", "Ad((a+c)^v(t))(e6+e9) = e6+e9", vec, lambda: adjoint(torus_ac, vec))
 
-    reg.add("x")
-    xx = reg.var("x")
-    curve = word(sys, reg, RootElement(sys.root_by_label(6), xx),
-                 RootElement(sys.root_by_label(9), xx))
-    got = conjugate(curve, nsig)
-    expected = nsig * word(sys, reg, RootElement(sys.root_by_label(12), xx * xx))
-    steps.append(_eq_step(
-        "curve-not-centralizing",
-        "e6(x)*e9(x) conjugates n[a]*sigma to n[a]*sigma*e12(x^2), nonzero for generic x",
-        expected, got, render=render_word, equal=word_equal))
+    xx = reg.add("x")
+    curve = word(sys, reg, _e(sys, 6, xx), _e(sys, 9, xx))
+    got = step("curve-not-centralizing",
+               "e6(x)*e9(x) conjugates n[a]*sigma to n[a]*sigma*e12(x^2), nonzero for generic x",
+               nsig * word(sys, reg, _e(sys, 12, xx * xx)), lambda: conjugate(curve, nsig),
+               render=render_word, equal=word_equal)
+
+    witness = "adjoint-fixed but group-moved"
 
     def curve_vs_adjoint():
         fixed = adjoint(curve, vec) == vec
-        residual = collect([a for a in got.atoms if isinstance(a, RootElement)],
-                           [sys.root_by_label(12)], reg).coefficient(12)
-        return fixed and residual == xx * xx
-    steps.append(_check(
-        "nonseparability-witness",
-        "e6+e9 is adjoint-fixed while the matching curve moves the group element",
-        curve_vs_adjoint, "adjoint-fixed but group-moved", "witness failed"))
-    return steps
+        residual = _root_coefficient(got, (12,), 12)
+        return witness if fixed and residual == xx * xx else "witness failed"
+    step("nonseparability-witness",
+         "e6+e9 is adjoint-fixed while the matching curve moves the group element",
+         witness, curve_vs_adjoint)
 
 
 # ---------------------------------------------------------------------------
 # scenario: w0-combinatorics
 
 
-def _steps_w0() -> List[Step]:
-    steps = []
+def _w0(step) -> None:
     d4 = root_system("d4")
-    lam = _lam(d4)
     L = [d4.simple("a"), d4.simple("c"), d4.simple("d")]
 
     def d4_identities():
-        report = verify_w0_identities(d4, L, lam)
-        ok = report.hypothesis_ok and report.all_ok
+        report = verify_w0_identities(d4, L, _lam(d4))
         detail = ", ".join(f"{n}:{'ok' if good else 'FAIL'}" for n, good, _ in report.checks)
-        return ok, "fixes-levi-roots:ok, maps-radical-to-opposite:ok", detail or "hypothesis failed"
-    steps.append(Step(
-        "d4-composite-identities",
-        "w = w0L-bar o w0G-bar fixes the A1^3 Levi roots and flips the radical",
-        d4_identities))
+        return detail or "hypothesis failed"
+    step("d4-composite-identities",
+         "w = w0L-bar o w0G-bar fixes the A1^3 Levi roots and flips the radical",
+         "fixes-levi-roots:ok, maps-radical-to-opposite:ok", d4_identities)
 
     a3 = root_system("a3")
     La3 = [a3.simple("a"), a3.simple("b")]
+    absent = "no ambient extension"
 
-    steps.append(_check(
-        "a3-extension-absent",
-        "the -1 realization of the A2 Levi does not extend over the A3 radical",
-        lambda: extends_to_ambient(a3, La3, {r: -r for r in subsystem_roots(a3, La3)}) is None,
-        "no ambient extension", "witness found"))
+    def extension():
+        minus_one = {r: -r for r in subsystem_roots(a3, La3)}
+        return absent if extends_to_ambient(a3, La3, minus_one) is None else "witness found"
+    step("a3-extension-absent",
+         "the -1 realization of the A2 Levi does not extend over the A3 radical",
+         absent, extension)
+    lam_a3 = a3.cocharacter((1, 2, 3))
+    step("a3-hypothesis-failure",
+         "the composite-map argument is reported unavailable for (A3, L_ab)",
+         "hypothesis failure",
+         lambda: ("unexpectedly extended" if verify_w0_identities(a3, La3, lam_a3).hypothesis_ok
+                  else "hypothesis failure"))
 
-    steps.append(_check(
-        "a3-hypothesis-failure",
-        "the composite-map argument is reported unavailable for (A3, L_ab)",
-        lambda: not verify_w0_identities(a3, La3, a3.cocharacter((1, 2, 3))).hypothesis_ok,
-        "hypothesis failure", "unexpectedly extended"))
+    minus_one_on_levi = "w0L o sigma_L = -1 on the Levi"
 
     def a3_realization():
         w0, sigma_l = minus_one_realization(a3, La3)
         if sigma_l is None:
-            return False, "sigma_L present", "sigma_L absent"
-        sub = subsystem_roots(a3, La3)
+            return "sigma_L absent"
         composite = w0.compose(sigma_l)
-        ok = all(composite(r) == -r for r in sub)
         word_map = compose_word(a3, ["b", "a", "b"]).compose(sigma_l)
-        ok = ok and all(word_map(r) == -r for r in sub)
-        return ok, "w0L o sigma_L = -1 on the Levi", (
-            "w0L o sigma_L = -1 on the Levi" if ok else "composite not -1")
-    steps.append(Step(
-        "a2-realization",
-        "w0 of the A2 Levi needs the diagram flip to realize -1",
-        a3_realization))
+        ok = all(composite(r) == -r and word_map(r) == -r for r in subsystem_roots(a3, La3))
+        return minus_one_on_levi if ok else "composite not -1"
+    step("a2-realization",
+         "w0 of the A2 Levi needs the diagram flip to realize -1",
+         minus_one_on_levi, a3_realization)
 
-    steps.append(_check(
-        "regular-lambda-vacuous",
-        "with no Levi simples the composite is -1 and flips every root",
-        lambda: verify_w0_identities(d4, [], d4.cocharacter((1, 1, 1, 1))).all_ok,
-        "regular case: -1 flips everything", "failed"))
-    return steps
+    regular, lam_regular = "regular case: -1 flips everything", d4.cocharacter((1, 1, 1, 1))
+    step("regular-lambda-vacuous",
+         "with no Levi simples the composite is -1 and flips every root",
+         regular, lambda: regular if verify_w0_identities(d4, [], lam_regular).all_ok else "failed")
 
 
 # ---------------------------------------------------------------------------
 # registry and runner
 
 
-SCENARIOS: Dict[str, Callable[[], List[Step]]] = {
-    "d4-gcr-not-gcrk": _steps_d4_gcr,
-    "d4-gir-not-gcr": _steps_d4_gir,
-    "a2-conjugacy": _steps_a2,
-    "d4-nonseparability": _steps_d4_nonsep,
-    "w0-combinatorics": _steps_w0,
+SCENARIOS: Dict[str, Callable[[Callable], None]] = {
+    "d4-gcr-not-gcrk": _d4_gcr,
+    "d4-gir-not-gcr": _d4_gir,
+    "a2-conjugacy": _a2,
+    "d4-nonseparability": _d4_nonsep,
+    "w0-combinatorics": _w0,
 }
 
 
@@ -604,25 +496,28 @@ def _failure(exc: Exception) -> tuple:
     return "FAIL", "no error", f"{type(exc).__name__}: {exc}"
 
 
-def run_scenario(name: str, seed: int = 0) -> Report:
-    """Run every step of a scenario.  `seed` is accepted for callers that
-    pass one; no step is randomized, so it does not change the report."""
+def run_scenario(name: str) -> Report:
+    """Run a scenario, recording one StepResult per call of its `step`."""
     if name not in SCENARIOS:
         raise KeyError(
             f"unknown scenario {name!r}; registered: {', '.join(scenario_names())}")
     start = time.perf_counter()
-    results = []
-    try:
-        steps = SCENARIOS[name]()
-    except Exception as exc:  # a builder that raises becomes one failed step
-        steps = []
-        results.append(StepResult("build", "the scenario builds its steps", *_failure(exc)))
-    for step in steps:
+    results: List[StepResult] = []
+
+    def step(step_name, anchor, expected, actual, render=str, equal=None):
         try:
-            ok, expected, actual = step.run()
-            status = "PASS" if ok else "FAIL"
-        except Exception as exc:  # surface engine errors as step failures
-            status, expected, actual = _failure(exc)
-        results.append(StepResult(step.name, step.anchor, status, expected, actual))
+            value = actual()
+            ok = equal(expected, value) if equal else expected == value
+            results.append(StepResult(step_name, anchor, "PASS" if ok else "FAIL",
+                                      render(expected), render(value)))
+            return value
+        except Exception as exc:  # an engine error fails this step only
+            results.append(StepResult(step_name, anchor, *_failure(exc)))
+            return None
+
+    try:
+        SCENARIOS[name](step)
+    except Exception as exc:  # code between steps that raises ends the scenario
+        results.append(StepResult("build", "the scenario builds its steps", *_failure(exc)))
     elapsed_ms = int((time.perf_counter() - start) * 1000)
     return Report(name, results, elapsed_ms)

@@ -104,36 +104,36 @@ class _Scanner:
 # polynomials
 
 
-def parse_poly(text: str, registry: VariableRegistry, auto_register: bool = True) -> Polynomial:
+def parse_poly(text: str, registry: VariableRegistry) -> Polynomial:
     sc = _Scanner(text.strip())
-    p = _parse_sum(sc, registry, auto_register)
+    p = _parse_sum(sc, registry)
     sc.skip_ws()
     if not sc.done:
         raise ExprError(f"trailing input in polynomial {text!r}")
     return p
 
 
-def _parse_sum(sc, reg, auto):
-    p = _parse_product(sc, reg, auto)
+def _parse_sum(sc, reg):
+    p = _parse_product(sc, reg)
     sc.skip_ws()
     if sc.peek() != "+":
         return p
     terms = set(p.terms)
     while sc.peek() == "+":
         sc.pos += 1
-        terms ^= _parse_product(sc, reg, auto).terms
+        terms ^= _parse_product(sc, reg).terms
         sc.skip_ws()
     return Polynomial(reg, frozenset(terms))
 
 
-def _parse_product(sc, reg, auto):
+def _parse_product(sc, reg):
     """One product of factors.  Variable powers merge into a single
     monomial; only parenthesized and constant factors multiply as
     polynomials."""
     m: tuple = ()
     p = None
     while True:
-        f = _parse_factor(sc, reg, auto)
+        f = _parse_factor(sc, reg)
         if isinstance(f, Polynomial):
             p = f if p is None else p * f
         else:
@@ -150,13 +150,13 @@ def _parse_product(sc, reg, auto):
     return mono if p is None else p * mono
 
 
-def _parse_factor(sc, reg, auto):
+def _parse_factor(sc, reg):
     """A Polynomial for a parenthesized or constant factor, a monomial
     for a power of a variable."""
     sc.skip_ws()
     if sc.peek() == "(":
         inner = sc.balanced_parens()
-        base = parse_poly(inner, reg, auto)
+        base = parse_poly(inner, reg)
     elif sc.peek().isdigit():
         base = reg.const(int(sc.match_re(_INT)))
     else:
@@ -164,8 +164,6 @@ def _parse_factor(sc, reg, auto):
         if name is None:
             raise ExprError(f"expected a variable at position {sc.pos} in {sc.text!r}")
         if not reg.has(name):
-            if not auto:
-                raise ExprError(f"unknown variable {name!r}")
             reg.add(name, default_kind(name))
         base = reg.index(name)
     e = _parse_exponent(sc)
@@ -244,8 +242,7 @@ def _parse_combo(text: str, system: RootSystem) -> tuple:
 # words
 
 
-def parse_word(text: str, system: RootSystem, registry: VariableRegistry,
-               auto_register: bool = True) -> GroupWord:
+def parse_word(text: str, system: RootSystem, registry: VariableRegistry) -> GroupWord:
     sc = _Scanner(text)
     atoms: List = []
     while True:
@@ -255,7 +252,7 @@ def parse_word(text: str, system: RootSystem, registry: VariableRegistry,
         if sc.peek() == "1":
             sc.pos += 1  # identity
             continue
-        atom = _parse_atom(sc, system, registry, auto_register)
+        atom = _parse_atom(sc, system, registry)
         sc.skip_ws()
         k = _parse_exponent(sc)
         atoms.extend(_atoms_inverse([atom]) * -k if k < 0 else [atom] * k)
@@ -266,13 +263,13 @@ def _atoms_inverse(atoms):
     return [a.inverse() for a in reversed(atoms)]
 
 
-def _parse_atom(sc, system, registry, auto):
+def _parse_atom(sc, system, registry):
     c = sc.peek()
     if c == "e" and _ROOT_ATOM.match(sc.text, sc.pos):
         sc.pos += 1
         label = int(sc.match_re(_INT))
         inner = sc.balanced_parens()
-        coeff = parse_poly(inner, registry, auto)
+        coeff = parse_poly(inner, registry)
         return RootElement(system.root_by_label(label), coeff)
     if c == "n" and sc.text.startswith("n[", sc.pos):
         sc.pos += 2
@@ -290,8 +287,6 @@ def _parse_atom(sc, system, registry, auto):
         if not _NAME.fullmatch(unit):
             raise ExprError(f"torus unit must be a variable name, got {unit!r}")
         if not registry.has(unit):
-            if not auto:
-                raise ExprError(f"unknown unit variable {unit!r}")
             registry.add(unit, UNIT)
         elif registry.kind(unit) != UNIT:
             raise ExprError(f"torus parameter {unit!r} is not a unit variable")

@@ -393,7 +393,7 @@ def test_criterion_10_property_suites():
 
 def test_timing_budgets():
     for name in scenario_names():
-        rep = run_scenario(name, seed=0)
+        rep = run_scenario(name)
         assert rep.elapsed_ms < 5000, f"{name} exceeded the 5 s budget"
     start = time.perf_counter()
     enumerate_m_conjugacy(4, list(range(4)))

@@ -60,6 +60,34 @@ def test_gf_arithmetic():
     assert gf.mul(2, 2) == 3  # u^2 = u + 1
 
 
+def test_gf_pow_stops_squaring_at_the_top_bit(monkeypatch):
+    gf = GF(16)
+    products = []
+    mul = GF.mul
+
+    def counted(self, a, b):
+        products.append(1)
+        return mul(self, a, b)
+
+    monkeypatch.setattr(GF, "mul", counted)
+    counts = []
+    for n in (1, 14):
+        products.clear()
+        gf.pow(3, n)
+        counts.append(len(products))
+    monkeypatch.undo()
+    assert counts == [1, 6]  # 14 = q - 2 is the exponent of every GF(16).inv
+
+    for a in range(16):
+        power = 1
+        for n in range(20):
+            assert gf.pow(a, n) == power, (a, n)
+            power = gf.mul(power, a)
+    for a in range(1, 16):
+        assert gf.pow(a, -3) == gf.inv(gf.mul(a, gf.mul(a, a)))
+        assert gf.mul(gf.pow(a, -1), a) == 1
+
+
 def test_mat_inverse():
     gf = GF(16)
     rng = random.Random(2)

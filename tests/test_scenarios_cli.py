@@ -64,20 +64,20 @@ def test_unknown_scenario():
 
 def test_determinism_same_seed():
     for name in scenario_names():
-        a = run_scenario(name, seed=7).canonical_json()
-        b = run_scenario(name, seed=7).canonical_json()
+        a = run_scenario(name).canonical_json()
+        b = run_scenario(name).canonical_json()
         assert a == b
 
 
 def test_scenario_independence():
     # no shared mutable state: interleaved runs reproduce isolated runs
-    isolated = {n: run_scenario(n, seed=3).canonical_json() for n in scenario_names()}
+    isolated = {n: run_scenario(n).canonical_json() for n in scenario_names()}
     for n in reversed(scenario_names()):
-        assert run_scenario(n, seed=3).canonical_json() == isolated[n]
+        assert run_scenario(n).canonical_json() == isolated[n]
 
 
 def test_report_schema():
-    report = run_scenario("a2-conjugacy", seed=1)
+    report = run_scenario("a2-conjugacy")
     d = report.to_dict()
     assert set(d) == {"scenario", "steps", "pass", "elapsed_ms"}
     for s in d["steps"]:
@@ -146,12 +146,12 @@ def test_canonical_json_matches_the_golden_file(seed):
     # of any scenario's behaviour must update it in the same change
     golden = json.loads(GOLDEN.read_text())
     for name in scenario_names():
-        assert run_scenario(name, seed=seed).canonical_json() == golden[f"{seed}/{name}"], name
+        assert run_scenario(name).canonical_json() == golden[f"{seed}/{name}"], name
 
 
 @pytest.mark.parametrize("exc", [RuntimeError("engine broke"), ValueError("bad table")])
 def test_a_builder_that_raises_is_one_failed_step(monkeypatch, capsys, exc):
-    def broken():
+    def broken(step):
         raise exc
     monkeypatch.setitem(scenarios.SCENARIOS, "d4-nonseparability", broken)
     assert main(["verify", "--all", "--format", "json"]) == 1
@@ -179,3 +179,24 @@ def test_w0_combinatorics_composes_only_witnesses(monkeypatch):
     monkeypatch.setattr(RootMap, "compose", counted)
     assert run_scenario("w0-combinatorics").passed
     assert len(calls) <= 20
+
+
+def test_an_engine_error_fails_only_its_own_steps(monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("engine broke")
+
+    monkeypatch.setattr(scenarios, "conjugate_generic", broken)
+    report = run_scenario("d4-gcr-not-gcrk")
+    assert [s.name for s in report.steps] == [
+        "eq-perm", "conjugation-identity", "lir-cocharacter-swap", "lir-cube",
+        "generic-collection", "constraint-extraction", "rationality-substitution",
+        "rationality-obstruction"]
+    steps = {s.name: s for s in report.steps}
+    assert (steps["generic-collection"].status, steps["generic-collection"].actual) == (
+        "FAIL", "RuntimeError: engine broke")
+    for name in ("eq-perm", "conjugation-identity", "lir-cocharacter-swap", "lir-cube",
+                 "constraint-extraction"):
+        assert steps[name].status == "PASS", name
+    # the two steps built on the collected tail have no value to work on
+    assert steps["rationality-substitution"].status == "FAIL"
+    assert steps["rationality-obstruction"].status == "FAIL"
