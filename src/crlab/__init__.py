@@ -37,7 +37,7 @@ from .matrixoracle import (
     lie_vector_matrix,
     matrix_oracle_check,
 )
-from .parabolic import limit_along, minimality_certificate, refine, rparabolic
+from .parabolic import limit_along, minimality_certificate, rparabolic
 from .rootsys import (
     Cocharacter,
     Root,
@@ -49,7 +49,6 @@ from .rootsys import (
     longest_element,
     minus_one_realization,
     pairing,
-    reflect,
     root_system,
     subsystem_roots,
     verify_w0_identities,

@@ -13,10 +13,11 @@ root set, using [e_zeta(x), e_xi(y)] = e_{zeta+xi}(xy) when zeta+xi is a root.
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .coeffring import Polynomial, VariableRegistry
-from .rootsys import Cocharacter, Root, RootMap, RootSystem, pairing
+from .rootsys import Cocharacter, Root, RootSystem, pairing
 
 
 # ---------------------------------------------------------------------------
@@ -46,17 +47,11 @@ class RootElement:
 class WeylRep:
     """n_xi = e_xi(1) e_{-xi}(1) e_xi(1); self-inverse in characteristic 2."""
 
-    __slots__ = ("root", "_map")
+    __slots__ = ("root", "map")
 
     def __init__(self, root: Root):
         self.root = root
-        self._map = None
-
-    @property
-    def map(self) -> RootMap:
-        if self._map is None:
-            self._map = self.root.system.reflection(self.root)
-        return self._map
+        self.map = root.system.reflection(root)
 
     def inverse(self):
         return self
@@ -118,18 +113,13 @@ class TorusValue:
         return f"t[{self.cochar}]({self.unit})"
 
 
-FRAME_KINDS = (WeylRep, GraphAut, TorusValue)
-
-
 class GroupWord:
-    __slots__ = ("system", "registry", "atoms", "tail_collected")
+    __slots__ = ("system", "registry", "atoms")
 
-    def __init__(self, system: RootSystem, registry: VariableRegistry, atoms: Iterable,
-                 tail_collected: bool = True):
+    def __init__(self, system: RootSystem, registry: VariableRegistry, atoms: Iterable):
         self.system = system
         self.registry = registry
         self.atoms = tuple(atoms)
-        self.tail_collected = tail_collected
 
     def __mul__(self, other: "GroupWord") -> "GroupWord":
         if self.system is not other.system or self.registry is not other.registry:
@@ -148,7 +138,7 @@ def word(system: RootSystem, registry: VariableRegistry, *atoms) -> GroupWord:
 
 
 # ---------------------------------------------------------------------------
-# Closed nilpotent sets, grading, collection
+# Closed nilpotent sets, collection order, collection
 
 
 def closure(system: RootSystem, roots: Iterable[Root]) -> Optional[set]:
@@ -185,27 +175,19 @@ def _closed_sums(roots: Sequence[Root]) -> Tuple[Dict[Root, int], Dict[int, int]
     return pos, sums
 
 
-def grading(system: RootSystem, roots: Sequence[Root]) -> Dict[Root, int]:
-    """f with f(a+b) > max(f(a), f(b)) for sums inside the set."""
-    f = {r: 1 for r in roots}
-    S = set(roots)
+def default_order(system: RootSystem, roots: Iterable[Root]) -> tuple:
+    """Collection order: ascending grading f, the least with f(a+b) >
+    max(f(a), f(b)) for sums inside the set, then height, then label order."""
+    rs = list(roots)
+    f = {r: 1 for r in rs}
     changed = True
     while changed:
         changed = False
-        for a, b in itertools.combinations(roots, 2):
+        for a, b in itertools.combinations(rs, 2):
             c = a + b
-            if c in S:
-                v = max(f[a], f[b]) + 1
-                if f[c] < v:
-                    f[c] = v
-                    changed = True
-    return f
-
-
-def default_order(system: RootSystem, roots: Iterable[Root]) -> tuple:
-    """Collection order: ascending grading, then height, then label order."""
-    rs = list(roots)
-    f = grading(system, rs)
+            if c in f and f[c] <= max(f[a], f[b]):
+                f[c] = max(f[a], f[b]) + 1
+                changed = True
     return tuple(sorted(rs, key=lambda r: (f[r], r.height, r.index)))
 
 
@@ -345,62 +327,55 @@ def generic_radical_element(system, registry, order: Sequence[Root]) -> RadicalE
 # Frame handling and word normal form
 
 
-def _atom_conjugate_inverse(atom, e: RootElement) -> RootElement:
-    """f^-1 e f for a frame atom f and root element e."""
-    if isinstance(atom, (WeylRep, GraphAut)):
-        return RootElement(atom.map.inverse()(e.root), e.coeff)
-    if isinstance(atom, TorusValue):
-        p = pairing(e.root, atom.cochar)
-        u = e.coeff.registry.var(atom.unit)
-        return RootElement(e.root, (u ** (-p)) * e.coeff)
-    raise ValueError(f"not a frame atom: {atom!r}")
-
-
-class Normalized:
-    __slots__ = ("frame_atoms", "frame_map", "torus", "tail_atoms", "tail", "collected")
-
-    def __init__(self, frame_atoms, frame_map, torus, tail_atoms, tail, collected):
-        self.frame_atoms = frame_atoms
-        self.frame_map = frame_map
-        self.torus = torus
-        self.tail_atoms = tail_atoms
-        self.tail = tail
-        self.collected = collected
+Normalized = namedtuple("Normalized", "frame_atoms frame_map torus tail_atoms tail collected")
 
 
 def normalize(w: GroupWord) -> Normalized:
-    """Push every root element right of every frame atom; collect the tail
-    when its support closure is nilpotent."""
+    """Push every root element right of every frame atom, in one right-to-left
+    pass, and collect the tail when its support closure is nilpotent.
+
+    The frame atoms right of the current position are held as an inverse root
+    map inv and, per unit u, one cocharacter chi_u: their torus part moved to
+    the left of their root map.  A root element e_r(c) passes all of them at
+    once as e_{inv(r)}(c * prod_u u^-<r, chi_u>).  A Weyl or graph atom with
+    map m sets chi_u to m(chi_u) and inv to inv∘m^-1; a torus atom chi(u) adds
+    chi to chi_u.  At the left end the frame map is inv^-1 and the torus part
+    is the nonzero chi_u.
+    """
     system, registry = w.system, w.registry
+    inv = system.identity_map()
+    units: Dict[str, Cocharacter] = {}
     frames: List = []
     tail: List[RootElement] = []
-    for atom in w.atoms:
+    for atom in reversed(w.atoms):
         if isinstance(atom, RootElement):
-            if not atom.coeff.is_zero:
-                tail.append(atom)
-        elif isinstance(atom, FRAME_KINDS):
+            if atom.coeff.is_zero:
+                continue
+            coeff = atom.coeff
+            for u, chi in units.items():
+                p = pairing(atom.root, chi)
+                if p:
+                    coeff = registry.var(u) ** -p * coeff
+            tail.append(RootElement(inv(atom.root), coeff))
+        elif isinstance(atom, TorusValue):
             frames.append(atom)
-            tail = [_atom_conjugate_inverse(atom, e) for e in tail]
+            chi = units.get(atom.unit)
+            units[atom.unit] = atom.cochar if chi is None else chi + atom.cochar
+        elif isinstance(atom, (WeylRep, GraphAut)):
+            frames.append(atom)
+            units = {u: atom.map.act_cochar(chi) for u, chi in units.items()}
+            inv = inv.compose(atom.map.inverse())
         else:
             raise ValueError(f"unknown atom {atom!r}")
-
-    frame_map = system.identity_map()
-    torus: Dict[str, list] = {}
-    for atom in frames:
-        if isinstance(atom, TorusValue):
-            moved = frame_map.act_cochar(atom.cochar)
-            acc = torus.setdefault(atom.unit, [0] * system.rank)
-            for i, c in enumerate(moved.coeffs):
-                acc[i] += c
-        else:
-            frame_map = frame_map.compose(atom.map)
-    torus = {u: tuple(v) for u, v in torus.items() if any(v)}
+    frames.reverse()
+    tail.reverse()
+    frame_map = inv.inverse()
+    torus = {u: chi.coeffs for u, chi in units.items() if not chi.is_zero}
 
     S = closure(system, [e.root for e in tail])
     if S is None:
         return Normalized(tuple(frames), frame_map, torus, tuple(tail), None, False)
-    order = default_order(system, S)
-    collected = collect(tail, order, registry)
+    collected = collect(tail, default_order(system, S), registry)
     return Normalized(tuple(frames), frame_map, torus, tuple(tail), collected, True)
 
 
@@ -432,8 +407,7 @@ def normalized_word(w: GroupWord) -> GroupWord:
     frame_atoms = n.frame_atoms
     if frame_atoms and n.frame_map.is_identity() and not n.torus:
         frame_atoms = ()
-    return GroupWord(w.system, w.registry, tuple(frame_atoms) + tuple(tail_atoms),
-                     tail_collected=n.collected)
+    return GroupWord(w.system, w.registry, tuple(frame_atoms) + tuple(tail_atoms))
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +418,7 @@ def conjugate(g: GroupWord, h: GroupWord) -> GroupWord:
     """g h g^-1, normalized to frame-then-tail form.
 
     When the tail support is not nilpotent the word is returned pushed but
-    uncollected, with tail_collected False.
+    uncollected.
     """
     return normalized_word(g * h * g.inverse())
 
@@ -659,18 +633,14 @@ class ConstraintSystem:
 
     def __init__(self, registry: VariableRegistry, equations: Iterable[Polynomial], unknowns: Sequence[str]):
         self.registry = registry
-        seen = []
-        for p in equations:
-            if not p.is_zero and p not in seen:
-                seen.append(p)
-        self.equations = tuple(seen)
+        self.equations = tuple(dict.fromkeys(p for p in equations if not p.is_zero))
         self.unknowns = tuple(unknowns)
 
     def solve(self) -> SolvedSystem:
         solved = SolvedSystem(self.unknowns)
         unknown_set = set(self.unknowns)
         pending = list(self.equations)
-        for _ in range(len(self.equations) * 4 + 8):
+        while True:  # ends: every productive pass drops a pending equation
             binding = solved.binding(self.registry)
             nxt = []
             progress = False

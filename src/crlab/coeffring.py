@@ -295,6 +295,8 @@ class Polynomial:
             bits = []
             for i, e in m:
                 name = self.registry.names[i]
+                if bits and bits[-1][-1].isalpha():
+                    bits.append("*")  # a bare letters-only name would absorb the next one
                 bits.append(name if e == 1 else f"{name}^{e}")
             parts.append("".join(bits))
         return "+".join(parts)

@@ -96,10 +96,6 @@ def refine_with_multiplier(lam: Cocharacter, mu: Cocharacter) -> Tuple[Cocharact
         m += 1
 
 
-def refine(lam: Cocharacter, mu: Cocharacter) -> Cocharacter:
-    return refine_with_multiplier(lam, mu)[0]
-
-
 def _fundamental_coweights(system: RootSystem) -> List[Cocharacter]:
     """Integral multiples of the fundamental coweights: column i pairs to
     det(C) against alpha_i and to 0 against the other simples."""
@@ -154,7 +150,7 @@ def minimality_certificate(data: RParabolicData, generators: Sequence[GroupWord]
             if len(subset) == len(l_simples):
                 continue  # that is P_lambda itself
             mu = pattern_cochar(subset)
-            zeta = refine(data.lam, mu)
+            zeta = refine_with_multiplier(data.lam, mu)[0]
             contains = all(word_in_rparabolic(g, zeta) for g in generators)
             sub_patterns.append((tuple(s.label for s in subset), zeta, contains))
             if not subset:

@@ -285,30 +285,10 @@ class RootSystem:
     def _positive_roots(self) -> list:
         if self.type_label == "D4":
             return list(_D4_POSITIVES)
-        rank = self.rank
-        simples = [tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank)]
-        cartan = self.cartan
-
-        def pair_simple(c, j):
-            return sum(c[i] * cartan[i][j] for i in range(rank))
-
-        all_roots = set(simples) | {tuple(-x for x in s) for s in simples}
-        frontier = list(all_roots)
-        while frontier:
-            nxt = []
-            for c in frontier:
-                for j in range(rank):
-                    p = pair_simple(c, j)
-                    img = tuple(
-                        c[i] - (p if i == j else 0) for i in range(rank)
-                    )
-                    if img not in all_roots:
-                        all_roots.add(img)
-                        nxt.append(img)
-            frontier = nxt
-        positives = [c for c in all_roots if sum(c) > 0]
-        positives.sort(key=lambda c: (sum(c), next(i for i, x in enumerate(c) if x), tuple(-x for x in c)))
-        return positives
+        # A_n: the runs alpha_i+...+alpha_j, by height, then by first index
+        n = self.rank
+        return [tuple(int(i <= k < i + h) for k in range(n))
+                for h in range(1, n + 1) for i in range(n - h + 1)]
 
     # -- basic accessors ---------------------------------------------------
 
@@ -409,9 +389,6 @@ class RootSystem:
         self._diagram = {name: self.diagram_map(p) for name, p in named.items()}
         return self._diagram
 
-    def sigma(self) -> RootMap:
-        return self.diagram_symmetries()["sigma"]
-
     def weyl_elements(self) -> tuple:
         """All Weyl-group elements as RootMaps, in a deterministic BFS order."""
         if self._weyl is None:
@@ -474,35 +451,17 @@ def pairing(zeta: Root, chi: Cocharacter) -> int:
     )
 
 
-def reflect(xi: Root, zeta: Root) -> Root:
-    """Reflection of zeta in the hyperplane of xi: zeta - <zeta, xi^v> xi."""
-    p = pairing(zeta, xi.system.coroot(xi))
-    return xi.system.root(tuple(zeta.coeffs[i] - p * xi.coeffs[i] for i in range(xi.system.rank)))
-
-
-def _token_map(system: RootSystem, token) -> RootMap:
-    if isinstance(token, RootMap):
-        return token
-    if isinstance(token, Root):
-        return system.reflection(token)
-    if isinstance(token, str):
-        diag = system.diagram_symmetries()
-        if token in diag:
-            return diag[token]
-        return system.reflection(system.simple(token))
-    raise ValueError(f"cannot interpret word token {token!r}")
-
-
-def compose_word(system: RootSystem, word: Iterable) -> RootMap:
+def compose_word(system: RootSystem, word: Iterable[str]) -> RootMap:
     """Root map of the group element spelled left-to-right by the word.
 
-    Tokens are simple-root names (n_xi reflections), Root objects, diagram
-    symmetry names ('sigma', ...), or RootMaps.  The element acts by
-    conjugation, so the rightmost letter is applied to a root first.
+    Tokens are simple-root names (n_xi reflections) or diagram symmetry names
+    ('sigma', ...).  The element acts by conjugation, so the rightmost letter
+    is applied to a root first.
     """
+    diag = system.diagram_symmetries()
     m = system.identity_map()
     for token in word:
-        m = m.compose(_token_map(system, token))
+        m = m.compose(diag[token] if token in diag else system.reflection(system.simple(token)))
     return m
 
 
@@ -556,24 +515,22 @@ def extends_to_ambient(
     system: RootSystem,
     L_simples: Sequence[Root],
     partial: Mapping[Root, Root],
-    radical_stable: bool = True,
 ) -> Optional[RootMap]:
     """Search W ⋊ (diagram symmetries) for a map restricting to `partial` on
     the Levi subsystem of `L_simples`.
 
-    With radical_stable=True (the default) a witness must also map the
-    standard radical root set (positive roots outside the subsystem) onto
-    itself, which is what lets the witness act on the corresponding unipotent
-    radical.  Returns None, or the first witness w∘d in the order of
-    system.weyl_and_diagram_elements(): diagram symmetries by name with 'id'
-    first, Weyl elements in BFS order.  Candidates are tested on root
-    indices, and only the returned witness is composed.
+    A witness must also map the standard radical root set (positive roots
+    outside the subsystem) onto itself, which is what lets it act on the
+    corresponding unipotent radical.  Returns None, or the first witness w∘d
+    in the order of system.weyl_and_diagram_elements(): diagram symmetries
+    by name with 'id' first, Weyl elements in BFS order.  Candidates are
+    tested on root indices, and only the returned witness is composed.
     """
     sub = set(subsystem_roots(system, L_simples))
     if set(partial) != sub:
         raise ValueError("partial map must be defined exactly on the Levi subsystem")
     targets = [(r.index, t.index) for r, t in partial.items()]
-    radical = [r.index for r in system.positive_roots if r not in sub] if radical_stable else []
+    radical = [r.index for r in system.positive_roots if r not in sub]
     radical_set = set(radical)
     for w, d in system._weyl_diagram_pairs():
         wi, di = w.images, d.images

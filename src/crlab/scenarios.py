@@ -7,8 +7,9 @@ check, in order: `anchor` is the algebraic identity the step checks and
 owns the only `step`: it calls the thunk at once, compares the result with
 `expected` by `equal` (or `==`), records both sides through `render`, and
 turns an exception into that step's FAIL.  `step` returns the computed
-value, or None after an error, so later steps can build on it; code between
-steps that raises ends the scenario with a FAIL step named `build`.  Every
+value, so later steps can build on it; after an error it returns a stand-in
+whose use fails the later step naming the failed one.  Code between steps
+that raises ends the scenario with a FAIL step named `build`.  Every
 step is deterministic: the A2 matrix-oracle steps compare words exactly over
 the polynomial ring.
 """
@@ -492,8 +493,19 @@ def scenario_names() -> List[str]:
     return list(SCENARIOS)
 
 
-def _failure(exc: Exception) -> tuple:
-    return "FAIL", "no error", f"{type(exc).__name__}: {exc}"
+def _error(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+class _FailedStep:
+    """The value of a step that raised; a later step that reads it fails
+    naming that step."""
+
+    def __init__(self, name: str):
+        self._failed_name = name
+
+    def __getattr__(self, attr):
+        raise RuntimeError(f"input step {self._failed_name!r} failed")
 
 
 def run_scenario(name: str) -> Report:
@@ -512,12 +524,13 @@ def run_scenario(name: str) -> Report:
                                       render(expected), render(value)))
             return value
         except Exception as exc:  # an engine error fails this step only
-            results.append(StepResult(step_name, anchor, *_failure(exc)))
-            return None
+            results.append(StepResult(step_name, anchor, "FAIL", render(expected), _error(exc)))
+            return _FailedStep(step_name)
 
     try:
         SCENARIOS[name](step)
     except Exception as exc:  # code between steps that raises ends the scenario
-        results.append(StepResult("build", "the scenario builds its steps", *_failure(exc)))
+        results.append(StepResult("build", "the scenario builds its steps", "FAIL", "no error",
+                                  _error(exc)))
     elapsed_ms = int((time.perf_counter() - start) * 1000)
     return Report(name, results, elapsed_ms)

@@ -255,12 +255,8 @@ def parse_word(text: str, system: RootSystem, registry: VariableRegistry) -> Gro
         atom = _parse_atom(sc, system, registry)
         sc.skip_ws()
         k = _parse_exponent(sc)
-        atoms.extend(_atoms_inverse([atom]) * -k if k < 0 else [atom] * k)
+        atoms.extend([atom.inverse()] * -k if k < 0 else [atom] * k)
     return GroupWord(system, registry, atoms)
-
-
-def _atoms_inverse(atoms):
-    return [a.inverse() for a in reversed(atoms)]
 
 
 def _parse_atom(sc, system, registry):

@@ -5,6 +5,7 @@ commutator rule [e_a(x), e_b(y)] = e_{a+b}(xy); the A2 cases are additionally
 checked against the independent 3x3 matrix model in test_matrixoracle.py.
 """
 
+import itertools
 import random
 
 import pytest
@@ -31,7 +32,7 @@ from crlab.chevalley import (
     word,
     word_equal,
 )
-from crlab.rootsys import root_system
+from crlab.rootsys import pairing, root_system
 
 
 def d4_setup():
@@ -269,8 +270,8 @@ def test_conjugate_action_law():
 def test_uncollectible_conjugation_is_flagged():
     sys, reg = d4_setup()
     h = word(sys, reg, e(sys, reg, 11, 1), e(sys, reg, -12, 1), e(sys, reg, 12, "y"))
-    got = conjugate(word(sys, reg), h)
-    assert not got.tail_collected
+    assert not normalize(h).collected
+    assert conjugate(word(sys, reg), h).atoms == h.atoms  # pushed, left uncollected
 
 
 # ---------------------------------------------------------------------------
@@ -539,3 +540,107 @@ def test_torus_frames_accumulate():
     assert n.torus == {"t": (2, 2)}
     w2 = word(sys, reg, TorusValue(2 * chi, "t"))
     assert word_equal(w, w2)
+
+
+# ---------------------------------------------------------------------------
+# normalize against the frame-by-frame push it replaced
+
+
+def _reference_conjugate_inverse(atom, x):
+    """f^-1 x f for a frame atom f and a root element x."""
+    if isinstance(atom, TorusValue):
+        p = pairing(x.root, atom.cochar)
+        return RootElement(x.root, (x.coeff.registry.var(atom.unit) ** (-p)) * x.coeff)
+    return RootElement(atom.map.inverse()(x.root), x.coeff)
+
+
+def _reference_order(roots):
+    """Ascending least grading with f(a+b) > max(f(a), f(b)), then height,
+    then label order."""
+    f = {r: 1 for r in roots}
+    changed = True
+    while changed:
+        changed = False
+        for a, b in itertools.combinations(roots, 2):
+            c = a + b
+            if c in f:
+                v = max(f[a], f[b]) + 1
+                if f[c] < v:
+                    f[c] = v
+                    changed = True
+    return tuple(sorted(roots, key=lambda r: (f[r], r.height, r.index)))
+
+
+def reference_normalize(w):
+    """Left to right: push the tail so far across each frame atom, then
+    compose the frames in a second loop.  Returns (frame_atoms, frame_map,
+    torus, tail_atoms, collected tail or None)."""
+    frames, tail = [], []
+    for atom in w.atoms:
+        if isinstance(atom, RootElement):
+            if not atom.coeff.is_zero:
+                tail.append(atom)
+        else:
+            frames.append(atom)
+            tail = [_reference_conjugate_inverse(atom, x) for x in tail]
+    frame_map = w.system.identity_map()
+    torus = {}
+    for atom in frames:
+        if isinstance(atom, TorusValue):
+            acc = torus.setdefault(atom.unit, [0] * w.system.rank)
+            for i, c in enumerate(frame_map.act_cochar(atom.cochar).coeffs):
+                acc[i] += c
+        else:
+            frame_map = frame_map.compose(atom.map)
+    torus = {u: tuple(v) for u, v in torus.items() if any(v)}
+    S = closure(w.system, [x.root for x in tail])
+    collected = None if S is None else collect(tail, _reference_order(list(S)), w.registry)
+    return tuple(frames), frame_map, torus, tuple(tail), collected
+
+
+def _random_word(sys, reg, rng):
+    graphs = [n for n in sys.diagram_symmetries() if n in ("sigma", "sigma2")]
+    x, y, t, u = (reg.var(n) for n in "xytu")
+    coeffs = [reg.zero(), reg.one(), x, y, x * y + reg.one(), t * x, u ** -1 * y]
+    atoms = []
+    for _ in range(rng.randrange(0, 11)):
+        kind = rng.randrange(5)
+        if kind <= 1:
+            atoms.append(RootElement(rng.choice(sys.roots), rng.choice(coeffs)))
+        elif kind == 2:
+            atoms.append(WeylRep(rng.choice(sys.roots)))
+        elif kind == 3:
+            atoms.append(GraphAut(sys, rng.choice(graphs)))
+        else:
+            cochar = sys.cocharacter([rng.randrange(-2, 3) for _ in range(sys.rank)])
+            atoms.append(TorusValue(cochar, rng.choice("tu")))
+    return word(sys, reg, *atoms)
+
+
+@pytest.mark.parametrize("label", ["d4", "a3", "a2"])
+def test_normalize_matches_the_frame_by_frame_reference(label):
+    sys = root_system(label)
+    reg = VariableRegistry()
+    reg.add("x")
+    reg.add("y")
+    reg.add("t", UNIT)
+    reg.add("u", UNIT)
+    rng = random.Random(1008)
+    outcomes = set()
+    for _ in range(120):
+        w = _random_word(sys, reg, rng)
+        n = normalize(w)
+        frames, frame_map, torus, tail_atoms, collected = reference_normalize(w)
+        assert n.frame_atoms == frames
+        assert n.frame_map == frame_map
+        assert n.torus == torus
+        assert n.tail_atoms == tail_atoms
+        assert n.collected == (collected is not None)
+        if collected is None:
+            assert n.tail is None
+        else:
+            assert n.tail.order == collected.order
+            assert list(n.tail.coeffs.items()) == list(collected.coeffs.items())
+        outcomes.add((n.collected, bool(n.torus), n.frame_map.is_identity()))
+    assert {c for c, _, _ in outcomes} == {True, False}
+    assert {t for _, t, _ in outcomes} == {True, False}

@@ -19,7 +19,6 @@ from crlab.rootsys import (
     longest_element,
     minus_one_realization,
     pairing,
-    reflect,
     root_system,
     row_reduce,
     subsystem_roots,
@@ -60,6 +59,35 @@ def euclid_reflect(xi, zeta):
     return tuple(z - factor * x for z, x in zip(zeta, xi))
 
 
+def reference_positive_roots(cartan):
+    """Positive roots by closing the simple roots under the simple
+    reflections, ordered by height, first nonzero index, then descending
+    coefficients."""
+    rank = len(cartan)
+    simples = [tuple(int(j == i) for j in range(rank)) for i in range(rank)]
+    all_roots = set(simples) | {tuple(-x for x in s) for s in simples}
+    frontier = list(all_roots)
+    while frontier:
+        nxt = []
+        for c in frontier:
+            for j in range(rank):
+                p = sum(c[i] * cartan[i][j] for i in range(rank))
+                img = tuple(c[i] - (p if i == j else 0) for i in range(rank))
+                if img not in all_roots:
+                    all_roots.add(img)
+                    nxt.append(img)
+        frontier = nxt
+    positives = [c for c in all_roots if sum(c) > 0]
+    positives.sort(key=lambda c: (sum(c), next(i for i, x in enumerate(c) if x), tuple(-x for x in c)))
+    return positives
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "A3", "A4"])
+def test_positive_roots_match_the_reflection_closure(label):
+    sys = root_system(label)
+    assert [r.coeffs for r in sys.positive_roots] == reference_positive_roots(sys.cartan)
+
+
 @pytest.mark.parametrize("label", ["A2", "A3", "A4", "D4"])
 def test_counts_and_negation_closure(label):
     sys = root_system(label)
@@ -76,7 +104,7 @@ def test_reflect_matches_euclidean_oracle(label):
     sys = root_system(label)
     for xi in sys.roots:
         for zeta in sys.roots:
-            got = reflect(xi, zeta)
+            got = sys.reflection(xi)(zeta)
             want = euclid_reflect(to_euclid(label, xi.coeffs), to_euclid(label, zeta.coeffs))
             assert to_euclid(label, got.coeffs) == want
 
@@ -165,22 +193,23 @@ def test_pairing_rejects_foreign_root():
 def test_reflect_examples():
     sys = d4()
     alpha, beta = sys.simple("a"), sys.simple("b")
-    assert reflect(alpha, alpha) == -alpha
+    assert sys.reflection(alpha)(alpha) == -alpha
     bd = sys.root((0, 1, 0, 1))
-    assert reflect(alpha, bd) == sys.root((1, 1, 0, 1))
-    assert reflect(beta, alpha) == sys.root((1, 1, 0, 0))
+    assert sys.reflection(alpha)(bd) == sys.root((1, 1, 0, 1))
+    assert sys.reflection(beta)(alpha) == sys.root((1, 1, 0, 0))
 
 
 def test_reflect_is_involution_everywhere():
     sys = d4()
     for xi in sys.roots:
         for zeta in sys.roots:
-            assert reflect(xi, reflect(xi, zeta)) == zeta
+            s = xi.system.reflection(xi)
+            assert s(s(zeta)) == zeta
 
 
 def test_sigma_action():
     sys = d4()
-    sigma = sys.sigma()
+    sigma = sys.diagram_symmetries()["sigma"]
     assert sigma(sys.simple("a")) is sys.simple("c")
     assert sigma(sys.simple("c")) is sys.simple("d")
     assert sigma(sys.simple("d")) is sys.simple("a")
@@ -318,7 +347,7 @@ def test_extends_to_ambient_d4_levi_has_witness():
     assert {m(r) for r in radical} == set(radical)
 
 
-def brute_force_extension(system, L_simples, partial, radical_stable=True):
+def brute_force_extension(system, L_simples, partial):
     """Reference: the full scan over every composed map of W x| Diag."""
     sub = set(subsystem_roots(system, L_simples))
     radical = [r for r in system.positive_roots if r not in sub]
@@ -326,7 +355,7 @@ def brute_force_extension(system, L_simples, partial, radical_stable=True):
     for m in system.weyl_and_diagram_elements():
         if any(m(r) != partial[r] for r in sub):
             continue
-        if radical_stable and any(m(r) not in radical_set for r in radical):
+        if any(m(r) not in radical_set for r in radical):
             continue
         return m
     return None
@@ -334,8 +363,8 @@ def brute_force_extension(system, L_simples, partial, radical_stable=True):
 
 @pytest.mark.parametrize("label", ["A3", "D4"])
 def test_extends_to_ambient_matches_brute_force(label):
-    # every Levi, -1 and seeded partial maps induced by W x| Diag, both
-    # radical_stable values: the same first witness, or None for both
+    # every Levi, -1 and seeded partial maps induced by W x| Diag: the same
+    # first witness, or None for both
     sys = root_system(label)
     maps = sys.weyl_and_diagram_elements()
     rng = random.Random(6)
@@ -346,12 +375,11 @@ def test_extends_to_ambient_matches_brute_force(label):
             partials = [{r: -r for r in sub}]
             partials += [{r: m(r) for r in sub} for m in rng.sample(maps, 2)]
             for partial in partials:
-                for radical_stable in (True, False):
-                    got = extends_to_ambient(sys, L, partial, radical_stable)
-                    want = brute_force_extension(sys, L, partial, radical_stable)
-                    assert (got is None) == (want is None)
-                    assert got is None or got.images == want.images
-                    outcomes.add(got is None)
+                got = extends_to_ambient(sys, L, partial)
+                want = brute_force_extension(sys, L, partial)
+                assert (got is None) == (want is None)
+                assert got is None or got.images == want.images
+                outcomes.add(got is None)
     assert outcomes == {True, False}
 
 

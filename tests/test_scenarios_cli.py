@@ -101,10 +101,10 @@ def test_cli_verify_json(capsys):
 
 def test_cli_collect(capsys):
     assert main(["collect", "e2(x)e1(y)e3(z)", "--system", "a2"]) == 0
-    assert capsys.readouterr().out.strip() == "e1(y)*e2(x)*e3(xy+z)"
+    assert capsys.readouterr().out.strip() == "e1(y)*e2(x)*e3(x*y+z)"
     assert main(["collect", "e9(x)e6(y)", "--system", "d4",
                  "--order", "4,5,6,7,8,9,10,11,12"]) == 0
-    assert capsys.readouterr().out.strip() == "e6(y)*e9(x)*e12(xy)"
+    assert capsys.readouterr().out.strip() == "e6(y)*e9(x)*e12(x*y)"
 
 
 def test_cli_collect_rejects_frames(capsys):
@@ -185,6 +185,8 @@ def test_an_engine_error_fails_only_its_own_steps(monkeypatch):
     def broken(*args, **kwargs):
         raise RuntimeError("engine broke")
 
+    expected_tail = {s.name: s.expected for s in run_scenario("d4-gcr-not-gcrk").steps}[
+        "generic-collection"]
     monkeypatch.setattr(scenarios, "conjugate_generic", broken)
     report = run_scenario("d4-gcr-not-gcrk")
     assert [s.name for s in report.steps] == [
@@ -200,3 +202,10 @@ def test_an_engine_error_fails_only_its_own_steps(monkeypatch):
     # the two steps built on the collected tail have no value to work on
     assert steps["rationality-substitution"].status == "FAIL"
     assert steps["rationality-obstruction"].status == "FAIL"
+    assert steps["rationality-substitution"].actual == (
+        "RuntimeError: input step 'generic-collection' failed")
+    assert steps["rationality-obstruction"].actual == (
+        "RuntimeError: input step 'rationality-substitution' failed")
+    # an erroring step still shows the value it was to check: the rendered tail
+    assert steps["generic-collection"].expected == expected_tail
+    assert expected_tail.startswith("e7(x4+x7)*e10(x7+x10)*")

@@ -185,11 +185,18 @@ def test_parse_long_sum_is_linear(monkeypatch):
     assert len(calls) <= 10
 
 
-@pytest.mark.xfail(strict=True, raises=ValueError,
-                   reason="ROADMAP item 1: render_word joins variable names without a separator")
+@pytest.mark.parametrize("text", ["x*y", "x*t^-1", "s*t", "y*x5", "x5x10", "x^2y", "x9^2"])
+def test_a_bare_letters_only_name_renders_with_a_star(text):
+    # '*' follows a letters-only name with no exponent, and only such a name
+    reg = VariableRegistry()
+    p = parse_poly(text, reg)
+    assert str(p) == text
+    assert parse_poly(str(p), reg) == p
+
+
 def test_letters_only_names_round_trip():
     sys = root_system("d4")
     reg = VariableRegistry()
     w = parse_word("e4(x*t^-1)", sys, reg)
-    assert render_word(w) == "e4(xt^-1)"
+    assert render_word(w) == "e4(x*t^-1)"
     assert word_equal(parse_word(render_word(w), sys, reg), w)
