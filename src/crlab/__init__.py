@@ -37,7 +37,7 @@ from .matrixoracle import (
     lie_vector_matrix,
     matrix_oracle_check,
 )
-from .parabolic import limit_along, minimality_certificate, rparabolic
+from .parabolic import limit_along, rparabolic
 from .rootsys import (
     Cocharacter,
     Root,

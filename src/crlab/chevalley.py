@@ -141,22 +141,6 @@ def word(system: RootSystem, registry: VariableRegistry, *atoms) -> GroupWord:
 # Closed nilpotent sets, collection order, collection
 
 
-def closure(system: RootSystem, roots: Iterable[Root]) -> Optional[set]:
-    """Closure under root addition; None when a +-pair appears (not nilpotent)."""
-    S = set(roots)
-    changed = True
-    while changed:
-        changed = False
-        for a, b in itertools.combinations(list(S), 2):
-            c = a + b
-            if c is not None and c not in S:
-                S.add(c)
-                changed = True
-    if any(-r in S for r in S):
-        return None
-    return S
-
-
 def _closed_sums(roots: Sequence[Root]) -> Tuple[Dict[Root, int], Dict[int, int]]:
     """Positions of a closed nilpotent list of k roots, and its sums by
     position: p*k + q -> position of roots[p] + roots[q] where that is a root."""
@@ -175,20 +159,34 @@ def _closed_sums(roots: Sequence[Root]) -> Tuple[Dict[Root, int], Dict[int, int]
     return pos, sums
 
 
-def default_order(system: RootSystem, roots: Iterable[Root]) -> tuple:
-    """Collection order: ascending grading f, the least with f(a+b) >
-    max(f(a), f(b)) for sums inside the set, then height, then label order."""
-    rs = list(roots)
-    f = {r: 1 for r in rs}
+def default_order(system: RootSystem, roots: Iterable[Root]) -> Optional[tuple]:
+    """Collection order on the closure of `roots` under root addition, or
+    None when the closure holds a root and its negative (is not nilpotent).
+
+    The set is closed and graded in one fixed-point loop over pairs: the
+    grading f is the least with f(a+b) > max(f(a), f(b)) for sums inside the
+    set, so a new sum enters with that bound and an existing one is raised
+    to it.  The order is ascending f, then height, then label order.
+    """
+    f = dict.fromkeys(roots, 1)
+    if any(-r in f for r in f):
+        return None
     changed = True
     while changed:
         changed = False
-        for a, b in itertools.combinations(rs, 2):
+        for a, b in itertools.combinations(list(f), 2):
             c = a + b
-            if c in f and f[c] <= max(f[a], f[b]):
-                f[c] = max(f[a], f[b]) + 1
-                changed = True
-    return tuple(sorted(rs, key=lambda r: (f[r], r.height, r.index)))
+            if c is None:
+                continue
+            grade = max(f[a], f[b]) + 1
+            if c not in f:
+                if -c in f:
+                    return None
+            elif f[c] >= grade:
+                continue
+            f[c] = grade
+            changed = True
+    return tuple(sorted(f, key=lambda r: (f[r], r.height, r.index)))
 
 
 _COLLECT_FUEL = 2_000_000
@@ -293,14 +291,13 @@ class RadicalElement:
             return NotImplemented
         if self.order == other.order:
             return self.coeffs == other.coeffs
-        S = closure(self.system, set(self.order) | set(other.order))
-        if S is None:
+        common = default_order(self.system, self.order + other.order)
+        if common is None:
             # ambient sets are incompatible; a common unipotent group must
             # still hold both supports for the elements to be comparable
-            S = closure(self.system, set(self.support) | set(other.support))
-            if S is None:
+            common = default_order(self.system, self.support + other.support)
+            if common is None:
                 return False
-        common = default_order(self.system, S)
         return self.reordered(common).coeffs == other.reordered(common).coeffs
 
     def __hash__(self):
@@ -372,10 +369,10 @@ def normalize(w: GroupWord) -> Normalized:
     frame_map = inv.inverse()
     torus = {u: chi.coeffs for u, chi in units.items() if not chi.is_zero}
 
-    S = closure(system, [e.root for e in tail])
-    if S is None:
+    order = default_order(system, [e.root for e in tail])
+    if order is None:
         return Normalized(tuple(frames), frame_map, torus, tuple(tail), None, False)
-    collected = collect(tail, default_order(system, S), registry)
+    collected = collect(tail, order, registry)
     return Normalized(tuple(frames), frame_map, torus, tuple(tail), collected, True)
 
 
@@ -467,10 +464,6 @@ class LieVector:
         if isinstance(root, int):
             root = system.root_by_label(root)
         return cls(system, registry, {root: registry.one()}, {})
-
-    @classmethod
-    def basis_h(cls, system, registry, i: int) -> "LieVector":
-        return cls(system, registry, {}, {i: registry.one()})
 
     def __add__(self, other: "LieVector") -> "LieVector":
         e = dict(self.e)

@@ -14,7 +14,7 @@ import json
 import sys as _sys
 
 from .coeffring import VariableRegistry
-from .chevalley import RootElement, collect, default_order, closure
+from .chevalley import RootElement, collect, default_order
 from .parabolic import rparabolic
 from .rootsys import pairing, root_system
 from .scenarios import run_scenario, scenario_names
@@ -48,11 +48,10 @@ def _cmd_collect(args) -> int:
     if args.order:
         order = [system.root_by_label(int(tok)) for tok in args.order.split(",")]
     else:
-        S = closure(system, [a.root for a in atoms])
-        if S is None:
+        order = default_order(system, [a.root for a in atoms])
+        if order is None:
             print("support closure is not nilpotent; give --order explicitly", file=_sys.stderr)
             return 2
-        order = default_order(system, S)
     result = collect(atoms, order, reg)
     print(render_word(result))
     return 0

@@ -85,13 +85,6 @@ class VariableRegistry:
     def const(self, c: int) -> "Polynomial":
         return self.one() if c % 2 else self.zero()
 
-    def monomial(self, powers: Mapping[str, int]) -> "Polynomial":
-        m = tuple(sorted((self.index(n), e) for n, e in powers.items() if e != 0))
-        for i, e in m:
-            if e < 0 and self.kinds[i] != UNIT:
-                raise ValueError(f"negative exponent on non-unit variable {self.names[i]!r}")
-        return Polynomial(self, frozenset({m}))
-
 
 def _mul_mono(reg: VariableRegistry, m1: Monomial, m2: Monomial) -> Monomial:
     """Product of two monomials by one merge of their sorted pairs."""
@@ -202,9 +195,6 @@ class Polynomial:
         return hash(self.terms)
 
     # -- structure queries ---------------------------------------------------
-
-    def variables(self) -> set:
-        return {self.registry.names[i] for m in self.terms for i, _ in m}
 
     def involves(self, name: str) -> bool:
         if not self.registry.has(name):

@@ -24,9 +24,7 @@ module is an independent check of the collection machinery.
 
 from __future__ import annotations
 
-import itertools
-import random
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .chevalley import GraphAut, GroupWord, RootElement, TorusValue, WeylRep
 from .coeffring import Polynomial, VariableRegistry
@@ -141,10 +139,6 @@ def mat_mul(ring, A: Mat, B: Mat) -> Mat:
         )
         for i in range(3)
     )
-
-
-def mat_transpose(A: Mat) -> Mat:
-    return tuple(tuple(A[j][i] for j in range(3)) for i in range(3))
 
 
 def _j_transpose_j(A: Mat) -> Mat:
@@ -302,43 +296,10 @@ def lie_vector_matrix(v, assign: Dict[str, object], ring) -> Mat:
     return tuple(tuple(row) for row in out)
 
 
-def random_assignment(words: Iterable[GroupWord], gf: GF, rng: random.Random) -> Dict[str, int]:
-    names: Dict[str, str] = {}
-    for w in words:
-        reg = w.registry
-        for atom in w.atoms:
-            if isinstance(atom, RootElement):
-                for name in atom.coeff.variables():
-                    names[name] = reg.kind(name)
-            elif isinstance(atom, TorusValue):
-                names[atom.unit] = "unit"
-    assign = {}
-    for name, kind in names.items():
-        if kind == "unit":
-            assign[name] = rng.randrange(1, gf.q)
-        else:
-            assign[name] = rng.randrange(gf.q)
-    return assign
-
-
 def matrix_oracle_check(lhs: GroupWord, rhs: GroupWord) -> bool:
     """Decide lhs == rhs in SL3 x <sigma> exactly, by comparing the two words
     as matrices over the polynomial ring."""
     return exact_word(lhs) == exact_word(rhs)
-
-
-def m_group_elements(gf: GF) -> List[A2Matrix]:
-    """All points of M = G_{alpha+beta} x <sigma>: the SL2 acting on the
-    outer coordinates (with the middle one fixed) times the sigma flag."""
-    out = []
-    for a, b, c, d in itertools.product(gf.elements(), repeat=4):
-        det = gf.add(gf.mul(a, d), gf.mul(b, c))
-        if det != 1:
-            continue
-        m = ((a, 0, b), (0, 1, 0), (c, 0, d))
-        out.append(A2Matrix(gf, m, 0))
-        out.append(A2Matrix(gf, m, 1))
-    return out
 
 
 def m_stabilizer(gf: GF) -> List[A2Matrix]:

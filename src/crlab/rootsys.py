@@ -577,31 +577,25 @@ def verify_w0_identities(system: RootSystem, L_simples: Sequence[Root], lam: Coc
 def row_reduce(rows: Sequence[Sequence]) -> tuple:
     """Gauss-Jordan elimination over the rationals.
 
-    Returns (reduced rows, pivot columns, signed pivot product): the reduced
-    row echelon form as Fractions, the column of each pivot in order, and the
-    product of the pivots times the sign of the row swaps, which is the
-    determinant when the rows form a square matrix of full rank.
+    Returns (reduced rows, pivot columns): the reduced row echelon form as
+    Fractions and the column of each pivot in order.
     """
     A = [[Fraction(x) for x in row] for row in rows]
     pivots = []
-    product = Fraction(1)
     for c in range(len(A[0])):
         r = len(pivots)
         p = next((i for i in range(r, len(A)) if A[i][c] != 0), None)
         if p is None:
             continue
-        if p != r:
-            A[r], A[p] = A[p], A[r]
-            product = -product
+        A[r], A[p] = A[p], A[r]
         pivot = A[r][c]
-        product *= pivot
         A[r] = [x / pivot for x in A[r]]
         for i in range(len(A)):
             if i != r and A[i][c] != 0:
                 f = A[i][c]
                 A[i] = [x - f * y for x, y in zip(A[i], A[r])]
         pivots.append(c)
-    return A, pivots, product
+    return A, pivots
 
 
 def fixed_cocharacter_lattice(system: RootSystem, m: RootMap) -> list:
@@ -609,7 +603,7 @@ def fixed_cocharacter_lattice(system: RootSystem, m: RootMap) -> list:
     (the kernel of m - 1 on the coweight lattice), sign-normalized."""
     n = system.rank
     mat = m.matrix
-    rows, pivots, _ = row_reduce([[mat[i][j] - (i == j) for j in range(n)] for i in range(n)])
+    rows, pivots = row_reduce([[mat[i][j] - (i == j) for j in range(n)] for i in range(n)])
     basis = []
     for fc in (c for c in range(n) if c not in pivots):
         v = [Fraction(0)] * n

@@ -14,7 +14,6 @@ from crlab import chevalley
 from crlab.coeffring import UNIT, SQRT, VariableRegistry
 from crlab.chevalley import (
     GraphAut,
-    GroupWord,
     LieVector,
     RootElement,
     SolvedSystem,
@@ -22,7 +21,6 @@ from crlab.chevalley import (
     WeylRep,
     adjoint,
     centralizer_system,
-    closure,
     collect,
     conjugate,
     conjugate_generic,
@@ -373,7 +371,7 @@ def test_adjoint_sigma_fixes_sum_a2():
 
 def test_adjoint_identity():
     sys, reg = d4_setup()
-    v = LieVector.basis_e(sys, reg, 6) + LieVector.basis_h(sys, reg, 1)
+    v = LieVector.basis_e(sys, reg, 6) + LieVector(sys, reg, {}, {1: reg.one()})
     assert adjoint(word(sys, reg), v) == v
 
 
@@ -391,7 +389,7 @@ def test_adjoint_homomorphism_random():
     radical = [sys.root_by_label(i) for i in range(4, 13)]
     names = [f"x{i}" for i in range(4, 13)]
     basis = [LieVector.basis_e(sys, reg, lbl) for lbl in list(range(1, 13)) + [-1, -5, -12]]
-    basis += [LieVector.basis_h(sys, reg, i) for i in range(4)]
+    basis += [LieVector(sys, reg, {}, {i: reg.one()}) for i in range(4)]
     for _ in range(40):
         atoms1 = [RootElement(rng.choice(radical), reg.var(rng.choice(names)))
                   for _ in range(rng.randrange(0, 4))]
@@ -571,6 +569,44 @@ def _reference_order(roots):
     return tuple(sorted(roots, key=lambda r: (f[r], r.height, r.index)))
 
 
+def _reference_closure(roots):
+    """Closure under root addition; None when a +-pair appears (not nilpotent)."""
+    S = set(roots)
+    changed = True
+    while changed:
+        changed = False
+        for a, b in itertools.combinations(list(S), 2):
+            c = a + b
+            if c is not None and c not in S:
+                S.add(c)
+                changed = True
+    if any(-r in S for r in S):
+        return None
+    return S
+
+
+def reference_default_order(roots):
+    """Close the set, then grade it: the two passes default_order folds into one."""
+    S = _reference_closure(roots)
+    return None if S is None else _reference_order(list(S))
+
+
+@pytest.mark.parametrize("label", ["a1", "a2", "a3", "a4", "d4"])
+def test_default_order_matches_closure_then_grading(label):
+    # every set of at most 3 roots, then seeded random sets of up to 8; a set
+    # whose closure holds a root and its negative has no order
+    sys = root_system(label)
+    rng = random.Random(11)
+    sets = [c for k in range(4) for c in itertools.combinations(sys.roots, k)]
+    sets += [rng.sample(sys.roots, rng.randrange(1, min(8, len(sys.roots)) + 1)) for _ in range(300)]
+    outcomes = set()
+    for roots in sets:
+        want = reference_default_order(roots)
+        assert default_order(sys, roots) == want, [r.label for r in roots]
+        outcomes.add(want is None)
+    assert outcomes == {True, False}
+
+
 def reference_normalize(w):
     """Left to right: push the tail so far across each frame atom, then
     compose the frames in a second loop.  Returns (frame_atoms, frame_map,
@@ -593,8 +629,8 @@ def reference_normalize(w):
         else:
             frame_map = frame_map.compose(atom.map)
     torus = {u: tuple(v) for u, v in torus.items() if any(v)}
-    S = closure(w.system, [x.root for x in tail])
-    collected = None if S is None else collect(tail, _reference_order(list(S)), w.registry)
+    order = reference_default_order([x.root for x in tail])
+    collected = None if order is None else collect(tail, order, w.registry)
     return tuple(frames), frame_map, torus, tuple(tail), collected
 
 

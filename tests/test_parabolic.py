@@ -1,4 +1,4 @@
-"""Parabolic decomposition, limits, refinement and minimality scans."""
+"""Parabolic decomposition, membership in P_lambda and limits along lambda."""
 
 import random
 
@@ -14,14 +14,7 @@ from crlab.chevalley import (
     generic_radical_element,
     word,
 )
-from crlab.parabolic import (
-    _fundamental_coweights,
-    limit_along,
-    minimality_certificate,
-    refine_with_multiplier,
-    rparabolic,
-    word_in_rparabolic,
-)
+from crlab.parabolic import limit_along, rparabolic, word_in_rparabolic
 from crlab.rootsys import pairing, root_system
 
 
@@ -154,44 +147,6 @@ def test_limit_along_frame_guard():
     assert lim is None
 
 
-def test_refine_trivial_mu():
-    sys, _ = d4_setup()
-    lam = lam_d4(sys)
-    zeta, m = refine_with_multiplier(lam, sys.cocharacter((0, 0, 0, 0)))
-    assert m == 1 and zeta == lam
-
-
-def test_refine_d4_alpha_direction():
-    sys, _ = d4_setup()
-    lam = lam_d4(sys)
-    zeta, m = refine_with_multiplier(lam, sys.cocharacter((1, 0, 0, 0)))
-    data = rparabolic(sys, zeta)
-    assert {r.label for r in data.u_roots} == set(range(4, 13)) | {1}
-    assert {r.label for r in data.l_roots} == {2, 3, -2, -3}
-
-
-def test_refine_matches_predicted_root_sets_randomly():
-    sys, _ = d4_setup()
-    lam = lam_d4(sys)
-    rng = random.Random(13)
-    for _ in range(40):
-        mu = sys.cocharacter([rng.randrange(-2, 3) for _ in range(4)])
-        zeta = refine_with_multiplier(lam, mu)[0]
-        want_u = {
-            r for r in sys.roots
-            if pairing(r, lam) > 0 or (pairing(r, lam) == 0 and pairing(r, mu) > 0)
-        }
-        assert rparabolic(sys, zeta).u_roots == want_u
-
-
-def test_refine_a2_regular():
-    sys = root_system("a2")
-    lam = sys.cocharacter((1, 1))
-    zeta = refine_with_multiplier(lam, sys.cocharacter((1, -1)))[0]
-    data = rparabolic(sys, zeta)
-    assert {r.label for r in data.u_roots} == {1, 2, 3}
-
-
 def test_word_membership():
     sys, reg = d4_setup()
     lam = lam_d4(sys)
@@ -202,64 +157,3 @@ def test_word_membership():
     assert word_in_rparabolic(h, lam)
     bad = word(sys, reg, RootElement(sys.root_by_label(-12), reg.one()))
     assert not word_in_rparabolic(bad, lam)
-
-
-def test_minimality_d4_scenario():
-    sys, reg = d4_setup()
-    lam = lam_d4(sys)
-    data = rparabolic(sys, lam)
-    s = reg.var("s")
-    gens = [
-        word(sys, reg, WeylRep(sys.simple("a")), GraphAut(sys, "sigma"),
-             RootElement(sys.root_by_label(12), s * s)),
-        word(sys, reg, TorusValue(sys.cocharacter((1, 0, 1, 0)), "t")),
-    ]
-    report = minimality_certificate(data, gens)
-    assert report.minimal
-    assert len(report.sub_patterns) == 7  # 2^3 - 1 proper patterns of A1^3
-    # the only proper standard ambient pattern containing the generators is
-    # the one with Levi {alpha, gamma, delta}, which is P_lambda itself
-    assert report.containing_standard() == [(1, 2, 3)]
-
-
-def test_minimality_empty_generators_returns_borel():
-    sys, reg = d4_setup()
-    data = rparabolic(sys, lam_d4(sys))
-    report = minimality_certificate(data, [])
-    assert not report.minimal
-    assert report.borel is not None
-    borel_data = rparabolic(sys, report.borel)
-    assert borel_data.l_roots == frozenset()
-
-
-def test_minimality_a2_scenario():
-    sys = root_system("a2")
-    reg = VariableRegistry()
-    reg.add("t", UNIT)
-    lam = sys.cocharacter((1, 1))
-    data = rparabolic(sys, lam)
-    gens = [
-        word(sys, reg, GraphAut(sys, "sigma")),
-        word(sys, reg, RootElement(sys.root_by_label(3), reg.one())),
-    ]
-    report = minimality_certificate(data, gens)
-    assert report.minimal  # L_lambda = T has no proper refinement
-    assert len(report.standard_patterns) == 3
-    assert report.containing_standard() == [()]
-
-
-def test_minimality_rejects_outside_generators():
-    sys, reg = d4_setup()
-    data = rparabolic(sys, lam_d4(sys))
-    bad = word(sys, reg, RootElement(sys.root_by_label(-12), reg.one()))
-    with pytest.raises(ValueError):
-        minimality_certificate(data, [bad])
-
-
-@pytest.mark.parametrize("label", ["a1", "a2", "a3", "a4", "d4"])
-def test_fundamental_coweights_pair_to_det_with_their_own_simple_root(label):
-    sys = root_system(label)
-    det = {"a1": 2, "a2": 3, "a3": 4, "a4": 5, "d4": 4}[label]
-    for i, mu in enumerate(_fundamental_coweights(sys)):
-        for j, alpha in enumerate(sys.simple_roots):
-            assert pairing(alpha, mu) == (det if i == j else 0)

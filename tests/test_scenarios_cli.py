@@ -107,6 +107,11 @@ def test_cli_collect(capsys):
     assert capsys.readouterr().out.strip() == "e6(y)*e9(x)*e12(x*y)"
 
 
+def test_cli_collect_without_order_rejects_a_non_nilpotent_support(capsys):
+    assert main(["collect", "e1(x)e-1(y)", "--system", "a2"]) == 2
+    assert "support closure is not nilpotent" in capsys.readouterr().err
+
+
 def test_cli_collect_rejects_frames(capsys):
     assert main(["collect", "sigma e1(x)", "--system", "a2"]) == 2
     capsys.readouterr()

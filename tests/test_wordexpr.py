@@ -16,6 +16,8 @@ from crlab.wordexpr import (
     render_word,
 )
 
+from references import monomial
+
 
 def test_parse_poly_basic():
     reg = VariableRegistry()
@@ -150,7 +152,7 @@ def random_rendered(reg, rng, nterms):
         powers = {}
         for name in rng.sample(_POLY_NAMES, rng.randrange(4)):
             powers[name] = rng.choice([-2, -1, 1, 3]) if reg.kind(name) == UNIT else rng.randint(1, 4)
-        terms |= reg.monomial(powers).terms
+        terms |= monomial(reg, powers).terms
     return Polynomial(reg, frozenset(terms))
 
 
