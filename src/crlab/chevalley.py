@@ -8,6 +8,9 @@ n_xi is its own inverse, so a word normalizes to a frame (torus part plus a
 root map realized in the extended Weyl group) followed by a unipotent tail;
 the tail is normal-ordered by commutator collection over a closed nilpotent
 root set, using [e_zeta(x), e_xi(y)] = e_{zeta+xi}(xy) when zeta+xi is a root.
+Over a graded order (each sum after its summands) collection places atoms
+straight into one coefficient term set per root of the order; any other
+order is collected by adjacent swaps.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import itertools
 from collections import namedtuple
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .coeffring import Polynomial, VariableRegistry
+from .coeffring import Polynomial, VariableRegistry, mul_terms
 from .rootsys import Cocharacter, Root, RootSystem, pairing
 
 
@@ -141,24 +144,6 @@ def word(system: RootSystem, registry: VariableRegistry, *atoms) -> GroupWord:
 # Closed nilpotent sets, collection order, collection
 
 
-def _closed_sums(roots: Sequence[Root]) -> Tuple[Dict[Root, int], Dict[int, int]]:
-    """Positions of a closed nilpotent list of k roots, and its sums by
-    position: p*k + q -> position of roots[p] + roots[q] where that is a root."""
-    pos = {r: i for i, r in enumerate(roots)}
-    if any(-r in pos for r in pos):
-        raise ValueError("root set contains a root and its negative")
-    k = len(roots)
-    sums: Dict[int, int] = {}
-    for (p, a), (q, b) in itertools.combinations(enumerate(roots), 2):
-        c = a + b
-        if c is None:
-            continue
-        if c not in pos:
-            raise ValueError(f"root set not closed: {a} + {b} = {c} missing")
-        sums[p * k + q] = sums[q * k + p] = pos[c]
-    return pos, sums
-
-
 def default_order(system: RootSystem, roots: Iterable[Root]) -> Optional[tuple]:
     """Collection order on the closure of `roots` under root addition, or
     None when the closure holds a root and its negative (is not nilpotent).
@@ -191,15 +176,56 @@ def default_order(system: RootSystem, roots: Iterable[Root]) -> Optional[tuple]:
 
 _COLLECT_FUEL = 2_000_000
 
+_TABLES: Dict[tuple, tuple] = {}
+_TABLES_SIZE = 16
+
+
+def _order_tables(order: tuple) -> tuple:
+    """(pos, graded, below) for a closed nilpotent list of roots, kept for
+    the last _TABLES_SIZE distinct orders: pos maps a root to its position,
+    below[s] lists the pairs (t, position of order[s] + order[t]) for t < s
+    where that sum is a root, ascending in t, and graded says every such
+    sum comes after both summands."""
+    tables = _TABLES.get(order)
+    if tables is not None:
+        return tables
+    pos = {r: i for i, r in enumerate(order)}
+    if len(pos) < len(order):
+        raise ValueError("collection order lists a root twice")
+    if any(-r in pos for r in pos):
+        raise ValueError("root set contains a root and its negative")
+    below: List[List[Tuple[int, int]]] = [[] for _ in order]
+    graded = True
+    for (t, a), (s, b) in itertools.combinations(enumerate(order), 2):
+        c = a + b
+        if c is None:
+            continue
+        if c not in pos:
+            raise ValueError(f"root set not closed: {a} + {b} = {c} missing")
+        below[s].append((t, pos[c]))
+        graded = graded and pos[c] > s
+    if len(_TABLES) >= _TABLES_SIZE:
+        del _TABLES[next(iter(_TABLES))]
+    tables = _TABLES[order] = (pos, graded, below)
+    return tables
+
 
 def collect(x, order: Sequence[Root], registry: Optional[VariableRegistry] = None) -> "RadicalElement":
     """Normal-order a product of root elements over a closed nilpotent set.
 
     `x` is a GroupWord of RootElements or an iterable of RootElements; `order`
-    fixes the target sequence of roots and must list a closed nilpotent set.
-    Atoms carry their position in `order`, and sums come from the closedness
-    check, so the loop does no root arithmetic; its rewrites are those of the
-    same adjacent-swap loop run on roots.
+    fixes the target sequence of roots and must list a closed nilpotent set,
+    each root once.  When the order is graded (every sum of two of its roots
+    comes after both), the word is collected from its right end into one
+    term set per position.  An atom e_s(y) standing just after slot q moves
+    right past each nonzero slot t, q < t < s, with s + t a root, by
+    e_s(y) e_t(x_t) = e_t(x_t) e_s(y) e_{s+t}(y x_t), and finally adds y to
+    slot s.  The spawned atom commutes with e_s, so it stands just after
+    slot t and is placed by the same rule; a stack holds the atoms still to
+    place, the rightmost on top, and each placed atom spends one unit of
+    fuel.  Any other order is collected by the adjacent-swap loop.  Both
+    loops read positions and sums from the order's tables and do no root
+    arithmetic.
     """
     if isinstance(x, GroupWord):
         registry = x.registry
@@ -212,17 +238,41 @@ def collect(x, order: Sequence[Root], registry: Optional[VariableRegistry] = Non
         registry = atoms[0].coeff.registry
     order = tuple(order)
     system = order[0].system if order else None
-    pos, sums = _closed_sums(order)
-    k = len(order)
-    seq: List[List] = []
+    pos, graded, below = _order_tables(order)
+    stack: List[tuple] = []
     for a in atoms:
         if not isinstance(a, RootElement):
             raise ValueError(f"collect expects root elements, got {a!r}")
         if a.root not in pos:
             raise ValueError(f"root {a.root} outside the collection set")
+        if a.coeff.registry is not registry:
+            raise ValueError("coefficients from different registries")
         if not a.coeff.is_zero:
-            seq.append([pos[a.root], a.coeff])
+            stack.append((pos[a.root], -1, a.coeff.terms))  # in front of slot 0
 
+    if not graded:
+        seq = [[p, Polynomial(registry, y)] for p, _, y in stack]
+        coeffs = {order[p]: c for p, c in _swap_collect(seq, below)}
+        return RadicalElement(system, registry, order, coeffs)
+
+    slots = [set() for _ in order]
+    fuel = _COLLECT_FUEL
+    while stack:
+        if fuel <= 0:
+            raise RuntimeError("collection did not terminate within fuel budget")
+        fuel -= 1
+        s, q, y = stack.pop()
+        for t, u in below[s]:
+            if t > q and slots[t]:
+                stack.append((u, t, mul_terms(registry, y, slots[t])))
+        slots[s] ^= y
+    coeffs = {r: Polynomial(registry, frozenset(c)) for r, c in zip(order, slots) if c}
+    return RadicalElement(system, registry, order, coeffs)
+
+
+def _swap_collect(seq: List[List], below: List[List[Tuple[int, int]]]) -> List[List]:
+    """Collect [position, coefficient] pairs by adjacent swaps, for orders
+    that are not graded."""
     fuel = _COLLECT_FUEL
     i = 0
     while i < len(seq) - 1:
@@ -238,7 +288,7 @@ def collect(x, order: Sequence[Root], registry: Optional[VariableRegistry] = Non
                 a[1] = merged
                 del seq[i + 1]
         elif a[0] > b[0]:
-            c = sums.get(a[0] * k + b[0])
+            c = next((u for t, u in below[a[0]] if t == b[0]), None)
             if c is None:
                 seq[i], seq[i + 1] = b, a
             else:  # nonzero: the coefficient ring has no zero divisors
@@ -248,9 +298,7 @@ def collect(x, order: Sequence[Root], registry: Optional[VariableRegistry] = Non
             continue
         if i:
             i -= 1
-
-    coeffs = {order[p]: c for p, c in seq}
-    return RadicalElement(system, registry, order, coeffs)
+    return seq
 
 
 class RadicalElement:

@@ -114,6 +114,16 @@ def _mul_mono(reg: VariableRegistry, m1: Monomial, m2: Monomial) -> Monomial:
     return tuple(out) + m1[i:] + m2[j:]
 
 
+def mul_terms(reg: VariableRegistry, a, b) -> set:
+    """Product of two sets of monomials, as a new set."""
+    if len(a) > len(b):
+        a, b = b, a
+    acc: set = set()
+    for m1 in a:
+        acc ^= {_mul_mono(reg, m1, m2) for m2 in b}
+    return acc
+
+
 class Polynomial:
     """Element of F2[ordinary vars][units, units^-1]."""
 
@@ -137,18 +147,11 @@ class Polynomial:
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
-        small, big = self.terms, other.terms
-        if small == _ONE:
+        if self.terms == _ONE:
             return other
-        if big == _ONE:
+        if other.terms == _ONE:
             return self
-        if len(small) > len(big):
-            small, big = big, small
-        reg = self.registry
-        acc: set = set()
-        for m1 in small:
-            acc ^= {_mul_mono(reg, m1, m2) for m2 in big}
-        return Polynomial(reg, frozenset(acc))
+        return Polynomial(self.registry, frozenset(mul_terms(self.registry, self.terms, other.terms)))
 
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:

@@ -165,26 +165,51 @@ def reference_collect(atoms, order):
     return {r: c for r, c in seq}
 
 
-@pytest.mark.parametrize("typ,labels,seed", [
-    ("d4", range(4, 13), 41),   # the radical U of the paper's D4 parabolic
-    ("d4", range(1, 13), 42),   # all positive roots of D4
-    ("a3", range(1, 7), 43),    # all positive roots of A3
-])
-def test_collect_matches_reference(typ, labels, seed):
+def is_graded(order):
+    pos = {r: i for i, r in enumerate(order)}
+    return all(a + b is None or pos[a + b] > max(pos[a], pos[b])
+               for a, b in itertools.combinations(order, 2))
+
+
+REFERENCE_CASES = [
+    ("d4", range(4, 13), 41, False, 60, range(40)),  # the radical U of the paper's D4 parabolic
+    ("d4", range(1, 13), 42, False, 60, range(40)),  # all positive roots of D4
+    ("a3", range(1, 7), 43, False, 60, range(40)),   # all positive roots of A3
+    ("a2", range(1, 4), 44, False, 60, range(40)),   # all positive roots of A2
+    ("d4", range(4, 13), 45, False, 6, [200]),       # long words on U
+    ("a3", range(1, 7), 46, True, 30, range(40)),    # orders that are not graded
+    ("a4", range(1, 11), 47, True, 30, range(40)),
+    ("d4", range(1, 13), 48, True, 30, range(40)),
+]
+
+
+@pytest.mark.parametrize("typ,labels,seed,shuffled,words,lengths", REFERENCE_CASES,
+                         ids=[f"{c[0]}-labels{i}-{c[2]}" for i, c in enumerate(REFERENCE_CASES)])
+def test_collect_matches_reference(typ, labels, seed, shuffled, words, lengths):
     sys = root_system(typ)
     reg = VariableRegistry()
     t = reg.add("t", UNIT)
     xs = [reg.add(f"x{i}") for i in range(4, 8)] + [reg.add("s", SQRT)]
-    order = default_order(sys, radical_roots(sys, labels))
     rng = random.Random(seed)
-    for _ in range(60):
+    order = list(default_order(sys, radical_roots(sys, labels)))
+    assert is_graded(order)
+    if shuffled:
+        while is_graded(order):
+            rng.shuffle(order)
+    for _ in range(words):
         atoms = []
-        for _ in range(rng.randrange(0, 40)):
+        for _ in range(rng.choice(lengths)):
             coeff = rng.choice(xs) * t ** rng.randint(-2, 2)
             if rng.random() < 0.3:
                 coeff = coeff + rng.choice(xs)
             atoms.append(RootElement(sys.root_by_label(rng.choice(list(labels))), coeff))
         assert collect(atoms, order, reg).coeffs == reference_collect(atoms, order)
+
+
+def test_collect_rejects_an_order_listing_a_root_twice():
+    sys, reg = d4_setup()
+    with pytest.raises(ValueError, match="twice"):
+        collect([e(sys, reg, 4, "x4")], radical_roots(sys, [4, 4, 5]), reg)
 
 
 def test_collect_out_of_fuel_raises(monkeypatch):

@@ -107,6 +107,13 @@ def test_cli_collect(capsys):
     assert capsys.readouterr().out.strip() == "e6(y)*e9(x)*e12(x*y)"
 
 
+def test_cli_collect_rejects_an_order_listing_a_root_twice(capsys):
+    assert main(["collect", "e4(x)*e5(y)", "--system", "d4", "--order", "4,4,5,12"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "lists a root twice" in captured.err
+
+
 def test_cli_collect_without_order_rejects_a_non_nilpotent_support(capsys):
     assert main(["collect", "e1(x)e-1(y)", "--system", "a2"]) == 2
     assert "support closure is not nilpotent" in capsys.readouterr().err
