@@ -271,11 +271,13 @@ class Polynomial:
     # -- rendering -------------------------------------------------------------
 
     def _key(self, m: Monomial):
-        deg = sum(e for _, e in m)
-        exps = [0] * len(self.registry.names)
+        """Degree descending, then exponents descending in registry order."""
+        neg_exps = [0] * len(self.registry.names)
+        deg = 0
         for i, e in m:
-            exps[i] = e
-        return (-deg, tuple(-e for e in exps))
+            neg_exps[i] = -e
+            deg += e
+        return (-deg, tuple(neg_exps))
 
     def __str__(self):
         if not self.terms:

@@ -4,10 +4,16 @@ Word atoms:  e<label>(poly)   root element (label may be negative)
              n[<simple>]      Weyl representative; simple name or root label
              t[<cochar>](<unit>)  torus value with a formal unit variable
              sigma, sigma2, id, tau0, ...   diagram symmetries
-Atoms juxtapose (whitespace, '*' or '.' separators all work); '^-1' inverts
-the preceding atom and '^k' repeats it.  Polynomials use '+', implicit or
-'*' multiplication, '^' powers (negative only on unit variables), and
-variable names of the shape letters-then-digits.
+             1                the identity
+Atoms juxtapose (whitespace, '*', '.' or '·' separators all work); '^-1'
+inverts the preceding atom and '^k' repeats it.  Polynomials use '+',
+implicit or '*' multiplication (a '*' must be followed by a factor), '^'
+powers (negative only on unit variables), and variable names of the shape
+letters-then-digits.
+
+Text splits into tokens: names, integers, exponents '^k' (the '^' touching
+its integer) and single characters.  Whitespace may stand between any two
+tokens, and splits a name or an integer it falls inside.
 
 Unknown variable names are registered on the fly: 's' as the square-root
 constant, names starting with 't' as units, everything else ordinary.
@@ -29,10 +35,11 @@ from .chevalley import (
 )
 from .rootsys import Cocharacter, Root, RootSystem
 
-_NAME = re.compile(r"[A-Za-z]+[0-9]*")
-_INT = re.compile(r"-?[0-9]+")
-_DIGITS = re.compile(r"[0-9]+")
-_ROOT_ATOM = re.compile(r"e-?[0-9]")
+_TOKEN = re.compile(r"[A-Za-z]+[0-9]*|[0-9]+|\^-?[0-9]+|\S")
+_END = " "  # closes every token list; never a token, as no token holds a blank
+_LETTERS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz")
+_DIGITS = frozenset("0123456789")
+_SEPARATORS = frozenset("*.·")
 
 
 def default_kind(name: str) -> str:
@@ -47,250 +54,205 @@ class ExprError(ValueError):
     pass
 
 
-class _Scanner:
-    def __init__(self, text: str):
+class _Parser:
+    """Recursive descent over the tokens of one text.  parse_word reads the
+    whole list; the other parse_* methods take the index of their first
+    token and return their value with the index after it."""
+
+    __slots__ = ("text", "toks", "reg", "system")
+
+    def __init__(self, text: str, registry: Optional[VariableRegistry], system: Optional[RootSystem]):
         self.text = text
-        self.pos = 0
+        self.toks = _TOKEN.findall(text)
+        self.toks.append(_END)
+        self.reg = registry
+        self.system = system
 
-    def skip_ws(self, seps: str = " \t\n"):
-        while self.pos < len(self.text) and self.text[self.pos] in seps:
-            self.pos += 1
+    def fail(self, i, wanted):
+        got = "the end" if self.toks[i] == _END else repr(self.toks[i])
+        raise ExprError(f"expected {wanted}, got {got} in {self.text!r}")
 
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+    def expect(self, i, tok):
+        if self.toks[i] != tok:
+            self.fail(i, repr(tok))
+        return i + 1
 
-    def expect(self, ch: str):
-        if self.peek() != ch:
-            raise ExprError(f"expected {ch!r} at position {self.pos} in {self.text!r}")
-        self.pos += 1
+    def complete(self, value, i):
+        if self.toks[i] != _END:
+            self.fail(i, "the end")
+        return value
 
-    def match_re(self, pattern) -> Optional[str]:
-        m = pattern.match(self.text, self.pos)
-        if m is None:
-            return None
-        self.pos = m.end()
-        return m.group(0)
+    def exponent(self, i):
+        if self.toks[i] == "^":
+            self.fail(i + 1, "an exponent")
+        return int(self.toks[i][1:])
 
-    def until(self, ch: str) -> str:
-        end = self.text.find(ch, self.pos)
-        if end < 0:
-            raise ExprError(f"missing {ch!r} in {self.text!r}")
-        out = self.text[self.pos:end]
-        self.pos = end + 1
-        return out
+    def label(self, i):
+        toks = self.toks
+        j = i + (toks[i] == "-")
+        if toks[j][0] not in _DIGITS:
+            self.fail(j, "a root label")
+        return (-int(toks[j]) if j > i else int(toks[j])), j + 1
 
-    def balanced_parens(self) -> str:
-        self.expect("(")
-        depth, start = 1, self.pos
-        while self.pos < len(self.text):
-            c = self.text[self.pos]
-            if c == "(":
-                depth += 1
-            elif c == ")":
-                depth -= 1
-                if depth == 0:
-                    out = self.text[start:self.pos]
-                    self.pos += 1
-                    return out
-            self.pos += 1
-        raise ExprError(f"unbalanced parentheses in {self.text!r}")
+    # -- polynomials ---------------------------------------------------------
 
-    @property
-    def done(self) -> bool:
-        return self.pos >= len(self.text)
+    def parse_poly(self, i):
+        """A sum of products.  A product is factors, '*' or juxtaposed; a
+        '*' must be followed by a factor.  A variable's power goes straight
+        into the product's monomial; only parenthesized and constant
+        factors multiply as polynomials."""
+        toks, reg = self.toks, self.reg
+        lookup, kinds = reg._index.get, reg.kinds
+        terms: set = set()
+        while True:
+            m: tuple = ()
+            p = None
+            need_factor = True
+            while True:
+                tok = toks[i]
+                if tok[0] in _LETTERS:
+                    v = lookup(tok)
+                    if v is None:
+                        reg.add(tok, default_kind(tok))
+                        v = lookup(tok)
+                    i += 1
+                    e = 1
+                    if toks[i][0] == "^":
+                        e = self.exponent(i)
+                        i += 1
+                        if e < 0 and kinds[v] != UNIT:
+                            raise ValueError("only unit monomials are invertible")
+                    if e:  # a variable past the monomial's last one appends in order
+                        m = m + ((v, e),) if not m or v > m[-1][0] else _mul_mono(reg, m, ((v, e),))
+                elif tok == "(" or tok[0] in _DIGITS:
+                    if tok == "(":
+                        f, i = self.parse_poly(i + 1)
+                        i = self.expect(i, ")")
+                    else:
+                        f = reg.const(int(tok))
+                        i += 1
+                    if toks[i][0] == "^":
+                        f = f ** self.exponent(i)
+                        i += 1
+                    p = f if p is None else p * f
+                elif need_factor:
+                    self.fail(i, "a variable, a constant or '('")
+                else:
+                    break
+                need_factor = toks[i] == "*"
+                if need_factor:
+                    i += 1
+            if p is None:
+                terms ^= {m}
+            else:
+                terms ^= (p * Polynomial(reg, frozenset({m}))).terms
+            if toks[i] != "+":
+                return Polynomial(reg, frozenset(terms)), i
+            i += 1
 
+    # -- root and cocharacter combinations ------------------------------------
 
-# ---------------------------------------------------------------------------
-# polynomials
+    def parse_combo(self, i, end):
+        """Coefficients of a signed sum of simple roots, such as '2a-b' or
+        'alpha+2*beta', that runs up to the token `end`."""
+        toks, system = self.toks, self.system
+        coeffs = [0] * system.rank
+        sign = 1
+        if toks[i] == "-":
+            sign, i = -1, i + 1
+        while toks[i] != end:
+            num = 1
+            if toks[i][0] in _DIGITS:
+                num = int(toks[i])
+                i += 1
+                if toks[i] == "*":
+                    i += 1
+            for k, names in enumerate(zip(system.simple_names, system.short_names)):
+                if toks[i] in names:
+                    coeffs[k] += sign * num
+                    break
+            else:
+                self.fail(i, "a simple-root name")
+            i += 1
+            if toks[i] == end:
+                break
+            if toks[i] not in ("+", "-"):
+                self.fail(i, "'+' or '-'")
+            sign = 1 if toks[i] == "+" else -1
+            i += 1
+        return tuple(coeffs), i
+
+    # -- words ---------------------------------------------------------------
+
+    def parse_word(self):
+        toks = self.toks
+        atoms: List = []
+        i = 0
+        while toks[i] != _END:
+            if toks[i] in _SEPARATORS or not toks[i].strip("1"):  # '1' is the identity
+                i += 1
+                continue
+            atom, i = self.parse_atom(i)
+            k = 1
+            if toks[i][0] == "^":
+                k = self.exponent(i)
+                i += 1
+            atoms.extend([atom.inverse()] * -k if k < 0 else [atom] * k)
+        return atoms
+
+    def parse_atom(self, i):
+        toks, system = self.toks, self.system
+        tok = toks[i]
+        if tok[0] == "e" and (tok[1:].isdigit() or tok == "e" and toks[i + 1] == "-"):  # e<label>(
+            label, i = (int(tok[1:]), i + 1) if tok[1:] else self.label(i + 1)
+            coeff, i = self.parse_poly(self.expect(i, "("))
+            return RootElement(system.root_by_label(label), coeff), self.expect(i, ")")
+        if tok == "n" and toks[i + 1] == "[":
+            i += 2
+            if toks[i] == "-" or toks[i][0] in _DIGITS:
+                label, i = self.label(i)
+                root = system.root_by_label(label)
+            else:
+                root = system.simple(toks[i])
+                i += 1
+            return WeylRep(root), self.expect(i, "]")
+        if tok == "t" and toks[i + 1] == "[":
+            coeffs, i = self.parse_combo(i + 2, "]")
+            i = self.expect(self.expect(i, "]"), "(")
+            unit, reg = toks[i], self.reg
+            if unit[0] not in _LETTERS:
+                self.fail(i, "a unit variable")
+            if not reg.has(unit):
+                reg.add(unit, UNIT)
+            elif reg.kind(unit) != UNIT:
+                raise ExprError(f"torus parameter {unit!r} is not a unit variable")
+            return TorusValue(system.cocharacter(coeffs), unit), self.expect(i + 1, ")")
+        if tok in system.diagram_symmetries():
+            return GraphAut(system, tok), i + 1
+        self.fail(i, "a word atom")
 
 
 def parse_poly(text: str, registry: VariableRegistry) -> Polynomial:
-    sc = _Scanner(text.strip())
-    p = _parse_sum(sc, registry)
-    sc.skip_ws()
-    if not sc.done:
-        raise ExprError(f"trailing input in polynomial {text!r}")
-    return p
-
-
-def _parse_sum(sc, reg):
-    p = _parse_product(sc, reg)
-    sc.skip_ws()
-    if sc.peek() != "+":
-        return p
-    terms = set(p.terms)
-    while sc.peek() == "+":
-        sc.pos += 1
-        terms ^= _parse_product(sc, reg).terms
-        sc.skip_ws()
-    return Polynomial(reg, frozenset(terms))
-
-
-def _parse_product(sc, reg):
-    """One product of factors.  Variable powers merge into a single
-    monomial; only parenthesized and constant factors multiply as
-    polynomials."""
-    m: tuple = ()
-    p = None
-    while True:
-        f = _parse_factor(sc, reg)
-        if isinstance(f, Polynomial):
-            p = f if p is None else p * f
-        else:
-            m = _mul_mono(reg, m, f)
-        sc.skip_ws()
-        c = sc.peek()
-        if c == "*":
-            sc.pos += 1
-            sc.skip_ws()
-            c = sc.peek()
-        if c != "(" and not c.isalnum():
-            break
-    mono = Polynomial(reg, frozenset({m}))
-    return mono if p is None else p * mono
-
-
-def _parse_factor(sc, reg):
-    """A Polynomial for a parenthesized or constant factor, a monomial
-    for a power of a variable."""
-    sc.skip_ws()
-    if sc.peek() == "(":
-        inner = sc.balanced_parens()
-        base = parse_poly(inner, reg)
-    elif sc.peek().isdigit():
-        base = reg.const(int(sc.match_re(_INT)))
-    else:
-        name = sc.match_re(_NAME)
-        if name is None:
-            raise ExprError(f"expected a variable at position {sc.pos} in {sc.text!r}")
-        if not reg.has(name):
-            reg.add(name, default_kind(name))
-        base = reg.index(name)
-    e = _parse_exponent(sc)
-    if isinstance(base, Polynomial):
-        return base if e == 1 else base ** e
-    if e < 0 and reg.kinds[base] != UNIT:
-        raise ValueError("only unit monomials are invertible")
-    return ((base, e),) if e else ()
-
-
-def _parse_exponent(sc):
-    if sc.peek() != "^":
-        return 1
-    sc.pos += 1
-    e = sc.match_re(_INT)
-    if e is None:
-        raise ExprError(f"expected an exponent at position {sc.pos}")
-    return int(e)
-
-
-# ---------------------------------------------------------------------------
-# root and cocharacter combinations
+    parser = _Parser(text, registry, None)
+    return parser.complete(*parser.parse_poly(0))
 
 
 def parse_root(text: str, system: RootSystem) -> Root:
-    text = text.strip()
-    if _INT.fullmatch(text):
-        return system.root_by_label(int(text))
-    coeffs = _parse_combo(text, system)
-    return system.root(coeffs)
+    parser = _Parser(text, None, system)
+    toks = parser.toks
+    j = toks[0] == "-"
+    if toks[j][0] in _DIGITS and toks[j + 1] == _END:  # a bare label such as '12' or '-7'
+        return system.root_by_label(parser.label(0)[0])
+    return system.root(parser.complete(*parser.parse_combo(0, _END)))
 
 
 def parse_cochar(text: str, system: RootSystem) -> Cocharacter:
-    return system.cocharacter(_parse_combo(text.strip(), system))
-
-
-def _parse_combo(text: str, system: RootSystem) -> tuple:
-    coeffs = [0] * system.rank
-    sc = _Scanner(text)
-    sign = 1
-    sc.skip_ws()
-    if sc.peek() == "-":
-        sign = -1
-        sc.pos += 1
-    while not sc.done:
-        sc.skip_ws()
-        num = sc.match_re(_DIGITS)
-        if num is not None and sc.peek() == "*":
-            sc.pos += 1
-        name = sc.match_re(_NAME)
-        if name is None:
-            raise ExprError(f"expected a simple-root name in {text!r}")
-        idx = None
-        for i, (long, short) in enumerate(zip(system.simple_names, system.short_names)):
-            if name in (long, short):
-                idx = i
-                break
-        if idx is None:
-            raise ExprError(f"unknown simple root {name!r} in {text!r}")
-        coeffs[idx] += sign * int(num or 1)
-        sc.skip_ws()
-        if sc.done:
-            break
-        if sc.peek() == "+":
-            sign = 1
-            sc.pos += 1
-        elif sc.peek() == "-":
-            sign = -1
-            sc.pos += 1
-        else:
-            raise ExprError(f"expected '+' or '-' at position {sc.pos} in {text!r}")
-    return tuple(coeffs)
-
-
-# ---------------------------------------------------------------------------
-# words
+    parser = _Parser(text, None, system)
+    return system.cocharacter(parser.complete(*parser.parse_combo(0, _END)))
 
 
 def parse_word(text: str, system: RootSystem, registry: VariableRegistry) -> GroupWord:
-    sc = _Scanner(text)
-    atoms: List = []
-    while True:
-        sc.skip_ws(" \t\n*.·")
-        if sc.done:
-            break
-        if sc.peek() == "1":
-            sc.pos += 1  # identity
-            continue
-        atom = _parse_atom(sc, system, registry)
-        sc.skip_ws()
-        k = _parse_exponent(sc)
-        atoms.extend([atom.inverse()] * -k if k < 0 else [atom] * k)
-    return GroupWord(system, registry, atoms)
-
-
-def _parse_atom(sc, system, registry):
-    c = sc.peek()
-    if c == "e" and _ROOT_ATOM.match(sc.text, sc.pos):
-        sc.pos += 1
-        label = int(sc.match_re(_INT))
-        inner = sc.balanced_parens()
-        coeff = parse_poly(inner, registry)
-        return RootElement(system.root_by_label(label), coeff)
-    if c == "n" and sc.text.startswith("n[", sc.pos):
-        sc.pos += 2
-        ref = sc.until("]").strip()
-        if _INT.fullmatch(ref):
-            root = system.root_by_label(int(ref))
-        else:
-            root = system.simple(ref)
-        return WeylRep(root)
-    if c == "t" and sc.text.startswith("t[", sc.pos):
-        sc.pos += 2
-        cochar = parse_cochar(sc.until("]"), system)
-        sc.skip_ws()
-        unit = sc.balanced_parens().strip()
-        if not _NAME.fullmatch(unit):
-            raise ExprError(f"torus unit must be a variable name, got {unit!r}")
-        if not registry.has(unit):
-            registry.add(unit, UNIT)
-        elif registry.kind(unit) != UNIT:
-            raise ExprError(f"torus parameter {unit!r} is not a unit variable")
-        return TorusValue(cochar, unit)
-    name = sc.match_re(_NAME)
-    if name is not None and name in system.diagram_symmetries():
-        return GraphAut(system, name)
-    raise ExprError(f"cannot parse an atom at position {sc.pos} in {sc.text!r}")
+    return GroupWord(system, registry, _Parser(text, registry, system).parse_word())
 
 
 # ---------------------------------------------------------------------------
