@@ -468,26 +468,6 @@ def conjugate(g: GroupWord, h: GroupWord) -> GroupWord:
     return normalized_word(g * h * g.inverse())
 
 
-def conjugate_generic(u: RadicalElement, g: GroupWord,
-                      order: Optional[Sequence[Root]] = None) -> Tuple[GroupWord, RadicalElement]:
-    """u^-1 g u as a frame word times a normal-ordered tail.
-
-    `order` fixes the tail normal order (defaults to the graded order on the
-    support closure).
-    """
-    uw = u.as_word()
-    n = normalize(uw.inverse() * g * uw)
-    if not n.collected:
-        raise ValueError("conjugation tail is not collectible over a nilpotent set")
-    frame = GroupWord(g.system, g.registry, n.frame_atoms)
-    tail = n.tail
-    if order is not None:
-        tail = tail.reordered(order)
-    elif set(u.order) >= set(tail.coeffs):
-        tail = tail.reordered(u.order)
-    return frame, tail
-
-
 # ---------------------------------------------------------------------------
 # Adjoint action on the Chevalley basis
 
@@ -508,10 +488,8 @@ class LieVector:
         self.h = {i: c for i, c in dict(h).items() if not c.is_zero}
 
     @classmethod
-    def basis_e(cls, system, registry, root) -> "LieVector":
-        if isinstance(root, int):
-            root = system.root_by_label(root)
-        return cls(system, registry, {root: registry.one()}, {})
+    def basis_e(cls, system, registry, label: int) -> "LieVector":
+        return cls(system, registry, {system.root_by_label(label): registry.one()}, {})
 
     def __add__(self, other: "LieVector") -> "LieVector":
         e = dict(self.e)
@@ -597,14 +575,11 @@ def _adjoint_atom(atom, v: LieVector) -> LieVector:
     raise ValueError(f"cannot take adjoint of {atom!r}")
 
 
-def adjoint(g, v: LieVector) -> LieVector:
-    """Ad(g) v for an atom or a word (word atoms act right-to-left)."""
-    if isinstance(g, GroupWord):
-        out = v
-        for atom in reversed(g.atoms):
-            out = _adjoint_atom(atom, out)
-        return out
-    return _adjoint_atom(g, v)
+def adjoint(g: GroupWord, v: LieVector) -> LieVector:
+    """Ad(g) v for a word g; its atoms act right-to-left."""
+    for atom in reversed(g.atoms):
+        v = _adjoint_atom(atom, v)
+    return v
 
 
 # ---------------------------------------------------------------------------

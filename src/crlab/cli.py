@@ -15,7 +15,7 @@ import sys as _sys
 
 from .coeffring import VariableRegistry
 from .chevalley import RootElement, collect, default_order
-from .parabolic import rparabolic
+from .parabolic import RParabolicData
 from .rootsys import pairing, root_system
 from .scenarios import run_scenario, scenario_names
 from .wordexpr import parse_cochar, parse_root, parse_word, render_word
@@ -50,7 +50,7 @@ def _cmd_collect(args) -> int:
     else:
         order = default_order(system, [a.root for a in atoms])
         if order is None:
-            print("support closure is not nilpotent; give --order explicitly", file=_sys.stderr)
+            print("support closure is not nilpotent", file=_sys.stderr)
             return 2
     result = collect(atoms, order, reg)
     print(render_word(result))
@@ -68,7 +68,7 @@ def _cmd_pairing(args) -> int:
 def _cmd_rparabolic(args) -> int:
     system = root_system(args.system)
     chi = parse_cochar(args.cochar, system)
-    data = rparabolic(system, chi)
+    data = RParabolicData(system, chi)
     out = {
         "lambda": str(chi),
         "p_roots": sorted(r.label for r in data.p_roots),

@@ -37,10 +37,6 @@ class RParabolicData:
                 f"u={labels(self.u_roots)}, sigma={list(self.sigma_components)})")
 
 
-def rparabolic(system: RootSystem, lam: Cocharacter) -> RParabolicData:
-    return RParabolicData(system, lam)
-
-
 def limit_along(lam: Cocharacter, frame: Optional[GroupWord], tail: Optional[RadicalElement]):
     """Limit of frame*tail under conjugation by lam(a) as a goes to 0.
 

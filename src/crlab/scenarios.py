@@ -37,8 +37,8 @@ from .chevalley import (
     centralizer_system,
     collect,
     conjugate,
-    conjugate_generic,
     generic_radical_element,
+    normalize,
     word,
     word_equal,
 )
@@ -183,9 +183,10 @@ def _d4_gcr(step) -> None:
          render=render_word, equal=word_equal)
 
     radical = _roots(sys, range(4, 13))
-    u = generic_radical_element(sys, reg, radical)
+    u = generic_radical_element(sys, reg, radical).as_word()
     g = nsig * word(sys, reg, _e(sys, 12, s * s))
     x = {i: reg.var(f"x{i}") for i in range(4, 13)}
+    display = _roots(sys, DISPLAY_ORDER)
     expected_tail = collect(
         [
             _e(sys, 7, x[4] + x[7]),
@@ -199,11 +200,11 @@ def _d4_gcr(step) -> None:
             _e(sys, 12, x[5] * x[10] + x[5] * x[11] + x[7] * x[8] + x[7] * x[11] + x[8] * x[10]
                + x[9] ** 2 + s * s),
         ],
-        _roots(sys, DISPLAY_ORDER),
+        display,
         reg,
     )
     tail = step("generic-collection", "all nine coefficients of u^-1 * (n[a]*sigma*e12(s^2)) * u",
-                expected_tail, lambda: conjugate_generic(u, g, order=_roots(sys, DISPLAY_ORDER))[1],
+                expected_tail, lambda: collect(normalize(u.inverse() * g * u).tail_atoms, display, reg),
                 render=render_word)
 
     def constraints():

@@ -154,13 +154,14 @@ class _Parser:
 
     def parse_combo(self, i, end):
         """Coefficients of a signed sum of simple roots, such as '2a-b' or
-        'alpha+2*beta', that runs up to the token `end`."""
+        'alpha+2*beta', that runs up to the token `end`.  Every sign is
+        followed by a summand, and the sum has at least one."""
         toks, system = self.toks, self.system
         coeffs = [0] * system.rank
         sign = 1
         if toks[i] == "-":
             sign, i = -1, i + 1
-        while toks[i] != end:
+        while True:
             num = 1
             if toks[i][0] in _DIGITS:
                 num = int(toks[i])
@@ -175,12 +176,11 @@ class _Parser:
                 self.fail(i, "a simple-root name")
             i += 1
             if toks[i] == end:
-                break
+                return tuple(coeffs), i
             if toks[i] not in ("+", "-"):
                 self.fail(i, "'+' or '-'")
             sign = 1 if toks[i] == "+" else -1
             i += 1
-        return tuple(coeffs), i
 
     # -- words ---------------------------------------------------------------
 
@@ -222,9 +222,9 @@ class _Parser:
             unit, reg = toks[i], self.reg
             if unit[0] not in _LETTERS:
                 self.fail(i, "a unit variable")
-            if not reg.has(unit):
+            if not reg.has(unit) and default_kind(unit) != SQRT:
                 reg.add(unit, UNIT)
-            elif reg.kind(unit) != UNIT:
+            if not reg.has(unit) or reg.kind(unit) != UNIT:
                 raise ExprError(f"torus parameter {unit!r} is not a unit variable")
             return TorusValue(system.cocharacter(coeffs), unit), self.expect(i + 1, ")")
         if tok in system.diagram_symmetries():

@@ -35,8 +35,8 @@ from crlab.chevalley import (
     centralizer_system,
     collect,
     conjugate,
-    conjugate_generic,
     generic_radical_element,
+    normalize,
     normalized_word,
     word,
     word_equal,
@@ -98,10 +98,10 @@ def test_criterion_3_generic_collection():
     sys, reg = root_system("d4"), d4_registry()
     s = reg.var("s")
     radical = [sys.root_by_label(i) for i in range(4, 13)]
-    u = generic_radical_element(sys, reg, radical)
+    u = generic_radical_element(sys, reg, radical).as_word()
     g = nsigma(sys, reg) * word(sys, reg, RootElement(sys.root_by_label(12), s * s))
     display = [sys.root_by_label(i) for i in (7, 10, 9, 11, 6, 8, 4, 5, 12)]
-    _, tail = conjugate_generic(u, g, order=display)
+    tail = collect(normalize(u.inverse() * g * u).tail_atoms, display, reg)
     x = {i: reg.var(f"x{i}") for i in range(4, 13)}
     expected = {
         7: x[4] + x[7],
@@ -124,9 +124,9 @@ def test_criterion_4_rationality_obstruction():
     sys, reg = root_system("d4"), d4_registry()
     s = reg.var("s")
     radical = [sys.root_by_label(i) for i in range(4, 13)]
-    u = generic_radical_element(sys, reg, radical)
+    u = generic_radical_element(sys, reg, radical).as_word()
     g = nsigma(sys, reg) * word(sys, reg, RootElement(sys.root_by_label(12), s * s))
-    _, tail = conjugate_generic(u, g)
+    tail = collect(normalize(u.inverse() * g * u).tail_atoms, radical, reg)
     bindings = {n: reg.var("y") for n in ("x4", "x5", "x7", "x8", "x10", "x11")}
     bindings["x6"] = reg.var("x9")
     substituted = tail.coefficient(12).substitute(bindings)

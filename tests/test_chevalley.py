@@ -23,7 +23,6 @@ from crlab.chevalley import (
     centralizer_system,
     collect,
     conjugate,
-    conjugate_generic,
     default_order,
     generic_radical_element,
     normalize,
@@ -298,7 +297,7 @@ def test_uncollectible_conjugation_is_flagged():
 
 
 # ---------------------------------------------------------------------------
-# conjugate_generic: the two key D4 computations
+# generic conjugation u^-1 g u: the two key D4 computations
 
 
 DISPLAY_ORDER = [7, 10, 9, 11, 6, 8, 4, 5, 12]
@@ -308,12 +307,12 @@ def test_generic_conjugation_nine_coefficients_in_display_order():
     sys, reg = d4_setup()
     s = reg.var("s")
     radical = radical_roots(sys, range(4, 13))
-    u = generic_radical_element(sys, reg, radical)
+    u = generic_radical_element(sys, reg, radical).as_word()
     g = nsigma_word(sys, reg) * word(sys, reg, RootElement(sys.root_by_label(12), s * s))
-    frame, tail = conjugate_generic(u, g, order=radical_roots(sys, DISPLAY_ORDER))
-    nf = normalize(frame)
+    n = normalize(u.inverse() * g * u)
+    tail = collect(n.tail_atoms, radical_roots(sys, DISPLAY_ORDER), reg)
     expected_map = WeylRep(sys.simple("a")).map.compose(GraphAut(sys, "sigma").map)
-    assert nf.frame_map == expected_map
+    assert n.frame_map == expected_map
     x = {i: reg.var(f"x{i}") for i in range(4, 13)}
     assert tail.coefficient(7) == x[4] + x[7]
     assert tail.coefficient(10) == x[7] + x[10]
@@ -346,11 +345,11 @@ def test_generic_conjugation_of_u_by_nsigma_ascending_order():
 def test_generic_conjugation_trivial_u():
     sys, reg = d4_setup()
     radical = radical_roots(sys, range(4, 13))
-    u = collect([], radical, reg)
+    u = collect([], radical, reg).as_word()
     g = nsigma_word(sys, reg)
-    frame, tail = conjugate_generic(u, g)
-    assert tail.is_trivial
-    assert word_equal(frame, g)
+    n = normalize(u.inverse() * g * u)
+    assert collect(n.tail_atoms, radical, reg).is_trivial
+    assert word_equal(word(sys, reg, *n.frame_atoms), g)
 
 
 # ---------------------------------------------------------------------------

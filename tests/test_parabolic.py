@@ -14,7 +14,7 @@ from crlab.chevalley import (
     generic_radical_element,
     word,
 )
-from crlab.parabolic import limit_along, rparabolic, word_in_rparabolic
+from crlab.parabolic import RParabolicData, limit_along, word_in_rparabolic
 from crlab.rootsys import pairing, root_system
 
 
@@ -34,7 +34,7 @@ def lam_d4(sys):
 
 def test_rparabolic_d4_standard_decomposition():
     sys, _ = d4_setup()
-    data = rparabolic(sys, lam_d4(sys))
+    data = RParabolicData(sys, lam_d4(sys))
     assert {r.label for r in data.l_roots} == {1, 2, 3, -1, -2, -3}
     assert {r.label for r in data.u_roots} == set(range(4, 13))
     assert "sigma" in data.sigma_components
@@ -43,14 +43,14 @@ def test_rparabolic_d4_standard_decomposition():
 
 def test_rparabolic_zero_cochar():
     sys, _ = d4_setup()
-    data = rparabolic(sys, sys.cocharacter((0, 0, 0, 0)))
+    data = RParabolicData(sys, sys.cocharacter((0, 0, 0, 0)))
     assert data.u_roots == frozenset()
     assert data.p_roots == frozenset(sys.roots)
 
 
 def test_rparabolic_a2():
     sys = root_system("a2")
-    data = rparabolic(sys, sys.cocharacter((1, 1)))
+    data = RParabolicData(sys, sys.cocharacter((1, 1)))
     assert {r.label for r in data.u_roots} == {1, 2, 3}
     assert data.l_roots == frozenset()
     assert "sigma" in data.sigma_components
@@ -61,12 +61,12 @@ def test_rparabolic_partition_invariant():
     rng = random.Random(3)
     for _ in range(50):
         lam = sys.cocharacter([rng.randrange(-3, 4) for _ in range(4)])
-        data = rparabolic(sys, lam)
+        data = RParabolicData(sys, lam)
         neg_u = {-r for r in data.u_roots}
         assert data.u_roots | neg_u | data.l_roots == set(sys.roots)
         assert not (data.u_roots & neg_u)
         assert not (data.u_roots & data.l_roots)
-        opp = rparabolic(sys, -lam)
+        opp = RParabolicData(sys, -lam)
         assert opp.u_roots == neg_u
         assert opp.l_roots == data.l_roots
 
@@ -130,7 +130,7 @@ def test_sigma_components_iff_fixed_cochar():
     rng = random.Random(31)
     for _ in range(30):
         lam = sys.cocharacter([rng.randrange(-2, 3) for _ in range(4)])
-        data = rparabolic(sys, lam)
+        data = RParabolicData(sys, lam)
         for name, m in sys.diagram_symmetries().items():
             assert (name in data.sigma_components) == (m.act_cochar(lam) == lam)
 

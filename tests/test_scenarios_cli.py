@@ -2,6 +2,7 @@
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +16,8 @@ from crlab.scenarios import run_scenario, scenario_names
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "canonical_golden.json"
 EXPECTED_VERIFY = Path(__file__).resolve().parents[1] / "perfbench" / "expected_verify.json"
+README = Path(__file__).resolve().parents[1] / "README.md"
+README_COMMANDS = [line for line in README.read_text().splitlines() if line.startswith("crlab ")]
 
 
 FULLY_PASSING = ["d4-gcr-not-gcrk", "a2-conjugacy", "d4-nonseparability", "w0-combinatorics"]
@@ -116,7 +119,12 @@ def test_cli_collect_rejects_an_order_listing_a_root_twice(capsys):
 
 def test_cli_collect_without_order_rejects_a_non_nilpotent_support(capsys):
     assert main(["collect", "e1(x)e-1(y)", "--system", "a2"]) == 2
-    assert "support closure is not nilpotent" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "support closure is not nilpotent" in err
+    # no order helps: collect rejects every set holding a root and its negative
+    assert "--order" not in err
+    assert main(["collect", "e1(x)e-1(y)", "--system", "a2", "--order", "1,-1"]) == 2
+    assert "contains a root and its negative" in capsys.readouterr().err
 
 
 def test_cli_collect_rejects_frames(capsys):
@@ -129,6 +137,24 @@ def test_cli_pairing(capsys):
     assert capsys.readouterr().out.strip() == "0"
     assert main(["pairing", "-12", "a+2b+c+d", "--system", "d4"]) == 0
     assert capsys.readouterr().out.strip() == "-2"
+
+
+def test_the_readme_shows_every_subcommand():
+    assert {shlex.split(c)[1] for c in README_COMMANDS} == {"verify", "collect", "pairing", "rparabolic"}
+
+
+@pytest.mark.parametrize("command", README_COMMANDS)
+def test_readme_cli_example_runs(command, capsys):
+    # verify exits 1 exactly while perfbench/expected_verify.json records a FAIL
+    args = shlex.split(command)[1:]
+    want = 0
+    if args[0] == "verify":
+        expected = json.loads(EXPECTED_VERIFY.read_text())
+        names = list(expected) if "--all" in args else [args[1]]
+        want = int(any(s == "FAIL" for n in names for s in expected[n].values()))
+    assert main(args) == want
+    captured = capsys.readouterr()
+    assert captured.out and not captured.err
 
 
 def test_cli_rparabolic(capsys):
@@ -199,7 +225,8 @@ def test_an_engine_error_fails_only_its_own_steps(monkeypatch):
 
     expected_tail = {s.name: s.expected for s in run_scenario("d4-gcr-not-gcrk").steps}[
         "generic-collection"]
-    monkeypatch.setattr(scenarios, "conjugate_generic", broken)
+    # only the generic-collection thunk calls normalize through the scenarios module
+    monkeypatch.setattr(scenarios, "normalize", broken)
     report = run_scenario("d4-gcr-not-gcrk")
     assert [s.name for s in report.steps] == [
         "eq-perm", "conjugation-identity", "lir-cocharacter-swap", "lir-cube",

@@ -4,15 +4,20 @@ under `perfbench/`.  A name that only tests reach belongs in the tests.
 
 The scan is by name: a load of `name` or of `obj.name`, or a dotted string
 such as the tracer's "ConstraintSystem.solve", counts as a reference to
-every definition called `name`, except inside that definition itself.  The
-re-exports in `crlab/__init__.py` and import statements do not count.
+every definition called `name`, except inside that definition itself.
+Import statements do not count.  The package itself re-exports nothing:
+callers import each name from its module, such as `crlab.chevalley`.
 """
 
 import ast
 import collections
 import functools
+import pkgutil
 import re
 from pathlib import Path
+
+import crlab
+import crlab.cli  # noqa: F401  (imports every submodule but __main__)
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "crlab"
@@ -56,9 +61,8 @@ def unreached_names():
     trees = {path: ast.parse(path.read_text(), str(path)) for path in PROGRAM}
     uses = collections.defaultdict(list)  # name -> [(path, line)]
     for path, tree in trees.items():
-        if path != SRC / "__init__.py":
-            for name, line in referenced_names(tree):
-                uses[name].append((path, line))
+        for name, line in referenced_names(tree):
+            uses[name].append((path, line))
     unreached = []
     for path in sorted(SRC.glob("*.py")):
         for qualified, name, node in public_definitions(trees[path]):
@@ -76,3 +80,9 @@ def test_every_public_src_name_has_a_caller_outside_the_tests():
 def test_the_allow_list_names_only_unreached_names():
     # an allowed name that gains a caller leaves the list
     assert {n.split(".", 1)[1] for n in unreached_names()} >= ALLOWED
+
+
+def test_the_package_re_exports_nothing():
+    submodules = {m.name for m in pkgutil.iter_modules(crlab.__path__)} - {"__main__"}
+    assert {n for n in vars(crlab) if not n.startswith("__")} == submodules
+    assert crlab.__version__

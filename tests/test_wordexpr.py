@@ -254,6 +254,29 @@ def test_whitespace_inside_a_token_splits_it():
         parse_poly("x^ 2", reg)
 
 
+@pytest.mark.parametrize("text", ["a+", "a-", "-", "", "a+-b", "2a+", "a++b"])
+def test_a_missing_summand_in_a_combination_is_rejected(text):
+    sys = root_system("d4")
+    with pytest.raises(ExprError):
+        parse_cochar(text, sys)
+    with pytest.raises(ExprError):
+        parse_root(text, sys)
+    with pytest.raises(ExprError):
+        parse_word(f"t[{text}](t)", sys, VariableRegistry())
+
+
+def test_a_torus_atom_does_not_register_the_square_root_constant_as_a_unit():
+    sys = root_system("d4")
+    reg = VariableRegistry()
+    with pytest.raises(ExprError):
+        parse_word("t[a](s)e4(s^2)", sys, reg)
+    assert not reg.has("s")
+    parse_word("e4(s^2)", sys, reg)
+    assert reg.sqrt_name == "s"
+    with pytest.raises(ExprError):
+        parse_word("t[a](s)", sys, reg)  # registered as the square-root constant
+
+
 # ---------------------------------------------------------------------------
 # grammar agreement: random words written as text and built as atoms side
 # by side, with no call into the parser
