@@ -10,7 +10,7 @@ the tail is normal-ordered by commutator collection over a closed nilpotent
 root set, using [e_zeta(x), e_xi(y)] = e_{zeta+xi}(xy) when zeta+xi is a root.
 Over a graded order (each sum after its summands) collection places atoms
 straight into one coefficient term set per root of the order; any other
-order is collected by adjacent swaps.
+order is read off the collection over a graded order of the same set.
 """
 
 from __future__ import annotations
@@ -215,17 +215,18 @@ def collect(x, order: Sequence[Root], registry: Optional[VariableRegistry] = Non
 
     `x` is a GroupWord of RootElements or an iterable of RootElements; `order`
     fixes the target sequence of roots and must list a closed nilpotent set,
-    each root once.  When the order is graded (every sum of two of its roots
-    comes after both), the word is collected from its right end into one
-    term set per position.  An atom e_s(y) standing just after slot q moves
-    right past each nonzero slot t, q < t < s, with s + t a root, by
+    each root once.  The word is collected over a graded order (every sum of
+    two of its roots comes after both) from its right end into one term set
+    per position.  An atom e_s(y) standing just after slot q moves right past
+    each nonzero slot t, q < t < s, with s + t a root, by
     e_s(y) e_t(x_t) = e_t(x_t) e_s(y) e_{s+t}(y x_t), and finally adds y to
     slot s.  The spawned atom commutes with e_s, so it stands just after
     slot t and is placed by the same rule; a stack holds the atoms still to
     place, the rightmost on top, and each placed atom spends one unit of
-    fuel.  Any other order is collected by the adjacent-swap loop.  Both
-    loops read positions and sums from the order's tables and do no root
-    arithmetic.
+    fuel.  The loop reads positions and sums from the order's tables and
+    does no root arithmetic.  Any other order is served by collecting over
+    default_order of the same set and re-expressing the result, which is
+    unique in every order of a closed nilpotent set (Steinberg, Lemma 17).
     """
     if isinstance(x, GroupWord):
         registry = x.registry
@@ -239,6 +240,10 @@ def collect(x, order: Sequence[Root], registry: Optional[VariableRegistry] = Non
     order = tuple(order)
     system = order[0].system if order else None
     pos, graded, below = _order_tables(order)
+    if not graded:
+        graded_x = collect(atoms, default_order(system, order), registry)
+        return RadicalElement(system, registry, order, _reexpress(graded_x, order))
+
     stack: List[tuple] = []
     for a in atoms:
         if not isinstance(a, RootElement):
@@ -249,11 +254,6 @@ def collect(x, order: Sequence[Root], registry: Optional[VariableRegistry] = Non
             raise ValueError("coefficients from different registries")
         if not a.coeff.is_zero:
             stack.append((pos[a.root], -1, a.coeff.terms))  # in front of slot 0
-
-    if not graded:
-        seq = [[p, Polynomial(registry, y)] for p, _, y in stack]
-        coeffs = {order[p]: c for p, c in _swap_collect(seq, below)}
-        return RadicalElement(system, registry, order, coeffs)
 
     slots = [set() for _ in order]
     fuel = _COLLECT_FUEL
@@ -270,35 +270,19 @@ def collect(x, order: Sequence[Root], registry: Optional[VariableRegistry] = Non
     return RadicalElement(system, registry, order, coeffs)
 
 
-def _swap_collect(seq: List[List], below: List[List[Tuple[int, int]]]) -> List[List]:
-    """Collect [position, coefficient] pairs by adjacent swaps, for orders
-    that are not graded."""
-    fuel = _COLLECT_FUEL
-    i = 0
-    while i < len(seq) - 1:
-        if fuel <= 0:
-            raise RuntimeError("collection did not terminate within fuel budget")
-        fuel -= 1
-        a, b = seq[i], seq[i + 1]
-        if a[0] == b[0]:
-            merged = a[1] + b[1]
-            if merged.is_zero:
-                del seq[i:i + 2]
-            else:
-                a[1] = merged
-                del seq[i + 1]
-        elif a[0] > b[0]:
-            c = next((u for t, u in below[a[0]] if t == b[0]), None)
-            if c is None:
-                seq[i], seq[i + 1] = b, a
-            else:  # nonzero: the coefficient ring has no zero divisors
-                seq[i:i + 2] = [b, a, [c, a[1] * b[1]]]
-        else:
-            i += 1
-            continue
-        if i:
-            i -= 1
-    return seq
+def _reexpress(x: "RadicalElement", order: tuple) -> Dict[Root, Polynomial]:
+    """Coefficients over `order` of x, which is collected over a graded order
+    of the same set.  Walking x's order, the coefficient at r is x_r plus the
+    r-coefficient of the roots found so far, listed in `order` and collected
+    over x's order: modulo the roots of higher grade the roots of r's grade
+    are central, so only the found roots of lower grade reach r."""
+    found: Dict[Root, Polynomial] = {}
+    for r in x.order:
+        have = collect([RootElement(s, found[s]) for s in order if s in found], x.order, x.registry)
+        c = x.coefficient(r) + have.coefficient(r)
+        if not c.is_zero:
+            found[r] = c
+    return found
 
 
 class RadicalElement:
@@ -658,26 +642,17 @@ class ConstraintSystem:
         pending = list(self.equations)
         while True:  # ends: every productive pass drops a pending equation
             binding = solved.binding(self.registry)
-            nxt = []
-            progress = False
+            nxt, residuals = [], []
             for p in pending:
                 q = p.substitute(binding) if binding else p
-                if q.is_zero:
-                    progress = True
-                    continue
-                if _apply_rule(q, unknown_set, solved):
-                    progress = True
-                else:
+                if not q.is_zero and not _apply_rule(q, unknown_set, solved):
                     nxt.append(p)
+                    residuals.append(q)
+            if len(nxt) == len(pending):
+                # a failed rule changes nothing, so this pass's binding is final
+                solved.residuals = residuals
+                return solved
             pending = nxt
-            if not progress:
-                break
-        binding = solved.binding(self.registry)
-        for p in pending:
-            q = p.substitute(binding) if binding else p
-            if not q.is_zero:
-                solved.residuals.append(q)
-        return solved
 
 
 def _is_power_of_two(n: int) -> bool:

@@ -204,7 +204,7 @@ def _d4_gcr(step) -> None:
         reg,
     )
     tail = step("generic-collection", "all nine coefficients of u^-1 * (n[a]*sigma*e12(s^2)) * u",
-                expected_tail, lambda: collect(normalize(u.inverse() * g * u).tail_atoms, display, reg),
+                expected_tail, lambda: normalize(u.inverse() * g * u).tail.reordered(display),
                 render=render_word)
 
     def constraints():

@@ -155,9 +155,12 @@ class _Parser:
     def parse_combo(self, i, end):
         """Coefficients of a signed sum of simple roots, such as '2a-b' or
         'alpha+2*beta', that runs up to the token `end`.  Every sign is
-        followed by a summand, and the sum has at least one."""
+        followed by a summand, and the sum has at least one; a lone '0' is
+        the zero combination."""
         toks, system = self.toks, self.system
         coeffs = [0] * system.rank
+        if toks[i] == "0" and toks[i + 1] == end:
+            return tuple(coeffs), i + 1
         sign = 1
         if toks[i] == "-":
             sign, i = -1, i + 1

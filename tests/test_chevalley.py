@@ -179,6 +179,7 @@ REFERENCE_CASES = [
     ("a3", range(1, 7), 46, True, 30, range(40)),    # orders that are not graded
     ("a4", range(1, 11), 47, True, 30, range(40)),
     ("d4", range(1, 13), 48, True, 30, range(40)),
+    ("d4", range(4, 13), 49, True, 30, range(40)),
 ]
 
 
@@ -203,6 +204,22 @@ def test_collect_matches_reference(typ, labels, seed, shuffled, words, lengths):
                 coeff = coeff + rng.choice(xs)
             atoms.append(RootElement(sys.root_by_label(rng.choice(list(labels))), coeff))
         assert collect(atoms, order, reg).coeffs == reference_collect(atoms, order)
+
+
+def test_collect_over_an_order_that_is_not_graded():
+    sys, reg = d4_setup()
+    rng = random.Random(50)
+    order = list(default_order(sys, radical_roots(sys, range(1, 13))))
+    while is_graded(order):
+        rng.shuffle(order)
+    names = [f"x{i}" for i in range(4, 13)] + ["y", "s"]
+    atoms = [e(sys, reg, rng.randrange(1, 13), rng.choice(names)) for _ in range(20)]
+    got = collect(atoms, order, reg)
+    assert got.order == tuple(order)
+    assert got.support == tuple(r for r in order if r in got.coeffs)
+    w = word(sys, reg, *atoms)
+    assert collect(w * w.inverse(), order).is_trivial
+    assert collect(got.as_word() * w.inverse(), order).is_trivial
 
 
 def test_collect_rejects_an_order_listing_a_root_twice():

@@ -265,6 +265,21 @@ def test_a_missing_summand_in_a_combination_is_rejected(text):
         parse_word(f"t[{text}](t)", sys, VariableRegistry())
 
 
+def test_a_zero_cocharacter_round_trips():
+    sys = root_system("d4")
+    reg = VariableRegistry()
+    zero = sys.cocharacter((0, 0, 0, 0))
+    w = word(sys, reg, TorusValue(zero, "t"))
+    assert render_word(w) == "t[0](t)"
+    assert parse_word(render_word(w), sys, reg).atoms == w.atoms
+    assert parse_cochar("0", sys) == zero
+    assert parse_cochar(" 0 ", sys) == zero
+    with pytest.raises(ValueError):
+        parse_root("0", sys)  # no root has label 0
+    with pytest.raises(ExprError):
+        parse_cochar("0+a", sys)
+
+
 def test_a_torus_atom_does_not_register_the_square_root_constant_as_a_unit():
     sys = root_system("d4")
     reg = VariableRegistry()
