@@ -11,6 +11,9 @@ root set, using [e_zeta(x), e_xi(y)] = e_{zeta+xi}(xy) when zeta+xi is a root.
 Over a graded order (each sum after its summands) collection places atoms
 straight into one coefficient term set per root of the order; any other
 order is read off the collection over a graded order of the same set.
+The adjoint action on the Lie algebra of a unipotent group is not coded
+separately: Ad(g) is the derivative of conjugation, read off the collected
+conjugate of a root-element product over a first-order variable.
 """
 
 from __future__ import annotations
@@ -453,117 +456,28 @@ def conjugate(g: GroupWord, h: GroupWord) -> GroupWord:
 
 
 # ---------------------------------------------------------------------------
-# Adjoint action on the Chevalley basis
+# Adjoint action, read off conjugation
 
 
-def _odd(k: int) -> bool:
-    return k % 2 == 1
+EPS = "ε"  # the derivative's variable; the ASCII-only word parser never makes it
 
 
-class LieVector:
-    """Vector over the Chevalley basis {e_zeta} union {h_i (simple coroots)}."""
-
-    __slots__ = ("system", "registry", "e", "h")
-
-    def __init__(self, system, registry, e: Mapping[Root, Polynomial] = (), h: Mapping[int, Polynomial] = ()):
-        self.system = system
-        self.registry = registry
-        self.e = {r: c for r, c in dict(e).items() if not c.is_zero}
-        self.h = {i: c for i, c in dict(h).items() if not c.is_zero}
-
-    @classmethod
-    def basis_e(cls, system, registry, label: int) -> "LieVector":
-        return cls(system, registry, {system.root_by_label(label): registry.one()}, {})
-
-    def __add__(self, other: "LieVector") -> "LieVector":
-        e = dict(self.e)
-        for r, c in other.e.items():
-            e[r] = e.get(r, self.registry.zero()) + c
-        h = dict(self.h)
-        for i, c in other.h.items():
-            h[i] = h.get(i, self.registry.zero()) + c
-        return LieVector(self.system, self.registry, e, h)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, LieVector)
-            and self.e == other.e
-            and self.h == other.h
-        )
-
-    def __hash__(self):
-        raise TypeError("LieVector is unhashable; compare with ==")
-
-    def __repr__(self):
-        parts = [
-            (f"e{r.label}" if c.is_one else f"({c})e{r.label}")
-            for r, c in sorted(self.e.items(), key=lambda rc: rc[0].index)
-        ]
-        parts += [
-            (f"h{i+1}" if c.is_one else f"({c})h{i+1}")
-            for i, c in sorted(self.h.items())
-        ]
-        return "+".join(parts) if parts else "0"
-
-
-def _adjoint_atom(atom, v: LieVector) -> LieVector:
-    system, registry = v.system, v.registry
-    zero = registry.zero()
-    if isinstance(atom, RootElement):
-        xi, x = atom.root, atom.coeff
-        e: Dict[Root, Polynomial] = {}
-        h: Dict[int, Polynomial] = {}
-
-        def add_e(r, c):
-            if not c.is_zero:
-                e[r] = e.get(r, zero) + c
-
-        def add_h(i, c):
-            if not c.is_zero:
-                h[i] = h.get(i, zero) + c
-
-        for zeta, c in v.e.items():
-            add_e(zeta, c)
-            if zeta == -xi:
-                for i, k in enumerate(xi.coeffs):
-                    if _odd(k):
-                        add_h(i, x * c)
-                add_e(xi, x * x * c)
-            else:
-                s = zeta + xi
-                if s is not None:
-                    add_e(s, x * c)
-        for i, q in v.h.items():
-            add_h(i, q)
-            p = sum(xi.coeffs[j] * system.cartan[j][i] for j in range(system.rank))
-            if _odd(p):
-                add_e(xi, x * q)
-        return LieVector(system, registry, e, h)
-
-    if isinstance(atom, (WeylRep, GraphAut)):
-        m = atom.map
-        e = {m(r): c for r, c in v.e.items()}
-        mat = m.matrix
-        h: Dict[int, Polynomial] = {}
-        for j, q in v.h.items():
-            for i in range(system.rank):
-                if _odd(mat[i][j]):
-                    h[i] = h.get(i, zero) + q
-        return LieVector(system, registry, e, h)
-
-    if isinstance(atom, TorusValue):
-        u = registry.var(atom.unit)
-        e = {r: (u ** pairing(r, atom.cochar)) * c for r, c in v.e.items()}
-        return LieVector(system, registry, e, dict(v.h))
-
-    raise ValueError(f"cannot take adjoint of {atom!r}")
-
-
-def adjoint(g: GroupWord, v: LieVector) -> LieVector:
-    """Ad(g) v for a word g; its atoms act right-to-left."""
-    for atom in reversed(g.atoms):
-        v = _adjoint_atom(atom, v)
-    return v
+def adjoint(g: GroupWord, v: Mapping[Root, Polynomial]) -> Dict[Root, Polynomial]:
+    """Ad(g) v for v = sum v_r e_r in the Lie algebra of a unipotent group
+    that g normalizes: the EPS-linear part of each collected tail coefficient
+    of g u g^-1, u = prod e_r(EPS v_r).  Raises ValueError when g or v
+    already involves EPS, or when the tail does not collect (v lies outside
+    every unipotent group that g normalizes)."""
+    registry = g.registry
+    coeffs = list(v.values()) + [a.coeff for a in g.atoms if isinstance(a, RootElement)]
+    if any(c.involves(EPS) for c in coeffs):
+        raise ValueError(f"the derivative's variable {EPS} is already in use")
+    eps = registry.add(EPS)
+    u = GroupWord(g.system, registry, [RootElement(r, eps * c) for r, c in v.items()])
+    n = normalize(g * u * g.inverse())
+    if not n.collected:
+        raise ValueError("g does not normalize a unipotent group holding v")
+    return {r: d for r, c in n.tail.coeffs.items() if (d := c.linear_part(EPS))}
 
 
 # ---------------------------------------------------------------------------

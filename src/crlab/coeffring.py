@@ -205,6 +205,14 @@ class Polynomial:
         i = self.registry.index(name)
         return any(v == i for m in self.terms for v, _ in m)
 
+    def linear_part(self, name: str) -> "Polynomial":
+        """The coefficient of name^1, a polynomial free of `name`."""
+        if not self.registry.has(name):
+            return self.registry.zero()
+        i = self.registry.index(name)
+        return Polynomial(self.registry, frozenset(
+            tuple(p for p in m if p[0] != i) for m in self.terms if (i, 1) in m))
+
     @property
     def involves_sqrt(self) -> bool:
         s = self.registry.sqrt_name

@@ -269,33 +269,6 @@ def exact_word(w: GroupWord) -> A2Matrix:
     return evaluate_word(w, ring.generic_point(), ring)
 
 
-def lie_adjoint(ring, m: A2Matrix, X: Mat) -> Mat:
-    """Ad(m) X on 3x3 matrices; the sigma flag contributes X -> J X^T J
-    (the differential of g -> J (g^T)^-1 J in characteristic 2)."""
-    if m.flag:
-        X = _j_transpose_j(X)
-    A = m.mat
-    return mat_mul(ring, mat_mul(ring, A, X), mat_inv(ring, A))
-
-
-_H_DIAGONALS = {0: (1, 1, 0), 1: (0, 1, 1)}  # h_{alpha^v}, h_{beta^v} mod 2
-
-
-def lie_vector_matrix(v, assign: Dict[str, object], ring) -> Mat:
-    """Evaluate an A2 LieVector into sl3 (Chevalley basis to elementary
-    matrices, coroots to diagonals, everything mod 2)."""
-    out = [[ring.zero()] * 3 for _ in range(3)]
-    for root, coeff in v.e.items():
-        i, j = _ROOT_POSITIONS[root.label]
-        out[i][j] = ring.add(out[i][j], ring.value(coeff, assign))
-    for idx, coeff in v.h.items():
-        c = ring.value(coeff, assign)
-        for k, bit in enumerate(_H_DIAGONALS[idx]):
-            if bit:
-                out[k][k] = ring.add(out[k][k], c)
-    return tuple(tuple(row) for row in out)
-
-
 def matrix_oracle_check(lhs: GroupWord, rhs: GroupWord) -> bool:
     """Decide lhs == rhs in SL3 x <sigma> exactly, by comparing the two words
     as matrices over the polynomial ring."""

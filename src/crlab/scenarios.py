@@ -28,8 +28,8 @@ from .coeffring import (
     classify_square_obstruction,
 )
 from .chevalley import (
+    EPS,
     GraphAut,
-    LieVector,
     RootElement,
     TorusValue,
     WeylRep,
@@ -42,14 +42,7 @@ from .chevalley import (
     word,
     word_equal,
 )
-from .matrixoracle import (
-    PolyRing,
-    enumerate_m_conjugacy,
-    lie_adjoint,
-    lie_vector_matrix,
-    matrix_oracle_check,
-    sigma_element,
-)
+from .matrixoracle import enumerate_m_conjugacy, exact_word, matrix_oracle_check
 from .parabolic import limit_along, word_in_rparabolic
 from .rootsys import (
     compose_word,
@@ -152,6 +145,13 @@ def _root_coefficient(w, order: Sequence[int], label: int):
     the order of the labels `order`."""
     atoms = [a for a in w.atoms if isinstance(a, RootElement)]
     return collect(atoms, _roots(w.system, order), w.registry).coefficient(label)
+
+
+def _lie_text(v) -> str:
+    """e6+e9: the vector's basis terms in root order."""
+    parts = [f"e{r.label}" if c.is_one else f"({c})e{r.label}"
+             for r, c in sorted(v.items(), key=lambda rc: rc[0].index)]
+    return "+".join(parts) or "0"
 
 
 PERM_CYCLES = "(4 5 8 11 10 7)(6 9)(12)"
@@ -357,15 +357,18 @@ def _a2(step) -> None:
     step("sigma-conjugation-oracle", "the same identity holds as 3x3 matrices",
          EXACT_MATRICES, lambda: _matrices((sigma * u * sigma.inverse(), expected)))
 
-    vec = LieVector.basis_e(sys, reg, 1) + LieVector.basis_e(sys, reg, 2)
-    step("adjoint-fixed", "Ad(sigma)(e1+e2) = e1+e2", vec, lambda: adjoint(sigma, vec))
+    vec = {r: reg.one() for r in (alpha, beta)}
+    step("adjoint-fixed", "Ad(sigma)(e1+e2) = e1+e2", vec, lambda: adjoint(sigma, vec), render=_lie_text)
 
     fixed = "sl3 adjoint of sigma fixes the matrix of e1+e2"
 
     def oracle_adjoint():
-        ring = PolyRing(reg)
-        X = lie_vector_matrix(vec, ring.generic_point(), ring)
-        return fixed if lie_adjoint(ring, sigma_element(ring), X) == X else "matrix moved"
+        # u = I + EPS X + O(EPS^2), so Ad(sigma) X is the EPS-linear part of sigma u sigma^-1
+        u = word(sys, reg, *(RootElement(r, reg.add(EPS) * c) for r, c in vec.items()))
+        moved, still = exact_word(sigma * u * sigma.inverse()).mat, exact_word(u).mat
+        same = all(a.linear_part(EPS) == b.linear_part(EPS)
+                   for ra, rb in zip(moved, still) for a, b in zip(ra, rb))
+        return fixed if same else "matrix moved"
     step("adjoint-fixed-oracle", "the fixed vector is fixed in the sl3 matrix model too",
          fixed, oracle_adjoint)
 
@@ -400,11 +403,13 @@ def _d4_nonsep(step) -> None:
     sys = root_system("d4")
     reg = _d4_registry()
     nsig = _nsigma(sys, reg)
-    vec = LieVector.basis_e(sys, reg, 6) + LieVector.basis_e(sys, reg, 9)
-    step("adjoint-fixed-weyl", "Ad(n[a]*sigma)(e6+e9) = e6+e9", vec, lambda: adjoint(nsig, vec))
+    vec = {r: reg.one() for r in _roots(sys, (6, 9))}
+    step("adjoint-fixed-weyl", "Ad(n[a]*sigma)(e6+e9) = e6+e9", vec, lambda: adjoint(nsig, vec),
+         render=_lie_text)
 
     torus_ac = word(sys, reg, TorusValue(sys.cocharacter((1, 0, 1, 0)), "t"))
-    step("adjoint-fixed-torus", "Ad((a+c)^v(t))(e6+e9) = e6+e9", vec, lambda: adjoint(torus_ac, vec))
+    step("adjoint-fixed-torus", "Ad((a+c)^v(t))(e6+e9) = e6+e9", vec, lambda: adjoint(torus_ac, vec),
+         render=_lie_text)
 
     xx = reg.add("x")
     curve = word(sys, reg, _e(sys, 6, xx), _e(sys, 9, xx))

@@ -27,7 +27,6 @@ from crlab.coeffring import (
 )
 from crlab.chevalley import (
     GraphAut,
-    LieVector,
     RootElement,
     TorusValue,
     WeylRep,
@@ -54,7 +53,7 @@ from crlab.rootsys import (
 )
 from crlab.scenarios import run_scenario, scenario_names
 
-from references import random_assignment
+from references import lie_word, linear_matrix, random_assignment, random_d4_borel_word
 
 
 def report(number: int, ok: bool, description: str) -> bool:
@@ -255,12 +254,10 @@ def test_criterion_8_a2_conjugacy():
     ok = ok and matrix_oracle_check(v * m1 * v.inverse(), m1_expected)
     ok = ok and matrix_oracle_check(v * m2 * v.inverse(), m2)
 
-    vec = LieVector.basis_e(sys, reg, 1) + LieVector.basis_e(sys, reg, 2)
+    vec = {alpha: reg.one(), beta: reg.one()}
     ok = ok and adjoint(sigma, vec) == vec
-    from crlab.matrixoracle import PolyRing, lie_adjoint, lie_vector_matrix, sigma_element
-    ring = PolyRing(reg)
-    X = lie_vector_matrix(vec, ring.generic_point(), ring)
-    ok = ok and lie_adjoint(ring, sigma_element(ring), X) == X
+    u_eps = lie_word(sys, reg, vec)
+    ok = ok and linear_matrix(sigma * u_eps * sigma.inverse()) == linear_matrix(u_eps)
 
     ok = ok and sorted(enumerate_m_conjugacy(4, list(range(4)))) == [[0], [1], [2], [3]]
     assert report(8, ok, "sigma conjugation, the pair formula and the adjoint check pass in "
@@ -271,7 +268,7 @@ def test_criterion_9_nonseparability_witnesses():
     d4, reg = root_system("d4"), d4_registry()
     reg.add("x")
     xx = reg.var("x")
-    vec = LieVector.basis_e(d4, reg, 6) + LieVector.basis_e(d4, reg, 9)
+    vec = {d4.root_by_label(6): reg.one(), d4.root_by_label(9): reg.one()}
     gens = [nsigma(d4, reg), word(d4, reg, TorusValue(d4.cocharacter((1, 0, 1, 0)), "t"))]
     ok = all(adjoint(g, vec) == vec for g in gens)
     curve = word(d4, reg, RootElement(d4.root_by_label(6), xx), RootElement(d4.root_by_label(9), xx))
@@ -284,7 +281,7 @@ def test_criterion_9_nonseparability_witnesses():
     reg2 = VariableRegistry()
     reg2.add("x")
     x2 = reg2.var("x")
-    vec2 = LieVector.basis_e(a2, reg2, 1) + LieVector.basis_e(a2, reg2, 2)
+    vec2 = {a2.root_by_label(1): reg2.one(), a2.root_by_label(2): reg2.one()}
     sig2 = word(a2, reg2, GraphAut(a2, "sigma"))
     ok = ok and adjoint(sig2, vec2) == vec2
     curve2 = word(a2, reg2, RootElement(a2.root_by_label(1), x2), RootElement(a2.root_by_label(2), x2))
@@ -343,16 +340,13 @@ def test_criterion_10_property_suites():
             failures += 1
     report(10, failures == 0, "conjugation is an action on random unipotent elements")
 
-    # adjoint homomorphism law
+    # adjoint homomorphism law on Lie(U), U = <e1..e12>, for words in the
+    # radical and frame atoms that normalize U
     radical = [sys.root_by_label(i) for i in range(4, 13)]
-    basis = [LieVector.basis_e(sys, reg, lbl) for lbl in list(range(1, 13)) + [-2, -6, -12]]
-    basis += [LieVector(sys, reg, {}, {i: reg.one()}) for i in range(4)]
     for _ in range(60):
-        a1 = [RootElement(rng.choice(radical), reg.var(rng.choice(names))) for _ in range(rng.randrange(0, 4))]
-        a2 = [RootElement(rng.choice(radical), reg.var(rng.choice(names))) for _ in range(rng.randrange(0, 4))]
-        w1, w2 = word(sys, reg, *a1), word(sys, reg, *a2)
-        prod = collect(a1 + a2, radical, reg).as_word()
-        v = rng.choice(basis)
+        w1, w2 = (random_d4_borel_word(sys, reg, rng, radical, names) for _ in range(2))
+        prod = normalized_word(w1 * w2)
+        v = {sys.root_by_label(rng.randrange(1, 13)): reg.one()}
         if adjoint(w1, adjoint(w2, v)) != adjoint(prod, v):
             failures += 1
     report(10, failures == 0, "adjoint is a homomorphism against collected products")

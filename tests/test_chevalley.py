@@ -13,8 +13,8 @@ import pytest
 from crlab import chevalley
 from crlab.coeffring import UNIT, SQRT, VariableRegistry
 from crlab.chevalley import (
+    EPS,
     GraphAut,
-    LieVector,
     RootElement,
     SolvedSystem,
     TorusValue,
@@ -26,10 +26,13 @@ from crlab.chevalley import (
     default_order,
     generic_radical_element,
     normalize,
+    normalized_word,
     word,
     word_equal,
 )
 from crlab.rootsys import pairing, root_system
+
+from references import random_d4_borel_word
 
 
 def d4_setup():
@@ -403,50 +406,102 @@ def test_act_torus_pairings():
 # adjoint
 
 
+def basis(sys, reg, labels):
+    """e_l1 + e_l2 + ... as a vector {root: coefficient}."""
+    return {sys.root_by_label(i): reg.one() for i in labels}
+
+
 def test_adjoint_sigma_fixes_sum_a2():
     sys, reg = a2_setup()
-    v = LieVector.basis_e(sys, reg, 1) + LieVector.basis_e(sys, reg, 2)
+    v = basis(sys, reg, (1, 2))
     got = adjoint(word(sys, reg, GraphAut(sys, "sigma")), v)
     assert got == v
 
 
 def test_adjoint_identity():
     sys, reg = d4_setup()
-    v = LieVector.basis_e(sys, reg, 6) + LieVector(sys, reg, {}, {1: reg.one()})
+    v = {sys.root_by_label(6): reg.one(), sys.root_by_label(9): reg.var("y")}
     assert adjoint(word(sys, reg), v) == v
 
 
 def test_adjoint_curve_fixes_e6_plus_e9():
     sys, reg = d4_setup()
     x = reg.add("x")
-    v = LieVector.basis_e(sys, reg, 6) + LieVector.basis_e(sys, reg, 9)
+    v = basis(sys, reg, (6, 9))
     curve = word(sys, reg, RootElement(sys.root_by_label(6), x), RootElement(sys.root_by_label(9), x))
     assert adjoint(curve, v) == v
 
 
 def test_adjoint_homomorphism_random():
+    # words in the radical, the torus and the diagram symmetries normalize
+    # U = <e1..e12>, so Ad is defined on all of Lie(U)
     sys, reg = d4_setup()
     rng = random.Random(31)
     radical = [sys.root_by_label(i) for i in range(4, 13)]
     names = [f"x{i}" for i in range(4, 13)]
-    basis = [LieVector.basis_e(sys, reg, lbl) for lbl in list(range(1, 13)) + [-1, -5, -12]]
-    basis += [LieVector(sys, reg, {}, {i: reg.one()}) for i in range(4)]
     for _ in range(40):
-        atoms1 = [RootElement(rng.choice(radical), reg.var(rng.choice(names)))
-                  for _ in range(rng.randrange(0, 4))]
-        atoms2 = [RootElement(rng.choice(radical), reg.var(rng.choice(names)))
-                  for _ in range(rng.randrange(0, 4))]
-        w1, w2 = word(sys, reg, *atoms1), word(sys, reg, *atoms2)
-        prod = collect(list(atoms1) + list(atoms2), radical, reg).as_word()
-        v = rng.choice(basis)
+        w1, w2 = (random_d4_borel_word(sys, reg, rng, radical, names) for _ in range(2))
+        prod = normalized_word(w1 * w2)
+        v = basis(sys, reg, [rng.randrange(1, 13)])
         assert adjoint(w1, adjoint(w2, v)) == adjoint(prod, v)
 
 
 def test_adjoint_weyl_rep_permutes_basis():
     sys, reg = d4_setup()
     n_a = word(sys, reg, WeylRep(sys.simple("a")))
-    v = LieVector.basis_e(sys, reg, 4)
-    assert adjoint(n_a, v) == LieVector.basis_e(sys, reg, 5)
+    assert adjoint(n_a, basis(sys, reg, (4,))) == basis(sys, reg, (5,))
+
+
+def test_adjoint_rejects_the_derivative_variable():
+    sys, reg = a2_setup()
+    eps = reg.add(EPS)
+    alpha = sys.root_by_label(1)
+    with pytest.raises(ValueError, match="already in use"):
+        adjoint(word(sys, reg, GraphAut(sys, "sigma")), {alpha: eps})
+    with pytest.raises(ValueError, match="already in use"):
+        adjoint(word(sys, reg, RootElement(alpha, eps)), basis(sys, reg, (2,)))
+
+
+def test_adjoint_rejects_a_vector_outside_the_normalized_group():
+    # e1(x) normalizes no unipotent group holding e-1
+    sys, reg = a2_setup()
+    g = word(sys, reg, RootElement(sys.root_by_label(1), reg.var("x")))
+    with pytest.raises(ValueError, match="does not normalize"):
+        adjoint(g, basis(sys, reg, (-1,)))
+
+
+def test_tangent_space_of_the_centralizer_exceeds_its_reduced_group():
+    """M = <n_a sigma, (a+c)^v(t)> on the radical 4..12: over F2^9 the
+    Ad(M)-fixed vectors of Lie(U) are the kernel of the linear parts of the
+    centralizer equations, span{e6+e9, e12}, of dimension 2, while the
+    reduced centralizer is U_12, of dimension 1 (non-separability)."""
+    sys, reg = d4_setup()
+    radical = radical_roots(sys, range(4, 13))
+    gens = [nsigma_word(sys, reg), word(sys, reg, TorusValue(sys.cocharacter((1, 0, 1, 0)), "t"))]
+    report = centralizer_system(gens, radical, reg)
+    assert report.subgroup_description() == "U_12"
+    images = [{r: adjoint(g, {r: reg.one()}) for r in radical} for g in gens]
+    # d p / d x_r at 0 is the constant term of the coefficient of x_r^1
+    gradients = [[() in p.linear_part(report.varmap[r]).terms for r in radical]
+                 for p in report.constraints.equations]
+
+    def ad(image, support):
+        out = {}
+        for r in support:
+            for t, c in image[r].items():
+                out[t] = out.get(t, reg.zero()) + c
+        return {t: c for t, c in out.items() if c}
+
+    fixed, kernel = set(), set()
+    for bits in itertools.product((0, 1), repeat=len(radical)):
+        support = [r for r, b in zip(radical, bits) if b]
+        labels = frozenset(r.label for r in support)
+        v = {r: reg.one() for r in support}
+        if all(ad(image, support) == v for image in images):
+            fixed.add(labels)
+        if all(sum(b for b, d in zip(bits, row) if d) % 2 == 0 for row in gradients):
+            kernel.add(labels)
+    assert fixed == kernel == {frozenset(), frozenset({6, 9}), frozenset({12}), frozenset({6, 9, 12})}
 
 
 # ---------------------------------------------------------------------------

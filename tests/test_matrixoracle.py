@@ -10,6 +10,7 @@ from crlab.chevalley import (
     RootElement,
     TorusValue,
     WeylRep,
+    adjoint,
     normalized_word,
     word,
 )
@@ -34,7 +35,7 @@ from crlab.matrixoracle import (
 )
 from crlab.rootsys import root_system
 
-from references import m_group_elements, mat_transpose, random_assignment
+from references import lie_word, linear_matrix, m_group_elements, mat_transpose
 
 
 def setup():
@@ -280,32 +281,35 @@ def test_inverse_of_every_m_element():
         assert g.inverse() * g == one
 
 
-def test_lie_adjoint_sigma_fixes_the_sum():
-    gf = GF(16)
-    from crlab.matrixoracle import lie_adjoint
-    X = ((0, 1, 0), (0, 0, 1), (0, 0, 0))  # E12 + E23
-    assert lie_adjoint(gf, sigma_element(gf), X) == X
+def random_borel_word(sys, reg, rng, max_len):
+    """A word of B x <sigma>: positive root elements, torus values and sigma,
+    each of which normalizes U = <e1, e2, e3>."""
+    atoms = []
+    names = ["x", "y", "z"]
+    for _ in range(rng.randrange(0, max_len + 1)):
+        kind = rng.randrange(3)
+        if kind == 0:
+            coeff = reg.var(rng.choice(names))
+            if rng.randrange(2):
+                coeff = coeff * reg.var(rng.choice(names)) + reg.one()
+            atoms.append(RootElement(sys.root_by_label(rng.randrange(1, 4)), coeff))
+        elif kind == 1:
+            atoms.append(GraphAut(sys, "sigma"))
+        else:
+            atoms.append(TorusValue(sys.cocharacter((rng.randrange(-2, 3), rng.randrange(-2, 3))), "t"))
+    return word(sys, reg, *atoms)
 
 
 def test_engine_adjoint_agrees_with_matrix_adjoint():
-    from crlab.chevalley import LieVector, adjoint
-    from crlab.matrixoracle import lie_adjoint, lie_vector_matrix
-
     sys, reg = setup()
     rng = random.Random(99)
-    gf = GF(16)
-    basis = [LieVector.basis_e(sys, reg, lbl) for lbl in (1, 2, 3, -1, -2, -3)]
-    basis += [LieVector(sys, reg, {}, {i: reg.one()}) for i in (0, 1)]
+    positive = [sys.root_by_label(i) for i in (1, 2, 3)]
+    coeffs = [reg.zero(), reg.one(), reg.var("x"), reg.var("y"), reg.var("z") * reg.var("t")]
     for _ in range(150):
-        w = random_a2_word(sys, reg, rng, max_len=5)
-        v = rng.choice(basis)
-        got = adjoint(w, v)
-        assign = random_assignment([w], gf, rng)
-        for name in ("x", "y", "z"):
-            assign.setdefault(name, rng.randrange(16))
-        lhs = lie_vector_matrix(got, assign, gf)
-        rhs = lie_adjoint(gf, evaluate_word(w, assign, gf), lie_vector_matrix(v, assign, gf))
-        assert lhs == rhs
+        w = random_borel_word(sys, reg, rng, max_len=5)
+        v = {r: c for r in positive if (c := rng.choice(coeffs))}
+        u = lie_word(sys, reg, v)
+        assert linear_matrix(lie_word(sys, reg, adjoint(w, v))) == linear_matrix(w * u * w.inverse())
 
 
 def test_enumerate_m_conjugacy_f4_is_singletons():
