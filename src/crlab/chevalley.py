@@ -69,7 +69,11 @@ class WeylRep:
         return hash(("n", self.root))
 
     def __repr__(self):
-        return f"n[{self.root}]"
+        """The grammar form: n[a] for a simple root, n[12] for any other."""
+        simples = self.root.system.simple_roots
+        if self.root in simples:
+            return f"n[{self.root.system.short_names[simples.index(self.root)]}]"
+        return f"n[{self.root.label}]"
 
 
 class GraphAut:
@@ -339,9 +343,7 @@ class RadicalElement:
         raise TypeError("RadicalElement is unhashable; compare with ==")
 
     def __repr__(self):
-        if self.is_trivial:
-            return "1"
-        return "*".join(f"e{r.label}({self.coeffs[r]})" for r in self.order if r in self.coeffs)
+        return "*".join(map(repr, self.atoms())) or "1"
 
 
 def _coordinate_name(r: Root) -> str:
@@ -411,26 +413,22 @@ def normalize(w: GroupWord) -> Normalized:
     return Normalized(tuple(frames), frame_map, torus, tuple(tail), collected, True)
 
 
-def _canonical_key(n: Normalized):
-    torus_key = tuple(sorted(n.torus.items()))
-    if n.collected:
-        tail_key = tuple(sorted((r.index, n.tail.coeffs[r].terms) for r in n.tail.coeffs))
-        return (torus_key, n.frame_map.images, True, tail_key)
-    tail_key = tuple((e.root.index, e.coeff.terms) for e in n.tail_atoms)
-    return (torus_key, n.frame_map.images, False, tail_key)
-
-
 def word_equal(w1: GroupWord, w2: GroupWord) -> bool:
-    """Equality after frame canonicalization and tail collection.
+    """Equality of torus parts, frame maps and tails.
 
     Valid because in characteristic 2 the Weyl representatives form a copy of
     the Weyl group (n_xi^2 = xi^v(-1) = 1) and the diagram symmetries act on
     them by relabeling, so a frame is determined by its torus part and its
-    root map.
+    root map.  Collected tails compare as RadicalElements, in a common order
+    of both sets, where coefficients are unique (Steinberg, Lemma 17);
+    uncollected tails compare atom by atom.
     """
     if w1.system is not w2.system or w1.registry is not w2.registry:
         raise ValueError("words from different systems or registries")
-    return _canonical_key(normalize(w1)) == _canonical_key(normalize(w2))
+    n1, n2 = normalize(w1), normalize(w2)
+    if n1.torus != n2.torus or n1.frame_map != n2.frame_map or n1.collected != n2.collected:
+        return False
+    return n1.tail == n2.tail if n1.collected else n1.tail_atoms == n2.tail_atoms
 
 
 def normalized_word(w: GroupWord) -> GroupWord:
@@ -624,11 +622,9 @@ class CentralizerReport:
         self.radical = tuple(radical)
         self.varmap = varmap            # Root -> variable name
         self.constraints = constraints  # ConstraintSystem
-        self.solved = solved            # SolvedSystem or None
+        self.solved = solved            # SolvedSystem
 
     def free_roots(self) -> tuple:
-        if self.solved is None:
-            return ()
         return tuple(r for r in self.radical if not self.solved.is_zero(self.varmap[r]))
 
     def linear_classes(self) -> List[List[str]]:
@@ -646,7 +642,7 @@ class CentralizerReport:
         return [p for p in self.constraints.equations if _linear_pair(p) is None]
 
     def subgroup_description(self) -> str:
-        if self.solved is None or not self.solved.triangular:
+        if not self.solved.triangular:
             return "unsolved"
         free = self.free_roots()
         if not free:

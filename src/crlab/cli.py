@@ -16,7 +16,7 @@ import sys as _sys
 from .coeffring import VariableRegistry
 from .chevalley import RootElement, collect, default_order
 from .parabolic import RParabolicData
-from .rootsys import pairing, root_system
+from .rootsys import SYSTEMS, pairing, root_system
 from .scenarios import run_scenario, scenario_names
 from .wordexpr import parse_cochar, parse_root, parse_word, render_word
 
@@ -95,19 +95,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("collect", help="normal-order a product of root elements")
     c.add_argument("word", help="word expression, e.g. 'e2(x)e1(y)e3(z)'")
-    c.add_argument("--system", required=True, choices=("a1", "a2", "a3", "a4", "d4"))
+    c.add_argument("--system", required=True, choices=SYSTEMS)
     c.add_argument("--order", help="comma-separated root labels fixing the order")
     c.set_defaults(func=_cmd_collect)
 
     pr = sub.add_parser("pairing", help="pair a root with a cocharacter")
     pr.add_argument("root", help="root label or combination, e.g. '12' or 'a+2b+c+d'")
     pr.add_argument("cochar", help="cocharacter combination, e.g. 'a+c'")
-    pr.add_argument("--system", required=True, choices=("a1", "a2", "a3", "a4", "d4"))
+    pr.add_argument("--system", required=True, choices=SYSTEMS)
     pr.set_defaults(func=_cmd_pairing)
 
     rp = sub.add_parser("rparabolic", help="root decomposition of P_lambda")
     rp.add_argument("cochar", help="cocharacter combination, e.g. 'a+2b+c+d'")
-    rp.add_argument("--system", required=True, choices=("a1", "a2", "a3", "a4", "d4"))
+    rp.add_argument("--system", required=True, choices=SYSTEMS)
     rp.set_defaults(func=_cmd_rparabolic)
     return p
 

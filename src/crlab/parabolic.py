@@ -31,11 +31,6 @@ class RParabolicData:
             if m.act_cochar(lam) == lam
         )
 
-    def __repr__(self):
-        labels = lambda S: sorted(r.label for r in S)
-        return (f"RParabolic(lam={self.lam}, l={labels(self.l_roots)}, "
-                f"u={labels(self.u_roots)}, sigma={list(self.sigma_components)})")
-
 
 def limit_along(lam: Cocharacter, frame: Optional[GroupWord], tail: Optional[RadicalElement]):
     """Limit of frame*tail under conjugation by lam(a) as a goes to 0.

@@ -38,6 +38,8 @@ _SIMPLE_NAMES = {
     "D4": ("alpha", "beta", "gamma", "delta"),
 }
 
+SYSTEMS = tuple(label.lower() for label in _SIMPLE_NAMES)  # the labels root_system accepts
+
 _SHORT_NAMES = ("a", "b", "c", "d")
 
 # D4 positive roots in label order, coefficients over (alpha, beta, gamma, delta).
@@ -143,9 +145,6 @@ class Cocharacter:
 
     def __neg__(self) -> "Cocharacter":
         return Cocharacter(self.system, tuple(-a for a in self.coeffs))
-
-    def __rmul__(self, k: int) -> "Cocharacter":
-        return Cocharacter(self.system, tuple(k * a for a in self.coeffs))
 
     @property
     def is_zero(self) -> bool:
@@ -277,7 +276,6 @@ class RootSystem:
         assert all(self.cartan[i][i] == 2 for i in range(self.rank))
         self._weyl = None
         self._diagram = None
-        self._subgroup_cache = {}
         self._reflection_cache = {}
 
     # -- construction -----------------------------------------------------
@@ -392,23 +390,21 @@ class RootSystem:
     def weyl_elements(self) -> tuple:
         """All Weyl-group elements as RootMaps, in a deterministic BFS order."""
         if self._weyl is None:
-            self._weyl = self._generate([self.reflection(s) for s in self.simple_roots])
+            gens = [self.reflection(s) for s in self.simple_roots]
+            start = self.identity_map()
+            seen = {start.images: start}
+            queue = [start]
+            while queue:
+                nxt = []
+                for m in queue:
+                    for g in gens:
+                        c = g.compose(m)
+                        if c.images not in seen:
+                            seen[c.images] = c
+                            nxt.append(c)
+                queue = nxt
+            self._weyl = tuple(seen.values())
         return self._weyl
-
-    def _generate(self, gens: Sequence[RootMap]) -> tuple:
-        start = self.identity_map()
-        seen = {start.images: start}
-        queue = [start]
-        while queue:
-            nxt = []
-            for m in queue:
-                for g in gens:
-                    c = g.compose(m)
-                    if c.images not in seen:
-                        seen[c.images] = c
-                        nxt.append(c)
-            queue = nxt
-        return tuple(seen.values())
 
     def _weyl_diagram_pairs(self):
         """Yield (w, d), w a Weyl element and d a diagram symmetry: d sorted by
@@ -428,7 +424,7 @@ _SYSTEMS: dict = {}
 
 
 def root_system(label: str) -> RootSystem:
-    """Cached constructor; labels 'a1'..'a4', 'd4' (case-insensitive)."""
+    """Cached constructor for the labels in SYSTEMS (case-insensitive)."""
     key = label.upper().replace("_", "")
     if key not in _SIMPLE_NAMES:
         raise ValueError(f"unsupported root system {label!r}")
@@ -478,19 +474,18 @@ def subsystem_roots(system: RootSystem, simples: Sequence[Root]) -> tuple:
 
 
 def longest_element(system: RootSystem, simples: Sequence[Root]) -> RootMap:
-    """w0 of the reflection subgroup generated by the given simple roots."""
-    simples = tuple(simples)
-    if not simples:
-        return system.identity_map()
-    key = tuple(sorted(s.index for s in simples))
-    cache = system._subgroup_cache
-    if key not in cache:
-        cache[key] = system._generate([system.reflection(s) for s in simples])
-    sub_pos = [r for r in subsystem_roots(system, simples) if r.is_positive]
-    for m in cache[key]:
-        if all(not m(r).is_positive for r in sub_pos):
-            return m
-    raise AssertionError("no longest element found; subsystem not closed?")
+    """w0 of the reflection subgroup generated by the given simple roots.
+
+    Right multiplication by s lengthens w exactly when w(s) is positive, so
+    the walk that does so while some given simple root maps positive ends at
+    the one element sending all of them, hence every subsystem root, negative.
+    """
+    w = system.identity_map()
+    while True:
+        s = next((s for s in simples if w(s).is_positive), None)
+        if s is None:
+            return w
+        w = w.compose(system.reflection(s))
 
 
 def minus_one_realization(system: RootSystem, simples: Sequence[Root]):

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import time
+from collections import namedtuple
 from typing import Callable, Dict, List, Sequence
 
 from .coeffring import (
@@ -58,13 +59,7 @@ from .rootsys import (
 from .wordexpr import render_word
 
 
-class StepResult:
-    def __init__(self, name, anchor, status, expected, actual):
-        self.name = name
-        self.anchor = anchor
-        self.status = status
-        self.expected = expected
-        self.actual = actual
+StepResult = namedtuple("StepResult", "name anchor status expected actual")
 
 
 class Report:
@@ -80,16 +75,7 @@ class Report:
     def to_dict(self) -> dict:
         return {
             "scenario": self.scenario,
-            "steps": [
-                {
-                    "name": s.name,
-                    "anchor": s.anchor,
-                    "status": s.status,
-                    "expected": s.expected,
-                    "actual": s.actual,
-                }
-                for s in self.steps
-            ],
+            "steps": [s._asdict() for s in self.steps],
             "pass": self.passed,
             "elapsed_ms": self.elapsed_ms,
         }

@@ -235,11 +235,6 @@ class _Parser:
         self.fail(i, "a word atom")
 
 
-def parse_poly(text: str, registry: VariableRegistry) -> Polynomial:
-    parser = _Parser(text, registry, None)
-    return parser.complete(*parser.parse_poly(0))
-
-
 def parse_root(text: str, system: RootSystem) -> Root:
     parser = _Parser(text, None, system)
     toks = parser.toks
@@ -262,36 +257,14 @@ def parse_word(text: str, system: RootSystem, registry: VariableRegistry) -> Gro
 # rendering
 
 
-def render_atom(atom) -> str:
-    if isinstance(atom, RootElement):
-        return f"e{atom.root.label}({atom.coeff})"
-    if isinstance(atom, WeylRep):
-        root = atom.root
-        system = root.system
-        if root in system.simple_roots:
-            return f"n[{system.short_names[system.simple_roots.index(root)]}]"
-        return f"n[{root.label}]"
-    if isinstance(atom, TorusValue):
-        return f"t[{atom.cochar}]({atom.unit})"
-    if isinstance(atom, GraphAut):
-        return atom.name
-    raise ValueError(f"cannot render {atom!r}")
-
-
 def render_word(w) -> str:
-    if isinstance(w, RadicalElement):
-        atoms = w.atoms()
-    else:
-        atoms = w.atoms
+    """The atoms' reprs, '*' between two root elements and '·' elsewhere;
+    every atom's repr parses back to the atom."""
+    atoms = w.atoms() if isinstance(w, RadicalElement) else w.atoms
     if not atoms:
         return "1"
-    out = []
-    for i, atom in enumerate(atoms):
-        s = render_atom(atom)
-        if i == 0:
-            out.append(s)
-        elif isinstance(atom, RootElement) and isinstance(atoms[i - 1], RootElement):
-            out.append("*" + s)
-        else:
-            out.append("·" + s)
+    out = [repr(atoms[0])]
+    for prev, atom in zip(atoms, atoms[1:]):
+        root_pair = isinstance(atom, RootElement) and isinstance(prev, RootElement)
+        out.append(("*" if root_pair else "·") + repr(atom))
     return "".join(out)

@@ -1,7 +1,8 @@
 """Helpers and brute-force references that only the tests need: the whole
 of M(F_q), random points for finite-field evaluation, the literal matrix
-transpose, monomials built from exponent maps, and the matrix derivative
-of a word.
+transpose, monomials built from exponent maps, the matrix derivative of a
+word, polynomials parsed from text, and w0 found by generating the whole
+parabolic subgroup.
 """
 
 import itertools
@@ -11,6 +12,8 @@ from typing import Dict, Iterable, List, Mapping
 from crlab.chevalley import EPS, GraphAut, GroupWord, RootElement, TorusValue, word
 from crlab.coeffring import Polynomial, VariableRegistry
 from crlab.matrixoracle import GF, A2Matrix, Mat, exact_word
+from crlab.rootsys import RootMap, RootSystem, subsystem_roots
+from crlab.wordexpr import _Parser
 
 
 def mat_transpose(A: Mat) -> Mat:
@@ -84,3 +87,30 @@ def linear_matrix(w: GroupWord) -> Mat:
     """The EPS-linear part of the word's matrix over its polynomial ring:
     for lie_word(v) the sl3 matrix of v, for g lie_word(v) g^-1 Ad(g) of it."""
     return tuple(tuple(c.linear_part(EPS) for c in row) for row in exact_word(w).mat)
+
+
+def parse_poly(text: str, registry: VariableRegistry) -> Polynomial:
+    """A polynomial in the coefficient grammar of word atoms."""
+    parser = _Parser(text, registry, None)
+    return parser.complete(*parser.parse_poly(0))
+
+
+def generated_longest_element(system: RootSystem, simples) -> RootMap:
+    """w0 of the subgroup generated by the given simple reflections: the
+    element of the whole generated group, built breadth first, that sends
+    every positive subsystem root negative."""
+    gens = [system.reflection(s) for s in simples]
+    start = system.identity_map()
+    seen = {start.images: start}
+    queue = [start]
+    while queue:
+        nxt = []
+        for m in queue:
+            for g in gens:
+                c = g.compose(m)
+                if c.images not in seen:
+                    seen[c.images] = c
+                    nxt.append(c)
+        queue = nxt
+    sub_pos = [r for r in subsystem_roots(system, simples) if r.is_positive]
+    return next(m for m in seen.values() if all(not m(r).is_positive for r in sub_pos))

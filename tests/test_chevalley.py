@@ -31,6 +31,7 @@ from crlab.chevalley import (
     word_equal,
 )
 from crlab.rootsys import pairing, root_system
+from crlab.wordexpr import parse_word
 
 from references import random_d4_borel_word
 
@@ -632,8 +633,52 @@ def test_torus_frames_accumulate():
     w = word(sys, reg, TorusValue(chi, "t"), TorusValue(chi, "t"))
     n = normalize(w)
     assert n.torus == {"t": (2, 2)}
-    w2 = word(sys, reg, TorusValue(2 * chi, "t"))
+    w2 = word(sys, reg, TorusValue(sys.cocharacter((2, 2)), "t"))
     assert word_equal(w, w2)
+
+
+# ---------------------------------------------------------------------------
+# word_equal on tails collected over different orders
+
+
+def commutator(r1, r2, c):
+    """e_r1(1) e_r2(c) e_r1(1) e_r2(c), which is e_{r1+r2}(c) in characteristic 2."""
+    a, b = RootElement(r1, c.registry.one()), RootElement(r2, c)
+    return [a, b, a, b]
+
+
+@pytest.mark.parametrize("label, lhs, rhs", [
+    ("d4", "e1(1)e4(x)e1(1)e4(x)e10(y)", "e5(x)e2(1)e7(y)e2(1)e7(y)"),
+    ("a4", "e1(1)e2(x)e1(1)e2(x)e7(y)", "e5(x)e3(1)e4(y)e3(1)e4(y)"),
+    ("a4", "e3(1)e4(x)e3(1)e4(x)e5(y)", "e7(x)e1(1)e2(y)e1(1)e2(y)"),
+])
+def test_word_equal_on_tails_collected_over_different_orders(label, lhs, rhs):
+    # both sides are e_p(x) e_q(y) with p+q a root; each tail collects over
+    # its own order, and the raw coefficients at p+q differ between them
+    sys, reg = root_system(label), VariableRegistry()
+    assert word_equal(parse_word(lhs, sys, reg), parse_word(rhs, sys, reg))
+    assert not word_equal(parse_word(lhs, sys, reg), parse_word(rhs.replace("(x)", "(x+1)"), sys, reg))
+
+
+def test_word_equal_on_every_d4_pair_of_commutator_spellings():
+    # e_p(x) e_q(y) for positive p, q, p+q with p and q sums of two positive
+    # roots: p spelled as a commutator on the left, q on the right
+    sys, reg = root_system("d4"), VariableRegistry()
+    x, y = reg.add("x"), reg.add("y")
+    pos = sys.positive_roots
+    splits = {r: [(a, b) for a, b in itertools.combinations(pos, 2) if a + b is r] for r in pos}
+    cases = 0
+    for p, q in itertools.permutations(pos, 2):
+        if p + q is None:
+            continue
+        for (p1, p2), (q1, q2) in itertools.product(splits[p], splits[q]):
+            lhs = word(sys, reg, *commutator(p1, p2, x), RootElement(q, y))
+            rhs = word(sys, reg, RootElement(p, x), *commutator(q1, q2, y))
+            perturbed = word(sys, reg, RootElement(p, x + reg.one()), *commutator(q1, q2, y))
+            assert word_equal(lhs, rhs)
+            assert not word_equal(lhs, perturbed)
+            cases += 1
+    assert cases == 12
 
 
 # ---------------------------------------------------------------------------

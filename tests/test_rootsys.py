@@ -11,6 +11,7 @@ import random
 import pytest
 
 from crlab.rootsys import (
+    SYSTEMS,
     Cocharacter,
     compose_word,
     extends_to_ambient,
@@ -24,6 +25,8 @@ from crlab.rootsys import (
     subsystem_roots,
     verify_w0_identities,
 )
+
+from references import generated_longest_element
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +272,15 @@ def test_longest_element_rank_one_and_empty():
     alpha = sys.simple("a")
     assert longest_element(sys, [alpha]) == sys.reflection(alpha)
     assert longest_element(sys, []).is_identity()
+
+
+@pytest.mark.parametrize("label", SYSTEMS)
+def test_longest_element_matches_the_generated_subgroup(label):
+    # every subset of the simple roots: 46 over A1..A4 and D4
+    sys = root_system(label)
+    for k in range(sys.rank + 1):
+        for simples in itertools.combinations(sys.simple_roots, k):
+            assert longest_element(sys, simples) == generated_longest_element(sys, simples)
 
 
 def test_no_map_sends_11_to_minus_12_and_2_to_minus_2():

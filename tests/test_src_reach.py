@@ -2,11 +2,13 @@
 the program itself: in `src/crlab` (the CLI included) or in the benchmark
 under `perfbench/`.  A name that only tests reach belongs in the tests.
 
-The scan is by name: a load of `name` or of `obj.name`, or a dotted string
-such as the tracer's "ConstraintSystem.solve", counts as a reference to
-every definition called `name`, except inside that definition itself.
-Import statements do not count.  The package itself re-exports nothing:
-callers import each name from its module, such as `crlab.chevalley`.
+The scan is by name, except inside the definition itself.  A module-level
+function or class counts as reached only through a bare `name` or through
+`module.name` for a `crlab` module; a method only through any other
+`obj.name`.  A dotted string such as the tracer's "ConstraintSystem.solve"
+reads its first part as a bare name and the others as attributes.  Import
+statements do not count.  The package itself re-exports nothing: callers
+import each name from its module, such as `crlab.chevalley`.
 """
 
 import ast
@@ -29,45 +31,55 @@ ALLOWED = {"Report.canonical_json"}
 _DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
 
 
+MODULES = {path.stem for path in SRC.glob("*.py")}
+BARE, ATTRIBUTE = "bare", "attribute"
+
+
 def public_definitions(tree):
-    """(qualified name, bare name, node) for the public module-level
-    functions and classes of a module and the public methods of its classes."""
+    """(qualified name, bare name, how it is reached, node) for the public
+    module-level functions and classes of a module and the public methods
+    of its classes."""
     for node in tree.body:
         if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
             continue
-        yield node.name, node.name, node
+        yield node.name, node.name, BARE, node
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
-                    yield f"{node.name}.{item.name}", item.name, item
+                    yield f"{node.name}.{item.name}", item.name, ATTRIBUTE, item
 
 
 def referenced_names(tree):
-    """(name, line) of every name the module reads: bare names, attribute
-    names and the parts of dotted identifier strings."""
+    """(name, how, line) of every name the module reads: bare names and
+    `module.name` as BARE, other attribute names as ATTRIBUTE, and the parts
+    of dotted identifier strings, the first as BARE."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            yield node.id, node.lineno
+            yield node.id, BARE, node.lineno
         elif isinstance(node, ast.Attribute):
-            yield node.attr, node.lineno
+            owner = node.value
+            on_module = getattr(owner, "id", getattr(owner, "attr", None)) in MODULES
+            yield node.attr, BARE if on_module else ATTRIBUTE, node.lineno
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             if _DOTTED.fullmatch(node.value):
-                for part in node.value.split("."):
-                    yield part, node.lineno
+                first, *rest = node.value.split(".")
+                yield first, BARE, node.lineno
+                for part in rest:
+                    yield part, ATTRIBUTE, node.lineno
 
 
 @functools.cache
 def unreached_names():
     trees = {path: ast.parse(path.read_text(), str(path)) for path in PROGRAM}
-    uses = collections.defaultdict(list)  # name -> [(path, line)]
+    uses = collections.defaultdict(list)  # (name, how) -> [(path, line)]
     for path, tree in trees.items():
-        for name, line in referenced_names(tree):
-            uses[name].append((path, line))
+        for name, how, line in referenced_names(tree):
+            uses[name, how].append((path, line))
     unreached = []
     for path in sorted(SRC.glob("*.py")):
-        for qualified, name, node in public_definitions(trees[path]):
+        for qualified, name, how, node in public_definitions(trees[path]):
             own = range(node.lineno, node.end_lineno + 1)
-            if all(p == path and line in own for p, line in uses[name]):
+            if all(p == path and line in own for p, line in uses[name, how]):
                 unreached.append(f"{path.stem}.{qualified}")
     return tuple(unreached)
 

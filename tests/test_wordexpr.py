@@ -1,5 +1,6 @@
 """Grammar round-trip tests for words, polynomials, roots and cocharacters."""
 
+import itertools
 import random
 
 import pytest
@@ -10,13 +11,12 @@ from crlab.rootsys import root_system
 from crlab.wordexpr import (
     ExprError,
     parse_cochar,
-    parse_poly,
     parse_root,
     parse_word,
     render_word,
 )
 
-from references import monomial
+from references import monomial, parse_poly
 
 
 def test_parse_poly_basic():
@@ -118,6 +118,18 @@ def test_render_round_trip_random():
         back = parse_word(text, sys, reg)
         assert render_word(back) == text
         assert len(back.atoms) == len(w.atoms)
+
+
+@pytest.mark.parametrize("label", ["a2", "d4"])
+def test_every_atom_repr_parses_back(label):
+    sys = root_system(label)
+    reg = VariableRegistry()
+    coeff = parse_poly("x*t^-1+s^2+x4y", reg)
+    atoms = [RootElement(r, coeff) for r in sys.roots] + [WeylRep(r) for r in sys.roots]
+    atoms += [TorusValue(sys.cocharacter(c), "t") for c in itertools.product((-1, 0, 2), repeat=sys.rank)]
+    atoms += [GraphAut(sys, name) for name in sys.diagram_symmetries()]
+    for atom in atoms:
+        assert parse_word(repr(atom), sys, reg).atoms == (atom,)
 
 
 # ---------------------------------------------------------------------------
