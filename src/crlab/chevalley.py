@@ -220,9 +220,10 @@ def _order_tables(order: tuple) -> tuple:
 def collect(x, order: Sequence[Root], registry: Optional[VariableRegistry] = None) -> "RadicalElement":
     """Normal-order a product of root elements over a closed nilpotent set.
 
-    `x` is a GroupWord of RootElements or an iterable of RootElements; `order`
-    fixes the target sequence of roots and must list a closed nilpotent set,
-    each root once.  The word is collected over a graded order (every sum of
+    `x` is a GroupWord of RootElements, which also gives the result its
+    system and registry, or an iterable of RootElements; `order` fixes the
+    target sequence of roots and must list a closed nilpotent set, each root
+    once.  The word is collected over a graded order (every sum of
     two of its roots comes after both) from its right end into one term set
     per position.  An atom e_s(y) standing just after slot q moves right past
     each nonzero slot t, q < t < s, with s + t a root, by
@@ -235,17 +236,15 @@ def collect(x, order: Sequence[Root], registry: Optional[VariableRegistry] = Non
     default_order of the same set and re-expressing the result, which is
     unique in every order of a closed nilpotent set (Steinberg, Lemma 17).
     """
+    order = tuple(order)
     if isinstance(x, GroupWord):
-        registry = x.registry
-        atoms = list(x.atoms)
+        system, registry, atoms = x.system, x.registry, list(x.atoms)
     else:
-        atoms = list(x)
+        system, atoms = (order[0].system if order else None), list(x)
     if registry is None:
         if not atoms:
             raise ValueError("cannot infer a registry from an empty word")
         registry = atoms[0].coeff.registry
-    order = tuple(order)
-    system = order[0].system if order else None
     pos, graded, below = _order_tables(order)
     if not graded:
         graded_x = collect(atoms, default_order(system, order), registry)
@@ -330,14 +329,8 @@ class RadicalElement:
             return NotImplemented
         if self.order == other.order:
             return self.coeffs == other.coeffs
-        common = default_order(self.system, self.order + other.order)
-        if common is None:
-            # ambient sets are incompatible; a common unipotent group must
-            # still hold both supports for the elements to be comparable
-            common = default_order(self.system, self.support + other.support)
-            if common is None:
-                return False
-        return self.reordered(common).coeffs == other.reordered(common).coeffs
+        common = default_order(self.system, self.support + other.support)
+        return common is not None and self.reordered(common).coeffs == other.reordered(common).coeffs
 
     def __hash__(self):
         raise TypeError("RadicalElement is unhashable; compare with ==")
@@ -366,7 +359,9 @@ Normalized = namedtuple("Normalized", "frame_atoms frame_map torus tail_atoms ta
 
 def normalize(w: GroupWord) -> Normalized:
     """Push every root element right of every frame atom, in one right-to-left
-    pass, and collect the tail when its support closure is nilpotent.
+    pass that merges a pushed e_r(a) and an e_r(b) just right of it into
+    e_r(a+b), dropped when a+b = 0, and collect the freely reduced tail when
+    its support closure is nilpotent.
 
     The frame atoms right of the current position are held as an inverse root
     map inv and, per unit u, one cocharacter chi_u: their torus part moved to
@@ -390,7 +385,12 @@ def normalize(w: GroupWord) -> Normalized:
                 p = pairing(atom.root, chi)
                 if p:
                     coeff = registry.var(u) ** -p * coeff
-            tail.append(RootElement(inv(atom.root), coeff))
+            root = inv(atom.root)
+            if tail and tail[-1].root is root:  # e_r(a) e_r(b) = e_r(a+b)
+                coeff = coeff + tail.pop().coeff
+                if coeff.is_zero:
+                    continue
+            tail.append(RootElement(root, coeff))
         elif isinstance(atom, TorusValue):
             frames.append(atom)
             chi = units.get(atom.unit)
@@ -409,26 +409,24 @@ def normalize(w: GroupWord) -> Normalized:
     order = default_order(system, [e.root for e in tail])
     if order is None:
         return Normalized(tuple(frames), frame_map, torus, tuple(tail), None, False)
-    collected = collect(tail, order, registry)
+    collected = collect(GroupWord(system, registry, tail), order)
     return Normalized(tuple(frames), frame_map, torus, tuple(tail), collected, True)
 
 
 def word_equal(w1: GroupWord, w2: GroupWord) -> bool:
-    """Equality of torus parts, frame maps and tails.
+    """True when v1 v2^-1, for the normalized words v1 and v2 of w1 and w2,
+    normalizes to 1: an identity frame map, no torus part and a tail that
+    collects to 1.  False also when that tail does not collect.
 
     Valid because in characteristic 2 the Weyl representatives form a copy of
     the Weyl group (n_xi^2 = xi^v(-1) = 1) and the diagram symmetries act on
     them by relabeling, so a frame is determined by its torus part and its
-    root map.  Collected tails compare as RadicalElements, in a common order
-    of both sets, where coefficients are unique (Steinberg, Lemma 17);
-    uncollected tails compare atom by atom.
+    root map, and a collected tail is 1 exactly when every coefficient is 0
+    (Steinberg, Lemma 17).  Normalizing each word first lets two collected
+    tails meet over the closure of their supports.
     """
-    if w1.system is not w2.system or w1.registry is not w2.registry:
-        raise ValueError("words from different systems or registries")
-    n1, n2 = normalize(w1), normalize(w2)
-    if n1.torus != n2.torus or n1.frame_map != n2.frame_map or n1.collected != n2.collected:
-        return False
-    return n1.tail == n2.tail if n1.collected else n1.tail_atoms == n2.tail_atoms
+    n = normalize(normalized_word(w1) * normalized_word(w2).inverse())
+    return n.frame_map.is_identity() and not n.torus and n.collected and n.tail.is_trivial
 
 
 def normalized_word(w: GroupWord) -> GroupWord:
@@ -487,6 +485,7 @@ class SolvedSystem:
 
     def __init__(self, unknowns: Sequence[str]):
         self.unknowns = tuple(unknowns)
+        self._position = {v: i for i, v in enumerate(self.unknowns)}
         self._parent = {v: v for v in unknowns}
         self._zeroed: set = set()
         self.forced: List[Polynomial] = []
@@ -501,8 +500,8 @@ class SolvedSystem:
     def merge(self, a: str, b: str):
         ra, rb = self.rep(a), self.rep(b)
         if ra != rb:
-            lo, hi = sorted((ra, rb), key=_var_sort_key)
-            self._parent[hi] = lo  # earliest name represents the class
+            lo, hi = sorted((ra, rb), key=self._position.get)
+            self._parent[hi] = lo  # the earliest unknown represents the class
 
     def set_zero(self, v: str):
         self._zeroed.add(self.rep(v))
@@ -511,13 +510,12 @@ class SolvedSystem:
         return any(self.rep(z) == self.rep(v) for z in self._zeroed)
 
     def classes(self) -> List[List[str]]:
-        """Classes of two or more unknowns, each in name order (x9 before
-        x10), ordered by their first name."""
+        """Classes of two or more unknowns, each in the order of `unknowns`,
+        ordered by their first unknown."""
         groups: Dict[str, List[str]] = {}
         for v in self.unknowns:
             groups.setdefault(self.rep(v), []).append(v)
-        out = [sorted(g, key=_var_sort_key) for g in groups.values() if len(g) > 1]
-        return sorted(out, key=lambda g: _var_sort_key(g[0]))
+        return [g for g in groups.values() if len(g) > 1]
 
     @property
     def triangular(self) -> bool:
@@ -533,11 +531,6 @@ class SolvedSystem:
                 if r != v:
                     out[v] = registry.var(r)
         return out
-
-
-def _var_sort_key(name: str):
-    digits = "".join(ch for ch in name if ch.isdigit())
-    return (name.rstrip("0123456789"), int(digits) if digits else -1)
 
 
 class ConstraintSystem:
@@ -647,7 +640,8 @@ class CentralizerReport:
         free = self.free_roots()
         if not free:
             return "1"
-        labels = sorted({self.solved.rep(self.varmap[r]) for r in free}, key=_var_sort_key)
+        # a class's representative is its first unknown, so it comes first in radical order
+        labels = list(dict.fromkeys(self.solved.rep(self.varmap[r]) for r in free))
         if len(free) == len(labels):
             return " x ".join(f"U_{r.label}" for r in free)
         return "coordinates " + ", ".join(labels)

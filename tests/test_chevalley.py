@@ -545,14 +545,19 @@ def test_centralizer_of_nsigma_alone():
     assert {"x6", "x9"} <= set().union(*classes)
 
 
-def test_solved_system_classes_sort_by_name_number():
-    solved = SolvedSystem(["x12", "x11", "x10", "x9", "x4"])
+def test_solved_system_classes_follow_the_unknowns_order():
+    solved = SolvedSystem(["x4", "x9", "x10", "x11", "x12"])
     solved.merge("x12", "x9")
     solved.merge("x11", "x10")
     assert solved.classes() == [["x9", "x12"], ["x10", "x11"]]
     solved.merge("x10", "x12")
     assert solved.classes() == [["x9", "x10", "x11", "x12"]]
     assert solved.rep("x11") == "x9"
+    # position decides, not the name: the first unknown represents its class
+    backwards = SolvedSystem(["x12", "x9"])
+    backwards.merge("x9", "x12")
+    assert backwards.classes() == [["x12", "x9"]]
+    assert backwards.rep("x9") == "x12"
 
 
 def test_centralizer_of_M_is_U12():
@@ -605,6 +610,7 @@ def test_nsigma_cubed_equals_product_of_three_reflections():
     lhs = ns * ns * ns
     rhs = word(sys, reg, WeylRep(sys.simple("a")), WeylRep(sys.simple("c")), WeylRep(sys.simple("d")))
     assert word_equal(lhs, rhs)
+    assert not word_equal(lhs, word(sys, reg, WeylRep(sys.simple("a")), WeylRep(sys.simple("c"))))
 
 
 def test_word_inverse_roundtrip():
@@ -635,6 +641,7 @@ def test_torus_frames_accumulate():
     assert n.torus == {"t": (2, 2)}
     w2 = word(sys, reg, TorusValue(sys.cocharacter((2, 2)), "t"))
     assert word_equal(w, w2)
+    assert not word_equal(w, word(sys, reg, TorusValue(chi, "t")))
 
 
 # ---------------------------------------------------------------------------
@@ -679,6 +686,49 @@ def test_word_equal_on_every_d4_pair_of_commutator_spellings():
             assert not word_equal(lhs, perturbed)
             cases += 1
     assert cases == 12
+
+
+# ---------------------------------------------------------------------------
+# word_equal as the identity test w1 w2^-1 = 1
+
+
+@pytest.mark.parametrize("text", [
+    "e1(x)e-1(y)e-1(y)e1(x)",
+    "e-1(y)e1(x)e1(x)e-1(y)",
+    "e1(x)e-1(y)e-1(y)e-1(z)e-1(z)e1(x)",
+])
+def test_word_equal_decides_a_word_that_freely_reduces_to_1(text):
+    # the tail holds alpha and -alpha, so it never collects; free reduction
+    # in normalize empties it
+    sys, reg = a2_setup()
+    w = parse_word(text, sys, reg)
+    assert word_equal(w, word(sys, reg))
+    assert normalize(w).tail_atoms == ()
+    assert not word_equal(w, parse_word("e1(x)", sys, reg))
+
+
+def test_word_equal_meets_two_collected_tails_over_their_supports():
+    # each side collects alone to e3(x), but together their atoms hold alpha
+    # and -alpha; the quotient of the normal forms holds e3 only
+    sys, reg = a2_setup()
+    lhs = parse_word("e1(1)e2(x)e1(1)e2(x)", sys, reg)
+    rhs = parse_word("e-1(1)e3(x)e-1(1)e2(x)", sys, reg)
+    assert word_equal(lhs, rhs)
+    assert not word_equal(lhs, parse_word("e-1(1)e3(x+1)e-1(1)e2(x)", sys, reg))
+
+
+def test_word_equal_rejects_words_from_different_registries():
+    sys, reg = a2_setup()
+    with pytest.raises(ValueError):
+        word_equal(word(sys, reg), word(sys, VariableRegistry()))
+
+
+def test_the_tail_of_a_frame_only_word_knows_its_system():
+    sys, reg = d4_setup()
+    tail = normalize(word(sys, reg, WeylRep(sys.simple("a")))).tail
+    assert tail.system is sys
+    assert tail.coefficient(12).is_zero
+    assert word_equal(tail.as_word() * word(sys, reg), word(sys, reg))
 
 
 # ---------------------------------------------------------------------------
@@ -748,10 +798,25 @@ def test_default_order_matches_closure_then_grading(label):
     assert outcomes == {True, False}
 
 
+def _reference_free_reduction(tail):
+    """Replace the first adjacent pair at one root by its merged atom, or by
+    nothing when the coefficients cancel, until no such pair is left."""
+    i = 0
+    while i + 1 < len(tail):
+        a, b = tail[i], tail[i + 1]
+        if a.root is not b.root:
+            i += 1
+            continue
+        c = a.coeff + b.coeff
+        tail[i:i + 2] = [] if c.is_zero else [RootElement(a.root, c)]
+        i = 0
+    return tail
+
+
 def reference_normalize(w):
     """Left to right: push the tail so far across each frame atom, then
-    compose the frames in a second loop.  Returns (frame_atoms, frame_map,
-    torus, tail_atoms, collected tail or None)."""
+    compose the frames in a second loop and freely reduce the tail.  Returns
+    (frame_atoms, frame_map, torus, tail_atoms, collected tail or None)."""
     frames, tail = [], []
     for atom in w.atoms:
         if isinstance(atom, RootElement):
@@ -760,6 +825,7 @@ def reference_normalize(w):
         else:
             frames.append(atom)
             tail = [_reference_conjugate_inverse(atom, x) for x in tail]
+    tail = _reference_free_reduction(tail)
     frame_map = w.system.identity_map()
     torus = {}
     for atom in frames:
@@ -804,10 +870,12 @@ def test_normalize_matches_the_frame_by_frame_reference(label):
     reg.add("u", UNIT)
     rng = random.Random(1008)
     outcomes = set()
+    merged = 0
     for _ in range(120):
         w = _random_word(sys, reg, rng)
         n = normalize(w)
         frames, frame_map, torus, tail_atoms, collected = reference_normalize(w)
+        merged += len(tail_atoms) < sum(isinstance(a, RootElement) and not a.coeff.is_zero for a in w.atoms)
         assert n.frame_atoms == frames
         assert n.frame_map == frame_map
         assert n.torus == torus
@@ -821,3 +889,4 @@ def test_normalize_matches_the_frame_by_frame_reference(label):
         outcomes.add((n.collected, bool(n.torus), n.frame_map.is_identity()))
     assert {c for c, _, _ in outcomes} == {True, False}
     assert {t for _, t, _ in outcomes} == {True, False}
+    assert merged  # free reduction shortened some tails

@@ -13,6 +13,7 @@ from crlab.chevalley import (
     adjoint,
     normalized_word,
     word,
+    word_equal,
 )
 from crlab.matrixoracle import (
     GF,
@@ -252,6 +253,73 @@ def test_exact_oracle_decides_the_uncollected_tail():
     e1, em1 = sys.root_by_label(1), sys.root_by_label(-1)
     w = word(sys, reg, RootElement(e1, x), RootElement(em1, y), RootElement(em1, y), RootElement(e1, x))
     assert matrix_oracle_check(w, word(sys, reg))
+
+
+def _random_a2_atoms(sys, reg, rng, n, frames=True):
+    x, y, z, t = (reg.var(v) for v in "xyzt")
+    coeffs = [reg.one(), x, y, z, x * y + reg.one(), t * x]
+    atoms = []
+    for _ in range(n):
+        kind = rng.randrange(8) if frames else 0
+        if kind <= 4:
+            atoms.append(RootElement(rng.choice(sys.roots), rng.choice(coeffs)))
+        elif kind == 5:
+            atoms.append(WeylRep(rng.choice(sys.positive_roots)))
+        elif kind == 6:
+            atoms.append(TorusValue(sys.cocharacter([rng.randrange(-2, 3) for _ in range(2)]), "t"))
+        else:
+            atoms.append(GraphAut(sys, "sigma"))
+    return atoms
+
+
+def _with_g_g_inverse_inserted(sys, reg, rng):
+    w = _random_a2_atoms(sys, reg, rng, rng.randrange(1, 7))
+    g = word(sys, reg, *_random_a2_atoms(sys, reg, rng, rng.randrange(1, 4)))
+    i = rng.randrange(len(w) + 1)
+    return word(sys, reg, *w), word(sys, reg, *w[:i], *(g * g.inverse()).atoms, *w[i:])
+
+
+def _with_one_adjacent_pair_reshuffled(sys, reg, rng):
+    """e_a(x) e_b(y) -> e_b(y) e_a(x) e_{a+b}(xy), the last factor only when
+    a+b is a root; None when no adjacent pair has a != +-b."""
+    w = _random_a2_atoms(sys, reg, rng, rng.randrange(2, 7), frames=False)
+    spots = [i for i in range(len(w) - 1) if w[i].root not in (w[i + 1].root, -w[i + 1].root)]
+    if not spots:
+        return None
+    i = rng.choice(spots)
+    a, b = w[i], w[i + 1]
+    c = a.root + b.root
+    shuffled = w[:i] + [b, a] + ([RootElement(c, a.coeff * b.coeff)] if c is not None else []) + w[i + 2:]
+    return word(sys, reg, *w), word(sys, reg, *shuffled)
+
+
+@pytest.mark.parametrize("family", [_with_g_g_inverse_inserted, _with_one_adjacent_pair_reshuffled])
+def test_word_equal_is_sound_against_the_exact_oracle(family):
+    # each equal pair also yields an unequal one: one coefficient c of the
+    # second word becomes c+1, which multiplies in a factor e_r(1) != 1
+    sys, reg = setup()
+    rng = random.Random(18)
+    decided = equal = 0
+    for _ in range(200):
+        pair = family(sys, reg, rng)
+        if pair is None:
+            continue
+        w1, w2 = pair
+        atoms = list(w2.atoms)
+        i = next((i for i, a in enumerate(atoms) if isinstance(a, RootElement)), None)
+        cases = [(w1, w2, True)]
+        if i is not None:
+            atoms[i] = RootElement(atoms[i].root, atoms[i].coeff + reg.one())
+            cases.append((w1, word(sys, reg, *atoms), False))
+        for lhs, rhs, same in cases:
+            assert matrix_oracle_check(lhs, rhs) == same
+            got = word_equal(lhs, rhs)
+            assert not got or same, (lhs, rhs)
+            equal += same
+            decided += got
+    assert equal > 100
+    if family is _with_g_g_inverse_inserted:
+        assert decided == equal
 
 
 def test_exact_oracle_with_sqrt_constant_and_negative_torus_power():

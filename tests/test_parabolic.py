@@ -157,3 +157,14 @@ def test_word_membership():
     assert word_in_rparabolic(h, lam)
     bad = word(sys, reg, RootElement(sys.root_by_label(-12), reg.one()))
     assert not word_in_rparabolic(bad, lam)
+
+
+def test_word_membership_of_a_word_that_freely_reduces_to_1():
+    # e-1 pairs -2 with alpha^v, but the word is 1, which lies in every P_lambda
+    sys = root_system("a2")
+    reg = VariableRegistry()
+    x, y = reg.add("x"), reg.add("y")
+    a, minus_a = sys.simple("a"), -sys.simple("a")
+    w = word(sys, reg, RootElement(a, x), RootElement(minus_a, y), RootElement(minus_a, y), RootElement(a, x))
+    assert word_in_rparabolic(w, sys.coroot(a))
+    assert not word_in_rparabolic(word(sys, reg, RootElement(minus_a, y)), sys.coroot(a))

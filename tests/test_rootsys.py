@@ -210,6 +210,19 @@ def test_reflect_is_involution_everywhere():
             assert s(s(zeta)) == zeta
 
 
+@pytest.mark.parametrize("label", SYSTEMS)
+def test_every_reflection_and_weyl_diagram_map_is_a_signed_permutation_preserving_the_pairing(label):
+    sys = root_system(label)
+    n, n2 = sys.n_pos, 2 * sys.n_pos
+    coroots = [sys.cocharacter(tuple(int(k == j) for k in range(sys.rank))) for j in range(sys.rank)]
+    for m in [sys.reflection(r) for r in sys.roots] + list(sys.weyl_and_diagram_elements()):
+        assert sorted(m.images) == list(range(n2))
+        assert all(m.images[i + n] == (m.images[i] + n) % n2 for i in range(n))
+        moved = [m.act_cochar(chi) for chi in coroots]
+        for root in sys.positive_roots:
+            assert all(pairing(m(root), mchi) == pairing(root, chi) for chi, mchi in zip(coroots, moved))
+
+
 def test_sigma_action():
     sys = d4()
     sigma = sys.diagram_symmetries()["sigma"]

@@ -49,14 +49,23 @@ def test_d4_gir_fails_only_on_the_recorded_root11_image():
     assert failing[0].actual == "-11"
 
 
-def test_verify_all_statuses_match_the_benchmark_table(capsys):
+def run_crlab(*args):
+    """`python -m crlab ARGS` in a fresh interpreter, from the repository root."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    return subprocess.run([sys.executable, "-m", "crlab", *args],
+                          cwd=root, env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_verify_all_statuses_match_the_benchmark_table():
     # the verify-all benchmark checks every step status against this table;
-    # a renamed or flipped step must show here, not only as failed bench ops
+    # a renamed or flipped step must show here, not only as failed bench ops.
+    # The exit code is 1 exactly while the table holds a FAIL.
     expected = json.loads(EXPECTED_VERIFY.read_text())
-    assert main(["verify", "--all", "--format", "json"]) == 1
-    reports = json.loads(capsys.readouterr().out)
-    got = {r["scenario"]: {s["name"]: s["status"] for s in r["steps"]} for r in reports}
+    done = run_crlab("verify", "--all", "--format", "json")
+    got = {r["scenario"]: {s["name"]: s["status"] for s in r["steps"]} for r in json.loads(done.stdout)}
     assert got == expected
+    assert done.returncode == int(any(s == "FAIL" for steps in expected.values() for s in steps.values()))
 
 
 def test_unknown_scenario():
@@ -171,10 +180,7 @@ def test_cli_bad_input(capsys):
 
 
 def test_python_dash_m_crlab_runs_the_cli():
-    root = Path(__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    done = subprocess.run([sys.executable, "-m", "crlab", "verify", "w0-combinatorics"],
-                          cwd=root, env=env, capture_output=True, text=True, timeout=120)
+    done = run_crlab("verify", "w0-combinatorics")
     assert done.returncode == 0, done.stderr
 
 
