@@ -18,6 +18,7 @@ conjugate of a root-element product over a first-order variable.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import namedtuple
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
@@ -183,19 +184,14 @@ def default_order(system: RootSystem, roots: Iterable[Root]) -> Optional[tuple]:
 
 _COLLECT_FUEL = 2_000_000
 
-_TABLES: Dict[tuple, tuple] = {}
-_TABLES_SIZE = 16
 
-
+@functools.lru_cache(maxsize=16)
 def _order_tables(order: tuple) -> tuple:
-    """(pos, graded, below) for a closed nilpotent list of roots, kept for
-    the last _TABLES_SIZE distinct orders: pos maps a root to its position,
-    below[s] lists the pairs (t, position of order[s] + order[t]) for t < s
-    where that sum is a root, ascending in t, and graded says every such
-    sum comes after both summands."""
-    tables = _TABLES.get(order)
-    if tables is not None:
-        return tables
+    """(pos, graded, below, grade) for a closed nilpotent list of roots: pos
+    maps a root to its position, below[s] lists the pairs (t, position of
+    order[s] + order[t]) for t < s where that sum is a root, ascending in t,
+    graded says every such sum comes after both summands, and then grade[s]
+    is one more than the largest grade of a summand of order[s], or 1."""
     pos = {r: i for i, r in enumerate(order)}
     if len(pos) < len(order):
         raise ValueError("collection order lists a root twice")
@@ -211,10 +207,11 @@ def _order_tables(order: tuple) -> tuple:
             raise ValueError(f"root set not closed: {a} + {b} = {c} missing")
         below[s].append((t, pos[c]))
         graded = graded and pos[c] > s
-    if len(_TABLES) >= _TABLES_SIZE:
-        del _TABLES[next(iter(_TABLES))]
-    tables = _TABLES[order] = (pos, graded, below)
-    return tables
+    grade = [1] * len(order)
+    for s, pairs in enumerate(below):  # over a graded order grade[s] is final here
+        for t, u in pairs:
+            grade[u] = max(grade[u], grade[s] + 1, grade[t] + 1)
+    return pos, graded, below, grade
 
 
 def collect(x, order: Sequence[Root], registry: Optional[VariableRegistry] = None) -> "RadicalElement":
@@ -245,7 +242,7 @@ def collect(x, order: Sequence[Root], registry: Optional[VariableRegistry] = Non
         if not atoms:
             raise ValueError("cannot infer a registry from an empty word")
         registry = atoms[0].coeff.registry
-    pos, graded, below = _order_tables(order)
+    pos, graded, below, _ = _order_tables(order)
     if not graded:
         graded_x = collect(atoms, default_order(system, order), registry)
         return RadicalElement(system, registry, order, _reexpress(graded_x, order))
@@ -278,16 +275,19 @@ def collect(x, order: Sequence[Root], registry: Optional[VariableRegistry] = Non
 
 def _reexpress(x: "RadicalElement", order: tuple) -> Dict[Root, Polynomial]:
     """Coefficients over `order` of x, which is collected over a graded order
-    of the same set.  Walking x's order, the coefficient at r is x_r plus the
-    r-coefficient of the roots found so far, listed in `order` and collected
-    over x's order: modulo the roots of higher grade the roots of r's grade
-    are central, so only the found roots of lower grade reach r."""
+    of the same set.  Walking x's order one grade at a time, the coefficient
+    at r is x_r plus the r-coefficient of the roots found so far, listed in
+    `order` and collected over x's order: modulo the roots of higher grade
+    the roots of r's grade are central, so only the found roots of lower
+    grade reach r, and one collection serves every root of a grade."""
+    grade = _order_tables(x.order)[3]
     found: Dict[Root, Polynomial] = {}
-    for r in x.order:
+    for _, group in itertools.groupby(zip(x.order, grade), key=lambda rg: rg[1]):
         have = collect([RootElement(s, found[s]) for s in order if s in found], x.order, x.registry)
-        c = x.coefficient(r) + have.coefficient(r)
-        if not c.is_zero:
-            found[r] = c
+        for r, _ in group:
+            c = x.coefficient(r) + have.coefficient(r)
+            if not c.is_zero:
+                found[r] = c
     return found
 
 
@@ -329,8 +329,8 @@ class RadicalElement:
             return NotImplemented
         if self.order == other.order:
             return self.coeffs == other.coeffs
-        common = default_order(self.system, self.support + other.support)
-        return common is not None and self.reordered(common).coeffs == other.reordered(common).coeffs
+        return (self.system is other.system and self.registry is other.registry
+                and word_equal(self.as_word(), other.as_word()))
 
     def __hash__(self):
         raise TypeError("RadicalElement is unhashable; compare with ==")
@@ -481,13 +481,16 @@ def adjoint(g: GroupWord, v: Mapping[Root, Polynomial]) -> Dict[Root, Polynomial
 
 
 class SolvedSystem:
-    """Union-find result of a triangular constraint system over F2."""
+    """Union-find result of a triangular constraint system over F2.  The
+    unknowns forced to 0 form the class of ZERO, which no unknown name
+    equals and which, ranked first, represents its class."""
+
+    ZERO = None
 
     def __init__(self, unknowns: Sequence[str]):
         self.unknowns = tuple(unknowns)
-        self._position = {v: i for i, v in enumerate(self.unknowns)}
-        self._parent = {v: v for v in unknowns}
-        self._zeroed: set = set()
+        self._position = {v: i for i, v in enumerate((self.ZERO,) + self.unknowns, -1)}
+        self._parent = {v: v for v in self._position}
         self.forced: List[Polynomial] = []
         self.residuals: List[Polynomial] = []
 
@@ -503,11 +506,8 @@ class SolvedSystem:
             lo, hi = sorted((ra, rb), key=self._position.get)
             self._parent[hi] = lo  # the earliest unknown represents the class
 
-    def set_zero(self, v: str):
-        self._zeroed.add(self.rep(v))
-
     def is_zero(self, v: str) -> bool:
-        return any(self.rep(z) == self.rep(v) for z in self._zeroed)
+        return self.rep(v) == self.ZERO
 
     def classes(self) -> List[List[str]]:
         """Classes of two or more unknowns, each in the order of `unknowns`,
@@ -524,12 +524,9 @@ class SolvedSystem:
     def binding(self, registry: VariableRegistry) -> Dict[str, Polynomial]:
         out = {}
         for v in self.unknowns:
-            if self.is_zero(v):
-                out[v] = registry.zero()
-            else:
-                r = self.rep(v)
-                if r != v:
-                    out[v] = registry.var(r)
+            r = self.rep(v)
+            if r != v:
+                out[v] = registry.zero() if r == self.ZERO else registry.var(r)
         return out
 
 
@@ -560,58 +557,41 @@ class ConstraintSystem:
             pending = nxt
 
 
-def _is_power_of_two(n: int) -> bool:
-    return n > 0 and n & (n - 1) == 0
+def _binomial(p: Polynomial) -> Optional[Tuple[str, str, int]]:
+    """(x, y, k) when p = x^k + y^k for two variables x and y, else None."""
+    if len(p.terms) != 2 or any(len(m) != 1 for m in p.terms):
+        return None
+    ((i, k),), ((j, e),) = sorted(p.terms)
+    return (p.registry.names[i], p.registry.names[j], k) if k == e else None
 
 
 def _apply_rule(q: Polynomial, unknowns: set, solved: SolvedSystem) -> bool:
-    terms = sorted(q.terms)
     reg = q.registry
-    if len(terms) == 1:
-        m = terms[0]
-        mvars = [(reg.names[i], e) for i, e in m]
-        unames = [n for n, _ in mvars if n in unknowns]
-        constants_ok = all(
-            n in unknowns or reg.kind(n) in ("unit", "sqrt") for n, _ in mvars
-        )
-        if len(unames) == 1 and constants_ok:
-            # x^k * (nonzero constants) = 0 forces x = 0 over a field
-            if any(n == unames[0] and e >= 2 for n, e in mvars):
-                solved.forced.append(q)
-            solved.set_zero(unames[0])
-            return True
+    if len(q.terms) == 1:
+        # x^k * (nonzero constants) = 0 forces x = 0 over a field
+        (m,) = q.terms
+        hits = [(reg.names[i], e) for i, e in m if reg.names[i] in unknowns]
+        if len(hits) != 1 or any(reg.kind(reg.names[i]) not in ("unit", "sqrt")
+                                 for i, _ in m if reg.names[i] not in unknowns):
+            return False
+        [(name, e)] = hits
+        if e >= 2:
+            solved.forced.append(q)
+        solved.merge(solved.ZERO, name)
+        return True
+    pair = _binomial(q)
+    if pair is None or not unknowns.issuperset(pair[:2]) or pair[2] & (pair[2] - 1):
         return False
-    if len(terms) == 2:
-        pows = []
-        for m in terms:
-            if len(m) != 1:
-                return False
-            i, e = m[0]
-            name = reg.names[i]
-            if name not in unknowns:
-                return False
-            pows.append((name, e))
-        (n1, e1), (n2, e2) = pows
-        if e1 == e2 and _is_power_of_two(e1):
-            # x^(2^k) + y^(2^k) = (x+y)^(2^k): Frobenius is injective
-            if e1 >= 2:
-                solved.forced.append(q)
-            solved.merge(n1, n2)
-            return True
-    return False
-
-
-def _linear_pair(p: Polynomial) -> Optional[List[str]]:
-    """The two variable names of a binomial x + y, else None."""
-    if len(p.terms) == 2 and all(len(m) == 1 and m[0][1] == 1 for m in p.terms):
-        return [p.registry.names[m[0][0]] for m in p.terms]
-    return None
+    x, y, k = pair
+    # x^(2^k) + y^(2^k) = (x+y)^(2^k): Frobenius is injective
+    if k >= 2:
+        solved.forced.append(q)
+    solved.merge(x, y)
+    return True
 
 
 class CentralizerReport:
-    def __init__(self, system, registry, radical, varmap, constraints, solved):
-        self.system = system
-        self.registry = registry
+    def __init__(self, radical, varmap, constraints, solved):
         self.radical = tuple(radical)
         self.varmap = varmap            # Root -> variable name
         self.constraints = constraints  # ConstraintSystem
@@ -626,13 +606,13 @@ class CentralizerReport:
         linear = SolvedSystem(self.constraints.unknowns)
         unknowns = set(self.constraints.unknowns)
         for p in self.constraints.equations:
-            pair = _linear_pair(p)
-            if pair is not None and unknowns.issuperset(pair):
-                linear.merge(*pair)
+            pair = _binomial(p)
+            if pair is not None and pair[2] == 1 and unknowns.issuperset(pair[:2]):
+                linear.merge(*pair[:2])
         return linear.classes()
 
     def nonlinear_equations(self) -> List[Polynomial]:
-        return [p for p in self.constraints.equations if _linear_pair(p) is None]
+        return [p for p in self.constraints.equations if (b := _binomial(p)) is None or b[2] != 1]
 
     def subgroup_description(self) -> str:
         if not self.solved.triangular:
@@ -656,16 +636,13 @@ def centralizer_system(generators: Sequence[GroupWord], radical: Sequence[Root],
     layers, every one of which must vanish.
     """
     radical = tuple(radical)
-    system = radical[0].system
-    u = generic_radical_element(system, registry, radical)
+    u = generic_radical_element(radical[0].system, registry, radical)
     varmap = {r: _coordinate_name(r) for r in radical}
     equations: List[Polynomial] = []
     for g in generators:
-        gmap = normalize(g).frame_map
-        if {gmap(r) for r in radical} != set(radical):
-            raise ValueError("radical is not stable under a generator's frame")
+        # the frame and torus parts of g u g^-1 cancel by construction
         n = normalize(g * u.as_word() * g.inverse())
-        if not n.collected or not n.frame_map.is_identity() or n.torus:
+        if not n.collected or not set(n.tail.support) <= set(radical):
             raise ValueError("conjugate of the radical element did not return to the radical")
         conj = n.tail.reordered(radical)
         for r in radical:
@@ -674,4 +651,4 @@ def centralizer_system(generators: Sequence[GroupWord], radical: Sequence[Root],
                 if not layer.is_zero:
                     equations.append(layer)
     cs = ConstraintSystem(registry, equations, [varmap[r] for r in radical])
-    return CentralizerReport(system, registry, radical, varmap, cs, cs.solve())
+    return CentralizerReport(radical, varmap, cs, cs.solve())

@@ -122,8 +122,6 @@ class PolyRing:
 
 Mat = Tuple[Tuple[int, ...], ...]
 
-J: Mat = ((0, 0, 1), (0, 1, 0), (1, 0, 0))
-
 
 def identity(ring) -> Mat:
     one, zero = ring.one(), ring.zero()

@@ -310,26 +310,22 @@ class RootSystem:
         n = self.n_pos
         return RootMap(self, [(i + n) % (2 * n) for i in range(2 * n)])
 
+    def _linear_map(self, columns: Sequence[Sequence[int]]) -> RootMap:
+        """Linear extension of simple root j -> the root with coefficients columns[j]."""
+        return RootMap(self, [
+            self.root([sum(c * col[i] for c, col in zip(r.coeffs, columns)) for i in range(self.rank)]).index
+            for r in self.roots])
+
     def reflection(self, xi: Root) -> RootMap:
         if xi.index not in self._reflection_cache:
             chi = self.coroot(xi)
-            images = []
-            for r in self.roots:
-                p = pairing(r, chi)
-                img = tuple(r.coeffs[i] - p * xi.coeffs[i] for i in range(self.rank))
-                images.append(self.root(img).index)
-            self._reflection_cache[xi.index] = RootMap(self, images)
+            self._reflection_cache[xi.index] = self._linear_map(
+                [[c - pairing(s, chi) * x for c, x in zip(s.coeffs, xi.coeffs)] for s in self.simple_roots])
         return self._reflection_cache[xi.index]
 
     def diagram_map(self, perm: Sequence[int]) -> RootMap:
         """Linear extension of a simple-root permutation i -> perm[i]."""
-        images = []
-        for r in self.roots:
-            img = [0] * self.rank
-            for i, c in enumerate(r.coeffs):
-                img[perm[i]] += c
-            images.append(self.root(tuple(img)).index)
-        return RootMap(self, images)
+        return self._linear_map([self.simple_roots[j].coeffs for j in perm])
 
     def diagram_symmetries(self) -> dict:
         """All Dynkin-diagram symmetries, as name -> RootMap ('id' included).
@@ -516,9 +512,8 @@ def extends_to_ambient(
 class W0Report:
     """Outcome of the composite-map checks for one (ambient, L, lambda) triple."""
 
-    def __init__(self, hypothesis_ok, extension, checks):
+    def __init__(self, hypothesis_ok, checks):
         self.hypothesis_ok = hypothesis_ok
-        self.extension = extension
         self.checks = checks  # list of (name, ok, detail)
 
     @property
@@ -537,7 +532,7 @@ def verify_w0_identities(system: RootSystem, L_simples: Sequence[Root], lam: Coc
     partial = {r: -r for r in sub}
     ext = extends_to_ambient(system, L_simples, partial)
     if ext is None:
-        return W0Report(False, None, [])
+        return W0Report(False, [])
     w = ext.compose(system.minus_one_map())  # apply w0G-bar = -1 first
     checks = []
     fixed = all(w(r) == r for r in sub)
@@ -545,7 +540,7 @@ def verify_w0_identities(system: RootSystem, L_simples: Sequence[Root], lam: Coc
     u_roots = [r for r in system.roots if pairing(r, lam) > 0]
     flipped = {w(r) for r in u_roots} == {-r for r in u_roots}
     checks.append(("maps-radical-to-opposite", flipped, f"{len(u_roots)} roots checked"))
-    return W0Report(True, ext, checks)
+    return W0Report(True, checks)
 
 
 def row_reduce(rows: Sequence[Sequence]) -> tuple:

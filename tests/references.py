@@ -1,15 +1,15 @@
 """Helpers and brute-force references that only the tests need: the whole
 of M(F_q), random points for finite-field evaluation, the literal matrix
 transpose, monomials built from exponent maps, the matrix derivative of a
-word, polynomials parsed from text, and w0 found by generating the whole
-parabolic subgroup.
+word, polynomials parsed from text, w0 found by generating the whole
+parabolic subgroup, and re-expression over another order one root at a time.
 """
 
 import itertools
 import random
 from typing import Dict, Iterable, List, Mapping
 
-from crlab.chevalley import EPS, GraphAut, GroupWord, RootElement, TorusValue, word
+from crlab.chevalley import EPS, GraphAut, GroupWord, RootElement, TorusValue, collect, word
 from crlab.coeffring import Polynomial, VariableRegistry
 from crlab.matrixoracle import GF, A2Matrix, Mat, exact_word
 from crlab.rootsys import RootMap, RootSystem, subsystem_roots
@@ -114,3 +114,16 @@ def generated_longest_element(system: RootSystem, simples) -> RootMap:
         queue = nxt
     sub_pos = [r for r in subsystem_roots(system, simples) if r.is_positive]
     return next(m for m in seen.values() if all(not m(r).is_positive for r in sub_pos))
+
+
+def per_root_reexpress(x, order) -> Dict:
+    """Coefficients over `order` of x, which is collected over a graded order
+    of the same set, found one root of x's order at a time, each with its own
+    collection of the roots found so far."""
+    found = {}
+    for r in x.order:
+        have = collect([RootElement(s, found[s]) for s in order if s in found], x.order, x.registry)
+        c = x.coefficient(r) + have.coefficient(r)
+        if not c.is_zero:
+            found[r] = c
+    return found

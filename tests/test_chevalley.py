@@ -15,6 +15,7 @@ from crlab.coeffring import UNIT, SQRT, VariableRegistry
 from crlab.chevalley import (
     EPS,
     GraphAut,
+    RadicalElement,
     RootElement,
     SolvedSystem,
     TorusValue,
@@ -33,7 +34,7 @@ from crlab.chevalley import (
 from crlab.rootsys import pairing, root_system
 from crlab.wordexpr import parse_word
 
-from references import random_d4_borel_word
+from references import per_root_reexpress, random_d4_borel_word
 
 
 def d4_setup():
@@ -224,6 +225,35 @@ def test_collect_over_an_order_that_is_not_graded():
     w = word(sys, reg, *atoms)
     assert collect(w * w.inverse(), order).is_trivial
     assert collect(got.as_word() * w.inverse(), order).is_trivial
+
+
+@pytest.mark.parametrize("typ,labels,seed", [("d4", range(1, 13), 51), ("a4", range(1, 11), 52)])
+def test_reexpress_collects_once_per_grade(typ, labels, seed, monkeypatch):
+    """Re-expression over an order that is not graded gives the coefficients
+    of the one-root-at-a-time reference with one collection per grade, plus
+    the outer call and the graded collection."""
+    sys = root_system(typ)
+    reg = VariableRegistry()
+    xs = [reg.add(n) for n in ("x", "y", "z")]
+    rng = random.Random(seed)
+    graded = default_order(sys, radical_roots(sys, labels))
+    order = list(graded)
+    while is_graded(order):
+        rng.shuffle(order)
+    grades = len(set(chevalley._order_tables(graded)[3]))
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return collect(*args)
+
+    monkeypatch.setattr(chevalley, "collect", counted)
+    for _ in range(20):
+        atoms = [RootElement(sys.root_by_label(rng.choice(labels)), rng.choice(xs)) for _ in range(40)]
+        calls.clear()
+        got = chevalley.collect(atoms, order, reg)
+        assert len(calls) <= grades + 2
+        assert got.coeffs == per_root_reexpress(collect(atoms, graded, reg), tuple(order))
 
 
 def test_collect_rejects_an_order_listing_a_root_twice():
@@ -593,11 +623,60 @@ def test_centralizer_empty_generators():
     assert len(rep.free_roots()) == 9
 
 
+@pytest.mark.parametrize("typ", ["a2", "a3", "d4"])
+def test_conjugation_keeps_no_frame_or_torus_part(typ):
+    """Why centralizer_system checks no frame map or torus part: for g of
+    Weyl, graph, torus and root atoms, g u g^-1 normalizes to a tail alone."""
+    sys = root_system(typ)
+    reg = VariableRegistry()
+    xs = [reg.add(n) for n in ("x", "y")]
+    units = ("t", "v")
+    for n in units:
+        reg.add(n, UNIT)
+    u = generic_radical_element(sys, reg, sys.positive_roots).as_word()
+    rng = random.Random(55)
+
+    def atom():
+        k = rng.randrange(4)
+        if k == 0:
+            return WeylRep(rng.choice(sys.roots))
+        if k == 1:
+            return GraphAut(sys, rng.choice(list(sys.diagram_symmetries())))
+        if k == 2:
+            return TorusValue(sys.cocharacter([rng.randrange(-2, 3) for _ in range(sys.rank)]), rng.choice(units))
+        return RootElement(rng.choice(sys.roots), rng.choice(xs))
+
+    framed = 0
+    for _ in range(100):
+        g = word(sys, reg, *[atom() for _ in range(rng.randrange(1, 6))])
+        ng = normalize(g)
+        framed += not ng.frame_map.is_identity() or bool(ng.torus)
+        n = normalize(g * u * g.inverse())
+        assert n.frame_map.is_identity() and not n.torus
+    assert framed > 50
+
+
+def test_solved_system_merging_with_the_zero_class_zeroes_both_classes():
+    solved = SolvedSystem(["x4", "x5", "x6", "x7"])
+    solved.merge("x5", "x4")
+    solved.merge(SolvedSystem.ZERO, "x7")
+    solved.merge("x4", "x7")
+    assert [solved.is_zero(v) for v in solved.unknowns] == [True, True, False, True]
+    reg = VariableRegistry()
+    for v in solved.unknowns:
+        reg.add(v)
+    assert solved.binding(reg) == dict.fromkeys(["x4", "x5", "x7"], reg.zero())
+    assert solved.classes() == [["x4", "x5", "x7"]]
+
+
 def test_centralizer_radical_instability_raises():
     sys, reg = a2_setup()
     radical = [sys.root_by_label(1)]  # {alpha} alone is not sigma-stable
     with pytest.raises(ValueError):
         centralizer_system([word(sys, reg, GraphAut(sys, "sigma"))], radical, reg)
+    # e_-alpha(1) has no frame part, yet it moves u out of U_{alpha+beta}
+    with pytest.raises(ValueError, match="did not return to the radical"):
+        centralizer_system([word(sys, reg, e(sys, reg, -1, 1))], radical_roots(sys, [3]), reg)
 
 
 # ---------------------------------------------------------------------------
@@ -631,6 +710,33 @@ def test_radical_equality_across_orders():
     c = collect([e(sys, reg, -12, "x4")], [sys.root_by_label(-12)], reg)
     assert a != c
     assert not (a == c)
+
+
+@pytest.mark.parametrize("typ,labels,seed", [("d4", range(1, 13), 53), ("a3", range(1, 7), 54)])
+def test_radical_equality_across_a_graded_and_a_non_graded_order(typ, labels, seed):
+    """Elements over different orders compare by the identity test: the same
+    element collected over two orders is equal, one changed coefficient or
+    another registry makes it unequal."""
+    sys = root_system(typ)
+    regs = [VariableRegistry(), VariableRegistry()]
+    xs = [[reg.add(n) for n in ("x", "y", "z")] for reg in regs]
+    rng = random.Random(seed)
+    graded = default_order(sys, radical_roots(sys, labels))
+    shuffled = list(graded)
+    while is_graded(shuffled):
+        rng.shuffle(shuffled)
+    for _ in range(20):
+        picks = [(sys.root_by_label(rng.choice(labels)), rng.randrange(3)) for _ in range(rng.randrange(1, 20))]
+
+        def element(order, k=0):
+            return collect([RootElement(r, xs[k][i]) for r, i in picks], order, regs[k])
+
+        a, b = element(graded), element(shuffled)
+        assert a.order != b.order and a == b
+        r = rng.choice(shuffled)
+        changed = RadicalElement(sys, regs[0], b.order, {**b.coeffs, r: b.coefficient(r) + regs[0].one()})
+        assert a != changed
+        assert a != element(shuffled, 1)
 
 
 def test_torus_frames_accumulate():

@@ -17,7 +17,6 @@ from crlab.chevalley import (
 )
 from crlab.matrixoracle import (
     GF,
-    J,
     PolyRing,
     A2Matrix,
     enumerate_m_conjugacy,
@@ -445,6 +444,9 @@ def test_enumerate_m_conjugacy_keeps_first_member_order():
 
 def test_enumerate_m_conjugacy_f16_is_singletons():
     assert enumerate_m_conjugacy(16, range(16)) == [[x] for x in range(16)]
+
+
+J = ((0, 0, 1), (0, 1, 0), (1, 0, 0))  # the antidiagonal unit
 
 
 def literal_sigma_twist(gf, A):

@@ -100,8 +100,9 @@ def test_report_schema():
 def test_cli_verify_exit_codes(capsys):
     assert main(["verify", "a2-conjugacy"]) == 0
     assert main(["verify", "d4-gir-not-gcr"]) == 1
-    assert main(["verify", "nope"]) == 2
     capsys.readouterr()
+    assert main(["verify", "nope"]) == 2
+    assert f"unknown scenario 'nope'; registered: {', '.join(scenario_names())}" in capsys.readouterr().err
 
 
 def test_cli_verify_json(capsys):
