@@ -327,10 +327,11 @@ class RadicalElement:
     def __eq__(self, other):
         if not isinstance(other, RadicalElement):
             return NotImplemented
+        if self.system is not other.system or self.registry is not other.registry:
+            return False
         if self.order == other.order:
             return self.coeffs == other.coeffs
-        return (self.system is other.system and self.registry is other.registry
-                and word_equal(self.as_word(), other.as_word()))
+        return word_equal(self.as_word(), other.as_word())
 
     def __hash__(self):
         raise TypeError("RadicalElement is unhashable; compare with ==")
@@ -354,14 +355,14 @@ def generic_radical_element(system, registry, order: Sequence[Root]) -> RadicalE
 # Frame handling and word normal form
 
 
-Normalized = namedtuple("Normalized", "frame_atoms frame_map torus tail_atoms tail collected")
+Normalized = namedtuple("Normalized", "frame_atoms frame_map torus tail_atoms tail")
 
 
 def normalize(w: GroupWord) -> Normalized:
     """Push every root element right of every frame atom, in one right-to-left
     pass that merges a pushed e_r(a) and an e_r(b) just right of it into
     e_r(a+b), dropped when a+b = 0, and collect the freely reduced tail when
-    its support closure is nilpotent.
+    its support closure is nilpotent (`tail`; None when it is not).
 
     The frame atoms right of the current position are held as an inverse root
     map inv and, per unit u, one cocharacter chi_u: their torus part moved to
@@ -407,10 +408,8 @@ def normalize(w: GroupWord) -> Normalized:
     torus = {u: chi.coeffs for u, chi in units.items() if not chi.is_zero}
 
     order = default_order(system, [e.root for e in tail])
-    if order is None:
-        return Normalized(tuple(frames), frame_map, torus, tuple(tail), None, False)
-    collected = collect(GroupWord(system, registry, tail), order)
-    return Normalized(tuple(frames), frame_map, torus, tuple(tail), collected, True)
+    collected = None if order is None else collect(GroupWord(system, registry, tail), order)
+    return Normalized(tuple(frames), frame_map, torus, tuple(tail), collected)
 
 
 def word_equal(w1: GroupWord, w2: GroupWord) -> bool:
@@ -426,12 +425,12 @@ def word_equal(w1: GroupWord, w2: GroupWord) -> bool:
     tails meet over the closure of their supports.
     """
     n = normalize(normalized_word(w1) * normalized_word(w2).inverse())
-    return n.frame_map.is_identity() and not n.torus and n.collected and n.tail.is_trivial
+    return n.frame_map.is_identity() and not n.torus and n.tail is not None and n.tail.is_trivial
 
 
 def normalized_word(w: GroupWord) -> GroupWord:
     n = normalize(w)
-    tail_atoms = n.tail.atoms() if n.collected else n.tail_atoms
+    tail_atoms = n.tail_atoms if n.tail is None else n.tail.atoms()
     frame_atoms = n.frame_atoms
     if frame_atoms and n.frame_map.is_identity() and not n.torus:
         frame_atoms = ()
@@ -471,7 +470,7 @@ def adjoint(g: GroupWord, v: Mapping[Root, Polynomial]) -> Dict[Root, Polynomial
     eps = registry.add(EPS)
     u = GroupWord(g.system, registry, [RootElement(r, eps * c) for r, c in v.items()])
     n = normalize(g * u * g.inverse())
-    if not n.collected:
+    if n.tail is None:
         raise ValueError("g does not normalize a unipotent group holding v")
     return {r: d for r, c in n.tail.coeffs.items() if (d := c.linear_part(EPS))}
 
@@ -591,14 +590,13 @@ def _apply_rule(q: Polynomial, unknowns: set, solved: SolvedSystem) -> bool:
 
 
 class CentralizerReport:
-    def __init__(self, radical, varmap, constraints, solved):
+    def __init__(self, radical, constraints, solved):
         self.radical = tuple(radical)
-        self.varmap = varmap            # Root -> variable name
         self.constraints = constraints  # ConstraintSystem
         self.solved = solved            # SolvedSystem
 
     def free_roots(self) -> tuple:
-        return tuple(r for r in self.radical if not self.solved.is_zero(self.varmap[r]))
+        return tuple(r for r in self.radical if not self.solved.is_zero(_coordinate_name(r)))
 
     def linear_classes(self) -> List[List[str]]:
         """Equality classes read off the degree-one binomial equations only
@@ -621,7 +619,7 @@ class CentralizerReport:
         if not free:
             return "1"
         # a class's representative is its first unknown, so it comes first in radical order
-        labels = list(dict.fromkeys(self.solved.rep(self.varmap[r]) for r in free))
+        labels = list(dict.fromkeys(self.solved.rep(_coordinate_name(r)) for r in free))
         if len(free) == len(labels):
             return " x ".join(f"U_{r.label}" for r in free)
         return "coordinates " + ", ".join(labels)
@@ -637,12 +635,11 @@ def centralizer_system(generators: Sequence[GroupWord], radical: Sequence[Root],
     """
     radical = tuple(radical)
     u = generic_radical_element(radical[0].system, registry, radical)
-    varmap = {r: _coordinate_name(r) for r in radical}
     equations: List[Polynomial] = []
     for g in generators:
         # the frame and torus parts of g u g^-1 cancel by construction
         n = normalize(g * u.as_word() * g.inverse())
-        if not n.collected or not set(n.tail.support) <= set(radical):
+        if n.tail is None or not set(n.tail.support) <= set(radical):
             raise ValueError("conjugate of the radical element did not return to the radical")
         conj = n.tail.reordered(radical)
         for r in radical:
@@ -650,5 +647,5 @@ def centralizer_system(generators: Sequence[GroupWord], radical: Sequence[Root],
             for layer in eq.split_by_units().values():
                 if not layer.is_zero:
                     equations.append(layer)
-    cs = ConstraintSystem(registry, equations, [varmap[r] for r in radical])
-    return CentralizerReport(radical, varmap, cs, cs.solve())
+    cs = ConstraintSystem(registry, equations, [_coordinate_name(r) for r in radical])
+    return CentralizerReport(radical, cs, cs.solve())

@@ -1,7 +1,7 @@
 """crlab: verification CLI for the symbolic Chevalley-group engine.
 
 Subcommands:
-  verify <scenario>|--all [--seed N] [--format text|json]
+  verify (<scenario> | --all) [--seed N] [--format text|json]
   collect <word-expr> --system {a2|a3|a4|d4} [--order <labels>]
   pairing <root-expr> <cochar-expr> --system ...
   rparabolic <cochar-expr> --system ...
@@ -110,8 +110,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "verify" and not args.all and not args.scenario:
-        print("verify needs a scenario name or --all", file=_sys.stderr)
+    if args.command == "verify" and args.all == bool(args.scenario):
+        print("verify needs a scenario name or --all, not both", file=_sys.stderr)
         return 2
     try:
         return args.func(args)

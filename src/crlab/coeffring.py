@@ -168,12 +168,9 @@ class Polynomial:
 
     def unit_inverse(self) -> "Polynomial":
         """Inverse of a unit monomial (single term over unit variables)."""
-        if len(self.terms) != 1:
+        if not self.is_unit_monomial():
             raise ValueError("only unit monomials are invertible")
         (m,) = self.terms
-        for i, _ in m:
-            if self.registry.kinds[i] != UNIT:
-                raise ValueError("only unit monomials are invertible")
         return Polynomial(self.registry, frozenset({tuple((i, -e) for i, e in m)}))
 
     @property
@@ -243,37 +240,24 @@ class Polynomial:
 
     def substitute(self, bindings: Mapping[str, "Polynomial"]) -> "Polynomial":
         reg = self.registry
-        idx_bindings = {}
         for name, val in bindings.items():
             if val.registry is not reg:
                 raise ValueError("binding from a different registry")
-            i = reg.index(name)
-            if reg.kinds[i] == UNIT and not val.is_unit_monomial():
+            if reg.kind(name) == UNIT and not val.is_unit_monomial():
                 raise ValueError(f"substituting a non-unit into Laurent variable {name!r}")
-            idx_bindings[i] = val
-        out = reg.zero()
-        for m in self.terms:
-            term = reg.one()
-            for i, e in m:
-                if i in idx_bindings:
-                    term = term * (idx_bindings[i] ** e)
-                else:
-                    term = term * Polynomial(reg, frozenset({((i, e),)}))
-            out = out + term
-        return out
+        ring = PolyRing(reg)
+        return self.evaluate({**ring.generic_point(), **bindings}, ring)
 
-    def evaluate(self, assign: Mapping[str, int], gf) -> int:
-        """Value in a finite field of characteristic 2 (for the matrix oracle)."""
-        total = 0
+    def evaluate(self, assign: Mapping[str, object], ring):
+        """Value at the point `assign` of `ring`, any ring with the oracle's
+        zero, one, add, mul and pow; ring.pow inverts for negative exponents."""
+        names = self.registry.names
+        total = ring.zero()
         for m in self.terms:
-            v = 1
+            v = ring.one()
             for i, e in m:
-                x = assign[self.registry.names[i]]
-                if e < 0:
-                    x = gf.inv(x)
-                    e = -e
-                v = gf.mul(v, gf.pow(x, e))
-            total ^= v
+                v = ring.mul(v, ring.pow(assign[names[i]], e))
+            total = ring.add(total, v)
         return total
 
     # -- rendering -------------------------------------------------------------
@@ -306,6 +290,40 @@ class Polynomial:
 
     def __repr__(self):
         return f"Polynomial({self})"
+
+
+class PolyRing:
+    """The engine's polynomial ring of one registry, evaluated at its generic
+    point: `value` returns the coefficient itself, and the assignment maps
+    each name to its own variable (`generic_point`).  Only unit monomials are
+    inverted, which is all an SL3 determinant or a torus entry needs."""
+
+    def __init__(self, registry: VariableRegistry):
+        self.registry = registry
+
+    def zero(self) -> Polynomial:
+        return self.registry.zero()
+
+    def one(self) -> Polynomial:
+        return self.registry.one()
+
+    def add(self, a: Polynomial, b: Polynomial) -> Polynomial:
+        return a + b
+
+    def mul(self, a: Polynomial, b: Polynomial) -> Polynomial:
+        return a * b
+
+    def pow(self, a: Polynomial, n: int) -> Polynomial:
+        return a ** n
+
+    def inv(self, a: Polynomial) -> Polynomial:
+        return a.unit_inverse()
+
+    def value(self, coeff: Polynomial, assign) -> Polynomial:
+        return coeff
+
+    def generic_point(self) -> Dict[str, Polynomial]:
+        return {name: self.registry.var(name) for name in self.registry.names}
 
 
 def classify_square_obstruction(p: Polynomial) -> str:

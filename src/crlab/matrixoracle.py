@@ -14,7 +14,7 @@ exist:
   - GF(q), q = 2, 4 or 16, elements encoded as ints in a polynomial basis
     (F4: u^2+u+1, F16: u^4+u+1), for enumerating M(F_q) and evaluating a
     word at a point;
-  - PolyRing(registry), the engine's own F2[vars, s][units^+-1], for
+  - coeffring.PolyRing(registry), the engine's own F2[vars, s][units^+-1], for
     evaluating a word once at the generic point.  SL3 x <sigma> over this
     domain is faithful, so two words are equal exactly when their matrices
     over PolyRing are.
@@ -27,7 +27,7 @@ from __future__ import annotations
 from typing import Dict, List, Sequence, Tuple
 
 from .chevalley import GraphAut, GroupWord, RootElement, TorusValue, WeylRep
-from .coeffring import Polynomial, VariableRegistry
+from .coeffring import Polynomial, PolyRing
 
 _IRRED = {2: 0b10, 4: 0b111, 16: 0b10011}
 
@@ -86,40 +86,6 @@ class GF:
         return range(self.q)
 
 
-class PolyRing:
-    """The engine's polynomial ring of one registry, evaluated at its generic
-    point: `value` returns the coefficient itself, and the assignment maps
-    each name to its own variable (`generic_point`).  Only unit monomials are
-    inverted, which is all an SL3 determinant or a torus entry needs."""
-
-    def __init__(self, registry: VariableRegistry):
-        self.registry = registry
-
-    def zero(self) -> Polynomial:
-        return self.registry.zero()
-
-    def one(self) -> Polynomial:
-        return self.registry.one()
-
-    def add(self, a: Polynomial, b: Polynomial) -> Polynomial:
-        return a + b
-
-    def mul(self, a: Polynomial, b: Polynomial) -> Polynomial:
-        return a * b
-
-    def pow(self, a: Polynomial, n: int) -> Polynomial:
-        return a ** n
-
-    def inv(self, a: Polynomial) -> Polynomial:
-        return a.unit_inverse()
-
-    def value(self, coeff: Polynomial, assign) -> Polynomial:
-        return coeff
-
-    def generic_point(self) -> Dict[str, Polynomial]:
-        return {name: self.registry.var(name) for name in self.registry.names}
-
-
 Mat = Tuple[Tuple[int, ...], ...]
 
 
@@ -144,29 +110,19 @@ def _j_transpose_j(A: Mat) -> Mat:
     return tuple(tuple(A[2 - j][2 - i] for j in range(3)) for i in range(3))
 
 
-def mat_det(ring, A: Mat):
-    add, mul = ring.add, ring.mul
-    d = ring.zero()
-    for j0, j1, j2 in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        d = add(d, mul(A[0][j0], mul(A[1][j1], A[2][j2])))
-        d = add(d, mul(A[0][j2], mul(A[1][j1], A[2][j0])))
-    return d
-
-
 def mat_inv(ring, A: Mat) -> Mat:
+    """Inverse by one cofactor pass: column j of adj(A) is the cross product
+    of rows j+1 and j+2 (indices mod 3, signs vanish in characteristic 2),
+    and det(A) is row 0 dotted with column 0 of adj(A)."""
     add, mul = ring.add, ring.mul
-    dinv = ring.inv(mat_det(ring, A))
-    cof = [[None] * 3 for _ in range(3)]
-    for i in range(3):
-        for j in range(3):
-            r = [k for k in range(3) if k != i]
-            c = [k for k in range(3) if k != j]
-            minor = add(
-                mul(A[r[0]][c[0]], A[r[1]][c[1]]),
-                mul(A[r[0]][c[1]], A[r[1]][c[0]]),
-            )
-            cof[j][i] = mul(minor, dinv)  # transpose of cofactors; signs vanish
-    return tuple(tuple(row) for row in cof)
+    adj_cols = []
+    for j in (0, 1, 2):
+        r, s = A[(j + 1) % 3], A[(j + 2) % 3]
+        adj_cols.append([add(mul(r[(i + 1) % 3], s[(i + 2) % 3]), mul(r[(i + 2) % 3], s[(i + 1) % 3]))
+                         for i in (0, 1, 2)])
+    c0 = adj_cols[0]
+    dinv = ring.inv(add(add(mul(A[0][0], c0[0]), mul(A[0][1], c0[1])), mul(A[0][2], c0[2])))
+    return tuple(tuple(mul(col[i], dinv) for col in adj_cols) for i in (0, 1, 2))
 
 
 def sigma_twist(ring, A: Mat) -> Mat:

@@ -61,7 +61,5 @@ def word_in_rparabolic(w: GroupWord, lam: Cocharacter) -> bool:
     n = normalize(w)
     if n.frame_map.act_cochar(lam) != lam:
         return False
-    tail_roots = (
-        tuple(n.tail.support) if n.collected else tuple(e.root for e in n.tail_atoms)
-    )
+    tail_roots = [e.root for e in n.tail_atoms] if n.tail is None else n.tail.support
     return all(pairing(r, lam) >= 0 for r in tail_roots)

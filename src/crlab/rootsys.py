@@ -19,11 +19,14 @@ Roots are singletons per system: RootSystem builds each Root once, every
 operation returns one of those objects, and root_system() caches the systems,
 so root equality is identity.  RootSystem also tabulates addition once, one
 entry per ordered pair of root indices holding the sum root or None when the
-sum is not a root, so Root.__add__ is two index operations.
+sum is not a root, so Root.__add__ is two index operations.  Reflections,
+diagram symmetries and Weyl elements are computed once per system by
+functools.cache, which holds the system as long as root_system() does.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 from math import gcd, lcm
@@ -253,9 +256,6 @@ class RootSystem:
             self.root(tuple(1 if j == i else 0 for j in range(self.rank)))
             for i in range(self.rank)
         )
-        self._weyl = None
-        self._diagram = None
-        self._reflection_cache = {}
 
     # -- construction -----------------------------------------------------
 
@@ -316,25 +316,23 @@ class RootSystem:
             self.root([sum(c * col[i] for c, col in zip(r.coeffs, columns)) for i in range(self.rank)]).index
             for r in self.roots])
 
+    @functools.cache
     def reflection(self, xi: Root) -> RootMap:
-        if xi.index not in self._reflection_cache:
-            chi = self.coroot(xi)
-            self._reflection_cache[xi.index] = self._linear_map(
-                [[c - pairing(s, chi) * x for c, x in zip(s.coeffs, xi.coeffs)] for s in self.simple_roots])
-        return self._reflection_cache[xi.index]
+        chi = self.coroot(xi)
+        return self._linear_map(
+            [[c - pairing(s, chi) * x for c, x in zip(s.coeffs, xi.coeffs)] for s in self.simple_roots])
 
     def diagram_map(self, perm: Sequence[int]) -> RootMap:
         """Linear extension of a simple-root permutation i -> perm[i]."""
         return self._linear_map([self.simple_roots[j].coeffs for j in perm])
 
+    @functools.cache
     def diagram_symmetries(self) -> dict:
         """All Dynkin-diagram symmetries, as name -> RootMap ('id' included).
 
         'sigma' is the canonical generator: the triality 3-cycle
         alpha -> gamma -> delta -> alpha for D4, the flip for A_n (n >= 2).
         """
-        if self._diagram is not None:
-            return self._diagram
         rank, cartan = self.rank, self.cartan
         perms = [
             p
@@ -359,27 +357,25 @@ class RootSystem:
             if p not in named.values():
                 named[f"tau{k}"] = p
                 k += 1
-        self._diagram = {name: self.diagram_map(p) for name, p in named.items()}
-        return self._diagram
+        return {name: self.diagram_map(p) for name, p in named.items()}
 
+    @functools.cache
     def weyl_elements(self) -> tuple:
         """All Weyl-group elements as RootMaps, in a deterministic BFS order."""
-        if self._weyl is None:
-            gens = [self.reflection(s) for s in self.simple_roots]
-            start = self.identity_map()
-            seen = {start.images: start}
-            queue = [start]
-            while queue:
-                nxt = []
-                for m in queue:
-                    for g in gens:
-                        c = g.compose(m)
-                        if c.images not in seen:
-                            seen[c.images] = c
-                            nxt.append(c)
-                queue = nxt
-            self._weyl = tuple(seen.values())
-        return self._weyl
+        gens = [self.reflection(s) for s in self.simple_roots]
+        start = self.identity_map()
+        seen = {start.images: start}
+        queue = [start]
+        while queue:
+            nxt = []
+            for m in queue:
+                for g in gens:
+                    c = g.compose(m)
+                    if c.images not in seen:
+                        seen[c.images] = c
+                        nxt.append(c)
+            queue = nxt
+        return tuple(seen.values())
 
     def _weyl_diagram_pairs(self):
         """Yield (w, d), w a Weyl element and d a diagram symmetry: d sorted by
@@ -395,7 +391,7 @@ class RootSystem:
         return tuple(w.compose(d) for w, d in self._weyl_diagram_pairs())
 
 
-_SYSTEMS: dict = {}
+_SYSTEMS: dict = {}  # keyed by the normalized label, so "d4" and "D4" share one system
 
 
 def root_system(label: str) -> RootSystem:

@@ -1,5 +1,5 @@
 """Helpers and brute-force references that only the tests need: the whole
-of M(F_q), random points for finite-field evaluation, the literal matrix
+of M(F_q), the Leibniz determinant, random points for finite-field evaluation, the literal matrix
 transpose, monomials built from exponent maps, the matrix derivative of a
 word, polynomials parsed from text, w0 found by generating the whole
 parabolic subgroup, and re-expression over another order one root at a time.
@@ -18,6 +18,16 @@ from crlab.wordexpr import _Parser
 
 def mat_transpose(A: Mat) -> Mat:
     return tuple(tuple(A[j][i] for j in range(3)) for i in range(3))
+
+
+def mat_det(ring, A: Mat):
+    """det(A) as the six-term Leibniz sum (signs vanish in characteristic 2)."""
+    add, mul = ring.add, ring.mul
+    d = ring.zero()
+    for j0, j1, j2 in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        d = add(d, mul(A[0][j0], mul(A[1][j1], A[2][j2])))
+        d = add(d, mul(A[0][j2], mul(A[1][j1], A[2][j0])))
+    return d
 
 
 def m_group_elements(gf: GF) -> List[A2Matrix]:

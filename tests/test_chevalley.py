@@ -343,7 +343,7 @@ def test_conjugate_action_law():
 def test_uncollectible_conjugation_is_flagged():
     sys, reg = d4_setup()
     h = word(sys, reg, e(sys, reg, 11, 1), e(sys, reg, -12, 1), e(sys, reg, 12, "y"))
-    assert not normalize(h).collected
+    assert normalize(h).tail is None
     assert conjugate(word(sys, reg), h).atoms == h.atoms  # pushed, left uncollected
 
 
@@ -513,7 +513,7 @@ def test_tangent_space_of_the_centralizer_exceeds_its_reduced_group():
     assert report.subgroup_description() == "U_12"
     images = [{r: adjoint(g, {r: reg.one()}) for r in radical} for g in gens]
     # d p / d x_r at 0 is the constant term of the coefficient of x_r^1
-    gradients = [[() in p.linear_part(report.varmap[r]).terms for r in radical]
+    gradients = [[() in p.linear_part(chevalley._coordinate_name(r)).terms for r in radical]
                  for p in report.constraints.equations]
 
     def ad(image, support):
@@ -737,6 +737,18 @@ def test_radical_equality_across_a_graded_and_a_non_graded_order(typ, labels, se
         changed = RadicalElement(sys, regs[0], b.order, {**b.coeffs, r: b.coefficient(r) + regs[0].one()})
         assert a != changed
         assert a != element(shuffled, 1)
+
+
+def test_radical_equality_needs_one_system_and_one_registry_on_both_paths():
+    """Empty elements of different registries, or of different systems, are
+    unequal over one order as over two."""
+    d4, a2 = root_system("d4"), root_system("a2")
+    r1, r2 = VariableRegistry(), VariableRegistry()
+    pos = d4.positive_roots
+    for order in (pos, pos[::-1]):
+        assert RadicalElement(d4, r1, pos, {}) != RadicalElement(d4, r2, order, {})
+        assert RadicalElement(d4, r1, pos, {}) == RadicalElement(d4, r1, order, {})
+    assert RadicalElement(d4, r1, (), {}) != RadicalElement(a2, r1, (), {})
 
 
 def test_torus_frames_accumulate():
@@ -986,13 +998,12 @@ def test_normalize_matches_the_frame_by_frame_reference(label):
         assert n.frame_map == frame_map
         assert n.torus == torus
         assert n.tail_atoms == tail_atoms
-        assert n.collected == (collected is not None)
         if collected is None:
             assert n.tail is None
         else:
             assert n.tail.order == collected.order
             assert list(n.tail.coeffs.items()) == list(collected.coeffs.items())
-        outcomes.add((n.collected, bool(n.torus), n.frame_map.is_identity()))
+        outcomes.add((n.tail is not None, bool(n.torus), n.frame_map.is_identity()))
     assert {c for c, _, _ in outcomes} == {True, False}
     assert {t for _, t, _ in outcomes} == {True, False}
     assert merged  # free reduction shortened some tails

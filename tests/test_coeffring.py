@@ -15,6 +15,7 @@ from crlab.coeffring import (
     _mul_mono,
     classify_square_obstruction,
 )
+from crlab.matrixoracle import GF
 
 from references import monomial
 
@@ -108,6 +109,28 @@ def test_substitute_unit_guard():
     with pytest.raises(ValueError):
         reg.var("t").substitute({"t": reg.var("x4") + reg.var("y")})
     assert reg.var("t").substitute({"t": reg.var("t") ** 2}) == reg.var("t") ** 2
+
+
+def test_substitute_then_evaluate_is_evaluate_at_the_substituted_point():
+    """The one evaluator, over PolyRing (substitute) and over GF(16):
+    substituting and then evaluating is evaluating where the bindings go."""
+    reg = VariableRegistry()
+    reg.add("x")
+    reg.add("y")
+    reg.add("t", UNIT)
+    gf, rng = GF(16), random.Random(44)
+
+    def rand_poly():
+        return sum((monomial(reg, {"x": rng.randrange(3), "y": rng.randrange(3), "t": rng.randrange(-3, 4)})
+                    for _ in range(rng.randrange(1, 5))), reg.zero())
+
+    for _ in range(60):
+        p = rand_poly()
+        b = {"x": rand_poly(), "t": monomial(reg, {"t": rng.choice((-2, -1, 1, 3))})}
+        for _ in range(4):
+            pt = {"x": rng.randrange(16), "y": rng.randrange(16), "t": rng.randrange(1, 16)}
+            moved = {**pt, **{n: b[n].evaluate(pt, gf) for n in b}}
+            assert p.substitute(b).evaluate(pt, gf) == p.evaluate(moved, gf)
 
 
 def test_classifier_key_cases():

@@ -25,7 +25,6 @@ from crlab.matrixoracle import (
     identity,
     m_stabilizer,
     matrix_oracle_check,
-    mat_det,
     mat_inv,
     mat_mul,
     pair_for_value,
@@ -35,7 +34,7 @@ from crlab.matrixoracle import (
 )
 from crlab.rootsys import root_system
 
-from references import lie_word, linear_matrix, m_group_elements, mat_transpose
+from references import lie_word, linear_matrix, m_group_elements, mat_det, mat_transpose
 
 
 def setup():
@@ -98,6 +97,14 @@ def test_mat_inverse():
             continue
         found += 1
         assert mat_mul(gf, A, mat_inv(gf, A)) == identity(gf)
+    # exact SL3 matrices of A2 words: root, Weyl, torus (negative powers) and sigma atoms
+    sys, reg = setup()
+    ring = PolyRing(reg)
+    rng = random.Random(20)
+    for _ in range(20):
+        A = exact_word(random_a2_word(sys, reg, rng)).mat
+        assert mat_det(ring, A) == ring.one()
+        assert mat_mul(ring, A, mat_inv(ring, A)) == identity(ring)
 
 
 def test_sigma_invariants():

@@ -103,6 +103,11 @@ def test_cli_verify_exit_codes(capsys):
     capsys.readouterr()
     assert main(["verify", "nope"]) == 2
     assert f"unknown scenario 'nope'; registered: {', '.join(scenario_names())}" in capsys.readouterr().err
+    for argv in (["verify"], ["verify", "a2-conjugacy", "--all"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "verify needs a scenario name or --all, not both" in captured.err
 
 
 def test_cli_verify_json(capsys):
