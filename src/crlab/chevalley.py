@@ -87,10 +87,8 @@ class GraphAut:
 
     def inverse(self):
         inv = self.map.inverse()
-        for name, m in self.system.diagram_symmetries().items():
-            if m == inv:
-                return GraphAut(self.system, name)
-        raise AssertionError("diagram symmetries are closed under inversion")
+        diag = self.system.diagram_symmetries()
+        return GraphAut(self.system, next(name for name, m in diag.items() if m == inv))
 
     def __eq__(self, other):
         return isinstance(other, GraphAut) and self.map == other.map
@@ -235,6 +233,8 @@ def collect(x, order: Sequence[Root], registry: Optional[VariableRegistry] = Non
     """
     order = tuple(order)
     if isinstance(x, GroupWord):
+        if registry is not None and registry is not x.registry:
+            raise ValueError("coefficients from different registries")
         system, registry, atoms = x.system, x.registry, list(x.atoms)
     else:
         system, atoms = (order[0].system if order else None), list(x)
@@ -333,9 +333,6 @@ class RadicalElement:
             return self.coeffs == other.coeffs
         return word_equal(self.as_word(), other.as_word())
 
-    def __hash__(self):
-        raise TypeError("RadicalElement is unhashable; compare with ==")
-
     def __repr__(self):
         return "*".join(map(repr, self.atoms())) or "1"
 
@@ -355,7 +352,7 @@ def generic_radical_element(system, registry, order: Sequence[Root]) -> RadicalE
 # Frame handling and word normal form
 
 
-Normalized = namedtuple("Normalized", "frame_atoms frame_map torus tail_atoms tail")
+Normalized = namedtuple("Normalized", "frame_map torus tail_atoms tail")
 
 
 def normalize(w: GroupWord) -> Normalized:
@@ -375,7 +372,6 @@ def normalize(w: GroupWord) -> Normalized:
     system, registry = w.system, w.registry
     inv = system.identity_map()
     units: Dict[str, Cocharacter] = {}
-    frames: List = []
     tail: List[RootElement] = []
     for atom in reversed(w.atoms):
         if isinstance(atom, RootElement):
@@ -393,23 +389,20 @@ def normalize(w: GroupWord) -> Normalized:
                     continue
             tail.append(RootElement(root, coeff))
         elif isinstance(atom, TorusValue):
-            frames.append(atom)
             chi = units.get(atom.unit)
             units[atom.unit] = atom.cochar if chi is None else chi + atom.cochar
         elif isinstance(atom, (WeylRep, GraphAut)):
-            frames.append(atom)
             units = {u: atom.map.act_cochar(chi) for u, chi in units.items()}
             inv = inv.compose(atom.map.inverse())
         else:
             raise ValueError(f"unknown atom {atom!r}")
-    frames.reverse()
     tail.reverse()
     frame_map = inv.inverse()
     torus = {u: chi.coeffs for u, chi in units.items() if not chi.is_zero}
 
     order = default_order(system, [e.root for e in tail])
     collected = None if order is None else collect(GroupWord(system, registry, tail), order)
-    return Normalized(tuple(frames), frame_map, torus, tuple(tail), collected)
+    return Normalized(frame_map, torus, tuple(tail), collected)
 
 
 def word_equal(w1: GroupWord, w2: GroupWord) -> bool:
@@ -431,10 +424,10 @@ def word_equal(w1: GroupWord, w2: GroupWord) -> bool:
 def normalized_word(w: GroupWord) -> GroupWord:
     n = normalize(w)
     tail_atoms = n.tail_atoms if n.tail is None else n.tail.atoms()
-    frame_atoms = n.frame_atoms
-    if frame_atoms and n.frame_map.is_identity() and not n.torus:
-        frame_atoms = ()
-    return GroupWord(w.system, w.registry, tuple(frame_atoms) + tuple(tail_atoms))
+    frame_atoms = ()
+    if not n.frame_map.is_identity() or n.torus:
+        frame_atoms = tuple(a for a in w.atoms if not isinstance(a, RootElement))
+    return GroupWord(w.system, w.registry, frame_atoms + tail_atoms)
 
 
 # ---------------------------------------------------------------------------
@@ -551,7 +544,7 @@ class ConstraintSystem:
                     residuals.append(q)
             if len(nxt) == len(pending):
                 # a failed rule changes nothing, so this pass's binding is final
-                solved.residuals = residuals
+                solved.residuals = list(dict.fromkeys(residuals))
                 return solved
             pending = nxt
 

@@ -20,8 +20,6 @@ class RParabolicData:
     symmetries commuting with lambda."""
 
     def __init__(self, system: RootSystem, lam: Cocharacter):
-        self.system = system
-        self.lam = lam
         self.p_roots = frozenset(r for r in system.roots if pairing(r, lam) >= 0)
         self.l_roots = frozenset(r for r in system.roots if pairing(r, lam) == 0)
         self.u_roots = frozenset(r for r in system.roots if pairing(r, lam) > 0)

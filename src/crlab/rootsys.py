@@ -463,18 +463,13 @@ def minus_one_realization(system: RootSystem, simples: Sequence[Root]):
     """(w0 of the subsystem, optional extra symmetry sigma_L).
 
     When w0 already negates every subsystem root, sigma_L is None.  Otherwise
-    sigma_L is the root map with w0∘sigma_L = -1 on the subsystem; restricted
-    to the subsystem it is a diagram symmetry (this is asserted).
+    sigma_L = w0^-1∘(-1), so w0∘sigma_L = -1 on the subsystem; it permutes
+    the subsystem simples, a diagram symmetry of the subsystem.
     """
     w0 = longest_element(system, simples)
-    sub = subsystem_roots(system, simples)
-    if all(w0(r) == -r for r in sub):
+    if all(w0(r) == -r for r in subsystem_roots(system, simples)):
         return w0, None
-    sigma_l = w0.inverse().compose(system.minus_one_map())
-    sub_simple = set(simples)
-    assert all(sigma_l(s) in sub_simple for s in simples), "sigma_L must permute the subsystem simples"
-    assert all(w0(sigma_l(r)) == -r for r in sub)
-    return w0, sigma_l
+    return w0, w0.inverse().compose(system.minus_one_map())
 
 
 def extends_to_ambient(
@@ -505,38 +500,23 @@ def extends_to_ambient(
     return None
 
 
-class W0Report:
-    """Outcome of the composite-map checks for one (ambient, L, lambda) triple."""
-
-    def __init__(self, hypothesis_ok, checks):
-        self.hypothesis_ok = hypothesis_ok
-        self.checks = checks  # list of (name, ok, detail)
-
-    @property
-    def all_ok(self) -> bool:
-        return self.hypothesis_ok and all(ok for _, ok, _ in self.checks)
-
-
-def verify_w0_identities(system: RootSystem, L_simples: Sequence[Root], lam: Cocharacter) -> W0Report:
-    """Check that w = w0L-bar ∘ w0G-bar fixes the Levi roots and flips the
-    radical root set, given that the Levi realization extends to the ambient
-    group; reports a hypothesis failure when it does not extend."""
-    zero = {s for s in system.simple_roots if pairing(s, lam) == 0}
-    if zero != set(L_simples):
-        raise ValueError("L_simples must be exactly the simple roots pairing to 0 with lambda")
+def verify_w0_identities(lam: Cocharacter) -> Optional[dict]:
+    """Check that w = w0L-bar ∘ w0G-bar fixes the roots of the Levi of lam
+    (spanned by the simple roots pairing 0 with lam) and flips the radical
+    root set.  None when -1 on the Levi does not extend to the ambient
+    group, else {"fixes-levi-roots": bool, "maps-radical-to-opposite": bool}."""
+    system = lam.system
+    L_simples = [s for s in system.simple_roots if pairing(s, lam) == 0]
     sub = subsystem_roots(system, L_simples)
-    partial = {r: -r for r in sub}
-    ext = extends_to_ambient(system, L_simples, partial)
+    ext = extends_to_ambient(system, L_simples, {r: -r for r in sub})
     if ext is None:
-        return W0Report(False, [])
+        return None
     w = ext.compose(system.minus_one_map())  # apply w0G-bar = -1 first
-    checks = []
-    fixed = all(w(r) == r for r in sub)
-    checks.append(("fixes-levi-roots", fixed, f"{len(sub)} roots checked"))
     u_roots = [r for r in system.roots if pairing(r, lam) > 0]
-    flipped = {w(r) for r in u_roots} == {-r for r in u_roots}
-    checks.append(("maps-radical-to-opposite", flipped, f"{len(u_roots)} roots checked"))
-    return W0Report(True, checks)
+    return {
+        "fixes-levi-roots": all(w(r) == r for r in sub),
+        "maps-radical-to-opposite": {w(r) for r in u_roots} == {-r for r in u_roots},
+    }
 
 
 def row_reduce(rows: Sequence[Sequence]) -> tuple:
@@ -563,10 +543,10 @@ def row_reduce(rows: Sequence[Sequence]) -> tuple:
     return A, pivots
 
 
-def fixed_cocharacter_lattice(system: RootSystem, m: RootMap) -> list:
+def fixed_cocharacter_lattice(m: RootMap) -> list:
     """Primitive generators of the integral cocharacters fixed by a root map
     (the kernel of m - 1 on the coweight lattice), sign-normalized."""
-    n = system.rank
+    n = m.system.rank
     mat = m.matrix
     rows, pivots = row_reduce([[mat[i][j] - (i == j) for j in range(n)] for i in range(n)])
     basis = []
@@ -577,9 +557,8 @@ def fixed_cocharacter_lattice(system: RootSystem, m: RootMap) -> list:
             v[pc] = -rows[i][fc]
         den = lcm(*(x.denominator for x in v))
         ints = [int(x * den) for x in v]
-        g = gcd(*ints)
-        if g:
-            ints = [x // g for x in ints]
+        g = gcd(*ints)  # at least 1: the free column holds den
+        ints = [x // g for x in ints]
         if next((x for x in ints if x != 0), 0) < 0:
             ints = [-x for x in ints]
         basis.append(tuple(ints))

@@ -270,7 +270,7 @@ def _d4_gir(step) -> None:
 
     step("torus-fixed-line",
          "the cocharacters fixed by n[a]*sigma form the line through (a+2b+c+d)^v",
-         [(1, 2, 1, 1)], lambda: fixed_cocharacter_lattice(sys, compose_word(sys, ["a", "sigma"])))
+         [(1, 2, 1, 1)], lambda: fixed_cocharacter_lattice(compose_word(sys, ["a", "sigma"])))
 
     n12 = compose_word(sys, W0_WORD)
     step("n12-action-on-11",
@@ -421,11 +421,10 @@ def _d4_nonsep(step) -> None:
 
 def _w0(step) -> None:
     d4 = root_system("d4")
-    L = [d4.simple("a"), d4.simple("c"), d4.simple("d")]
 
     def d4_identities():
-        report = verify_w0_identities(d4, L, _lam(d4))
-        detail = ", ".join(f"{n}:{'ok' if good else 'FAIL'}" for n, good, _ in report.checks)
+        checks = verify_w0_identities(_lam(d4)) or {}
+        detail = ", ".join(f"{n}:{'ok' if good else 'FAIL'}" for n, good in checks.items())
         return detail or "hypothesis failed"
     step("d4-composite-identities",
          "w = w0L-bar o w0G-bar fixes the A1^3 Levi roots and flips the radical",
@@ -445,8 +444,8 @@ def _w0(step) -> None:
     step("a3-hypothesis-failure",
          "the composite-map argument is reported unavailable for (A3, L_ab)",
          "hypothesis failure",
-         lambda: ("unexpectedly extended" if verify_w0_identities(a3, La3, lam_a3).hypothesis_ok
-                  else "hypothesis failure"))
+         lambda: ("hypothesis failure" if verify_w0_identities(lam_a3) is None
+                  else "unexpectedly extended"))
 
     minus_one_on_levi = "w0L o sigma_L = -1 on the Levi"
 
@@ -463,9 +462,10 @@ def _w0(step) -> None:
          minus_one_on_levi, a3_realization)
 
     regular, lam_regular = "regular case: -1 flips everything", d4.cocharacter((1, 1, 1, 1))
+    all_ok = {"fixes-levi-roots": True, "maps-radical-to-opposite": True}
     step("regular-lambda-vacuous",
          "with no Levi simples the composite is -1 and flips every root",
-         regular, lambda: regular if verify_w0_identities(d4, [], lam_regular).all_ok else "failed")
+         regular, lambda: regular if verify_w0_identities(lam_regular) == all_ok else "failed")
 
 
 # ---------------------------------------------------------------------------

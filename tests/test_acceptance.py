@@ -153,7 +153,7 @@ def test_criterion_5_centralizer_of_M():
     rep_o = centralizer_system(gens, opposite, reg)
     ok = ok and rep_o.subgroup_description() == "U_-12"
 
-    lattice = fixed_cocharacter_lattice(sys, compose_word(sys, ["a", "sigma"]))
+    lattice = fixed_cocharacter_lattice(compose_word(sys, ["a", "sigma"]))
     ok = ok and lattice == [(1, 2, 1, 1)]
     assert report(5, ok, "centralizer systems give the equalities, x6^2 = 0, U_12, U_-12 "
                          "and the rank-1 fixed cocharacter line")
@@ -217,16 +217,14 @@ def test_criterion_6_longest_word_actions():
 
 def test_criterion_7_composite_map_identities():
     d4 = root_system("d4")
-    L = [d4.simple("a"), d4.simple("c"), d4.simple("d")]
-    rep = verify_w0_identities(d4, L, d4.cocharacter((1, 2, 1, 1)))
-    ok = rep.hypothesis_ok and rep.all_ok
+    rep = verify_w0_identities(d4.cocharacter((1, 2, 1, 1)))
+    ok = rep == {"fixes-levi-roots": True, "maps-radical-to-opposite": True}
 
     a3 = root_system("a3")
     La3 = [a3.simple("a"), a3.simple("b")]
     partial = {r: -r for r in subsystem_roots(a3, La3)}
     ok = ok and extends_to_ambient(a3, La3, partial) is None
-    rep_a3 = verify_w0_identities(a3, La3, a3.cocharacter((1, 2, 3)))
-    ok = ok and not rep_a3.hypothesis_ok
+    ok = ok and verify_w0_identities(a3.cocharacter((1, 2, 3))) is None
     assert report(7, ok, "w fixes the A1^3 Levi and flips the radical; the A3 case does not extend")
 
 

@@ -14,6 +14,7 @@ from crlab import chevalley
 from crlab.coeffring import UNIT, SQRT, VariableRegistry
 from crlab.chevalley import (
     EPS,
+    ConstraintSystem,
     GraphAut,
     RadicalElement,
     RootElement,
@@ -256,6 +257,15 @@ def test_reexpress_collects_once_per_grade(typ, labels, seed, monkeypatch):
         assert got.coeffs == per_root_reexpress(collect(atoms, graded, reg), tuple(order))
 
 
+def test_collect_rejects_a_registry_other_than_the_words():
+    sys, reg = d4_setup()
+    order = radical_roots(sys, (4,))
+    w = word(sys, reg, e(sys, reg, 4, reg.var("x4")))
+    with pytest.raises(ValueError, match="coefficients from different registries"):
+        collect(w, order, VariableRegistry())
+    assert collect(w, order, reg) == collect(w, order)
+
+
 def test_collect_rejects_an_order_listing_a_root_twice():
     sys, reg = d4_setup()
     with pytest.raises(ValueError, match="twice"):
@@ -398,9 +408,10 @@ def test_generic_conjugation_trivial_u():
     radical = radical_roots(sys, range(4, 13))
     u = collect([], radical, reg).as_word()
     g = nsigma_word(sys, reg)
-    n = normalize(u.inverse() * g * u)
+    w = u.inverse() * g * u
+    n = normalize(w)
     assert collect(n.tail_atoms, radical, reg).is_trivial
-    assert word_equal(word(sys, reg, *n.frame_atoms), g)
+    assert word_equal(word(sys, reg, *(a for a in w.atoms if not isinstance(a, RootElement))), g)
 
 
 # ---------------------------------------------------------------------------
@@ -573,6 +584,33 @@ def test_centralizer_of_nsigma_alone():
     assert x[5] * x[10] + x[6] * x[9] in eqs
     classes = rep.solved.classes()
     assert {"x6", "x9"} <= set().union(*classes)
+
+
+def test_subgroup_description_verdicts():
+    sys, reg = d4_setup()
+    radical = radical_roots(sys, range(4, 13))
+    rep = centralizer_system([nsigma_word(sys, reg)], radical, reg)
+    assert rep.subgroup_description() == "coordinates x4, x12"
+    assert [str(p) for p in rep.solved.forced] == ["x4^2+x6^2"]
+
+    lam_torus = word(sys, reg, TorusValue(sys.cocharacter((1, 2, 1, 1)), "t"))
+    assert centralizer_system([lam_torus], radical, reg).subgroup_description() == "1"
+
+    lam = sys.cocharacter((2, 3, 2, 2))
+    u_lam = [r for r in sys.roots if pairing(r, lam) > 0]
+    g = word(sys, reg, WeylRep(sys.simple("b")), GraphAut(sys, "sigma"))
+    rep = centralizer_system([g], u_lam, reg)
+    assert rep.subgroup_description() == "unsolved"
+    # two of the equations reduce to the same residual; it is recorded once
+    assert [str(p) for p in rep.solved.residuals] == ["x1^3+x11+x12"]
+
+
+def test_a_product_of_unknowns_stays_a_residual():
+    reg = VariableRegistry()
+    x4, x5 = reg.add("x4"), reg.add("x5")
+    solved = ConstraintSystem(reg, [x4 * x5], ["x4", "x5"]).solve()
+    assert solved.residuals == [x4 * x5]
+    assert not solved.triangular
 
 
 def test_solved_system_classes_follow_the_unknowns_order():
@@ -994,7 +1032,8 @@ def test_normalize_matches_the_frame_by_frame_reference(label):
         n = normalize(w)
         frames, frame_map, torus, tail_atoms, collected = reference_normalize(w)
         merged += len(tail_atoms) < sum(isinstance(a, RootElement) and not a.coeff.is_zero for a in w.atoms)
-        assert n.frame_atoms == frames
+        frame_part = tuple(a for a in normalized_word(w).atoms if not isinstance(a, RootElement))
+        assert frame_part == (() if frame_map.is_identity() and not torus else frames)
         assert n.frame_map == frame_map
         assert n.torus == torus
         assert n.tail_atoms == tail_atoms

@@ -227,6 +227,13 @@ def test_exact_word_specializes_to_the_f16_evaluation():
             assert exact.flag == numeric.flag
 
 
+def test_exact_word_skips_the_identity_diagram_atom():
+    sys, reg = setup()
+    u = word(sys, reg, RootElement(sys.root_by_label(1), reg.var("x")))
+    ident = word(sys, reg, GraphAut(sys, "id"))
+    assert exact_word(ident * u * ident) == exact_word(u)
+
+
 def test_exact_oracle_rejects_near_miss_identities():
     sys, reg = setup()
     x, y, z = reg.var("x"), reg.var("y"), reg.var("z")

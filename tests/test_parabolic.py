@@ -159,6 +159,12 @@ def test_word_membership():
     assert not word_in_rparabolic(bad, lam)
 
 
+def test_a_frame_that_moves_lambda_is_outside_the_parabolic():
+    sys, reg = d4_setup()
+    # s_beta(lambda) = lambda - <beta, lambda> beta^v, and <beta, (a+2b+c+d)^v> = 1
+    assert not word_in_rparabolic(word(sys, reg, WeylRep(sys.simple("b"))), lam_d4(sys))
+
+
 def test_word_membership_of_a_word_that_freely_reduces_to_1():
     # e-1 pairs -2 with alpha^v, but the word is 1, which lies in every P_lambda
     sys = root_system("a2")
