@@ -139,7 +139,13 @@ class GroupWord:
         return GroupWord(self.system, self.registry, [a.inverse() for a in reversed(self.atoms)])
 
     def __repr__(self):
-        return "*".join(repr(a) for a in self.atoms) if self.atoms else "1"
+        """The atoms' reprs, '*' between two root elements and '·' elsewhere;
+        the text parses back to the atoms."""
+        atoms = self.atoms
+        out = repr(atoms[0]) if atoms else "1"
+        for a, b in zip(atoms, atoms[1:]):
+            out += ("*" if isinstance(a, RootElement) and isinstance(b, RootElement) else "·") + repr(b)
+        return out
 
 
 def word(system: RootSystem, registry: VariableRegistry, *atoms) -> GroupWord:
@@ -523,12 +529,16 @@ class SolvedSystem:
 
 
 class ConstraintSystem:
-    """Polynomial equations p = 0 over radical coordinates."""
+    """Polynomial equations p = 0 over the coordinates of a generic element
+    of the radical (one unknown per root, in radical order), solved once
+    into `solved`."""
 
-    def __init__(self, registry: VariableRegistry, equations: Iterable[Polynomial], unknowns: Sequence[str]):
+    def __init__(self, registry: VariableRegistry, equations: Iterable[Polynomial], radical: Sequence[Root]):
         self.registry = registry
         self.equations = tuple(dict.fromkeys(p for p in equations if not p.is_zero))
-        self.unknowns = tuple(unknowns)
+        self.radical = tuple(radical)
+        self.unknowns = tuple(_coordinate_name(r) for r in self.radical)
+        self.solved = self.solve()
 
     def solve(self) -> SolvedSystem:
         solved = SolvedSystem(self.unknowns)
@@ -547,6 +557,35 @@ class ConstraintSystem:
                 solved.residuals = list(dict.fromkeys(residuals))
                 return solved
             pending = nxt
+
+    def free_roots(self) -> tuple:
+        return tuple(r for r in self.radical if not self.solved.is_zero(_coordinate_name(r)))
+
+    def linear_classes(self) -> List[List[str]]:
+        """Equality classes read off the degree-one binomial equations only
+        (the raw coordinate equalities, before quadratic propagation)."""
+        linear = SolvedSystem(self.unknowns)
+        unknowns = set(self.unknowns)
+        for p in self.equations:
+            pair = _binomial(p)
+            if pair is not None and pair[2] == 1 and unknowns.issuperset(pair[:2]):
+                linear.merge(*pair[:2])
+        return linear.classes()
+
+    def nonlinear_equations(self) -> List[Polynomial]:
+        return [p for p in self.equations if (b := _binomial(p)) is None or b[2] != 1]
+
+    def subgroup_description(self) -> str:
+        if not self.solved.triangular:
+            return "unsolved"
+        free = self.free_roots()
+        if not free:
+            return "1"
+        # a class's representative is its first unknown, so it comes first in radical order
+        labels = list(dict.fromkeys(self.solved.rep(_coordinate_name(r)) for r in free))
+        if len(free) == len(labels):
+            return " x ".join(f"U_{r.label}" for r in free)
+        return "coordinates " + ", ".join(labels)
 
 
 def _binomial(p: Polynomial) -> Optional[Tuple[str, str, int]]:
@@ -582,44 +621,8 @@ def _apply_rule(q: Polynomial, unknowns: set, solved: SolvedSystem) -> bool:
     return True
 
 
-class CentralizerReport:
-    def __init__(self, radical, constraints, solved):
-        self.radical = tuple(radical)
-        self.constraints = constraints  # ConstraintSystem
-        self.solved = solved            # SolvedSystem
-
-    def free_roots(self) -> tuple:
-        return tuple(r for r in self.radical if not self.solved.is_zero(_coordinate_name(r)))
-
-    def linear_classes(self) -> List[List[str]]:
-        """Equality classes read off the degree-one binomial equations only
-        (the raw coordinate equalities, before quadratic propagation)."""
-        linear = SolvedSystem(self.constraints.unknowns)
-        unknowns = set(self.constraints.unknowns)
-        for p in self.constraints.equations:
-            pair = _binomial(p)
-            if pair is not None and pair[2] == 1 and unknowns.issuperset(pair[:2]):
-                linear.merge(*pair[:2])
-        return linear.classes()
-
-    def nonlinear_equations(self) -> List[Polynomial]:
-        return [p for p in self.constraints.equations if (b := _binomial(p)) is None or b[2] != 1]
-
-    def subgroup_description(self) -> str:
-        if not self.solved.triangular:
-            return "unsolved"
-        free = self.free_roots()
-        if not free:
-            return "1"
-        # a class's representative is its first unknown, so it comes first in radical order
-        labels = list(dict.fromkeys(self.solved.rep(_coordinate_name(r)) for r in free))
-        if len(free) == len(labels):
-            return " x ".join(f"U_{r.label}" for r in free)
-        return "coordinates " + ", ".join(labels)
-
-
 def centralizer_system(generators: Sequence[GroupWord], radical: Sequence[Root],
-                       registry: VariableRegistry) -> CentralizerReport:
+                       registry: VariableRegistry) -> ConstraintSystem:
     """Equations saying a generic radical element commutes with each generator.
 
     Torus values carry formal unit parameters, so commuting with the full
@@ -637,8 +640,5 @@ def centralizer_system(generators: Sequence[GroupWord], radical: Sequence[Root],
         conj = n.tail.reordered(radical)
         for r in radical:
             eq = conj.coefficient(r) + u.coefficient(r)
-            for layer in eq.split_by_units().values():
-                if not layer.is_zero:
-                    equations.append(layer)
-    cs = ConstraintSystem(registry, equations, [_coordinate_name(r) for r in radical])
-    return CentralizerReport(radical, cs, cs.solve())
+            equations.extend(eq.split_by_units().values())
+    return ConstraintSystem(registry, equations, radical)

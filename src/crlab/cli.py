@@ -15,7 +15,6 @@ import sys as _sys
 
 from .coeffring import VariableRegistry
 from .chevalley import RootElement, collect, default_order
-from .parabolic import RParabolicData
 from .rootsys import SYSTEMS, pairing, root_system
 from .scenarios import run_scenario, scenario_names
 from .wordexpr import parse_cochar, parse_root, parse_word, render_word
@@ -37,18 +36,14 @@ def _cmd_collect(args) -> int:
     system = root_system(args.system)
     reg = VariableRegistry()
     w = parse_word(args.word, system, reg)
-    atoms = [a for a in w.atoms if isinstance(a, RootElement)]
-    if len(atoms) != len(w.atoms):
-        print("collect expects a product of root elements only", file=_sys.stderr)
-        return 2
     if args.order:
         order = [system.root_by_label(int(tok)) for tok in args.order.split(",")]
     else:
-        order = default_order(system, [a.root for a in atoms])
+        order = default_order(system, [a.root for a in w.atoms if isinstance(a, RootElement)])
         if order is None:
             print("support closure is not nilpotent", file=_sys.stderr)
             return 2
-    result = collect(atoms, order, reg)
+    result = collect(w, order)  # names the first atom that is not a root element
     print(render_word(result))
     return 0
 
@@ -64,13 +59,14 @@ def _cmd_pairing(args) -> int:
 def _cmd_rparabolic(args) -> int:
     system = root_system(args.system)
     chi = parse_cochar(args.cochar, system)
-    data = RParabolicData(system, chi)
+    pairs = {r.label: pairing(r, chi) for r in system.roots}
     out = {
         "lambda": str(chi),
-        "p_roots": sorted(r.label for r in data.p_roots),
-        "l_roots": sorted(r.label for r in data.l_roots),
-        "u_roots": sorted(r.label for r in data.u_roots),
-        "sigma_components": list(data.sigma_components),
+        "p_roots": sorted(label for label, p in pairs.items() if p >= 0),
+        "l_roots": sorted(label for label, p in pairs.items() if p == 0),
+        "u_roots": sorted(label for label, p in pairs.items() if p > 0),
+        "sigma_components": [name for name, m in sorted(system.diagram_symmetries().items())
+                             if m.act_cochar(chi) == chi],
     }
     print(json.dumps(out, indent=2))
     return 0

@@ -124,6 +124,18 @@ def mul_terms(reg: VariableRegistry, a, b) -> set:
     return acc
 
 
+def power(mul, one, a, n: int):
+    """a^n for n >= 0 by square and multiply, through the product `mul`."""
+    out = one
+    while True:
+        if n & 1:
+            out = mul(out, a)
+        n >>= 1
+        if not n:
+            return out
+        a = mul(a, a)
+
+
 class Polynomial:
     """Element of F2[ordinary vars][units, units^-1]."""
 
@@ -156,15 +168,7 @@ class Polynomial:
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:
             return self.unit_inverse() ** (-n)
-        out = self.registry.one()
-        base = self
-        while True:
-            if n & 1:
-                out = out * base
-            n >>= 1
-            if not n:
-                return out
-            base = base * base
+        return power(Polynomial.__mul__, self.registry.one(), self, n)
 
     def unit_inverse(self) -> "Polynomial":
         """Inverse of a unit monomial (single term over unit variables)."""

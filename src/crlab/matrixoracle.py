@@ -27,7 +27,7 @@ from __future__ import annotations
 from typing import Dict, List, Sequence, Tuple
 
 from .chevalley import GraphAut, GroupWord, RootElement, TorusValue, WeylRep
-from .coeffring import Polynomial, PolyRing
+from .coeffring import Polynomial, PolyRing, power
 
 _IRRED = {2: 0b10, 4: 0b111, 16: 0b10011}
 
@@ -65,14 +65,7 @@ class GF:
     def pow(self, a: int, n: int) -> int:
         if n < 0:
             a, n = self.inv(a), -n
-        r = 1
-        while True:
-            if n & 1:
-                r = self.mul(r, a)
-            n >>= 1
-            if not n:
-                return r
-            a = self.mul(a, a)
+        return power(self.mul, 1, a, n)
 
     def inv(self, a: int) -> int:
         if a == 0:

@@ -1,5 +1,5 @@
-"""R-parabolic data from cocharacters: root decompositions of P_lambda,
-membership of a word in P_lambda, and limits along a cocharacter.
+"""Membership of a word in the R-parabolic subgroup P_lambda of a
+cocharacter, and limits along a cocharacter.
 
 Membership of a normalized word in P_lambda is decided on the nose: torus
 atoms always have a limit, a Weyl/graph frame has one exactly when its root
@@ -12,22 +12,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .chevalley import GroupWord, RadicalElement, normalize
-from .rootsys import Cocharacter, RootSystem, pairing
-
-
-class RParabolicData:
-    """Root-level data of P_lambda: p/l/u root sets plus the diagram
-    symmetries commuting with lambda."""
-
-    def __init__(self, system: RootSystem, lam: Cocharacter):
-        self.p_roots = frozenset(r for r in system.roots if pairing(r, lam) >= 0)
-        self.l_roots = frozenset(r for r in system.roots if pairing(r, lam) == 0)
-        self.u_roots = frozenset(r for r in system.roots if pairing(r, lam) > 0)
-        self.sigma_components = tuple(
-            name
-            for name, m in sorted(system.diagram_symmetries().items())
-            if m.act_cochar(lam) == lam
-        )
+from .rootsys import Cocharacter, pairing
 
 
 def limit_along(lam: Cocharacter, frame: Optional[GroupWord], tail: Optional[RadicalElement]):

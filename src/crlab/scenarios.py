@@ -56,7 +56,6 @@ from .rootsys import (
     subsystem_roots,
     verify_w0_identities,
 )
-from .wordexpr import render_word
 
 
 StepResult = namedtuple("StepResult", "name anchor status expected actual")
@@ -160,13 +159,12 @@ def _d4_gcr(step) -> None:
 
     v = word(sys, reg, _e(sys, 6, s), _e(sys, 9, s))
     step("conjugation-identity", "e6(s)*e9(s) conjugates n[a]*sigma to n[a]*sigma*e12(s^2)",
-         nsig * word(sys, reg, _e(sys, 12, s * s)), lambda: conjugate(v, nsig),
-         render=render_word, equal=word_equal)
+         nsig * word(sys, reg, _e(sys, 12, s * s)), lambda: conjugate(v, nsig), equal=word_equal)
     step("lir-cocharacter-swap", "n[a]*sigma maps (a+c)^v to (c+d)^v",
          sys.cocharacter((0, 0, 1, 1)), lambda: nmap.act_cochar(sys.cocharacter((1, 0, 1, 0))))
     step("lir-cube", "(n[a]*sigma)^3 = n[a]*n[c]*n[d]",
          word(sys, reg, *(WeylRep(sys.simple(c)) for c in "acd")), lambda: nsig * nsig * nsig,
-         render=render_word, equal=word_equal)
+         equal=word_equal)
 
     radical = _roots(sys, range(4, 13))
     u = generic_radical_element(sys, reg, radical).as_word()
@@ -190,8 +188,7 @@ def _d4_gcr(step) -> None:
         reg,
     )
     tail = step("generic-collection", "all nine coefficients of u^-1 * (n[a]*sigma*e12(s^2)) * u",
-                expected_tail, lambda: normalize(u.inverse() * g * u).tail.reordered(display),
-                render=render_word)
+                expected_tail, lambda: normalize(u.inverse() * g * u).tail.reordered(display))
 
     def constraints():
         report = centralizer_system([nsig], radical, reg)
@@ -224,12 +221,10 @@ def _d4_gir(step) -> None:
 
     v = word(sys, reg, _e(sys, -6, s), _e(sys, -9, s))
     step("conjugation-identity-opposite", "e-6(s)*e-9(s) conjugates n[a]*sigma to n[a]*sigma*e-12(s^2)",
-         nsig * word(sys, reg, _e(sys, -12, s * s)), lambda: conjugate(v, nsig),
-         render=render_word, equal=word_equal)
+         nsig * word(sys, reg, _e(sys, -12, s * s)), lambda: conjugate(v, nsig), equal=word_equal)
     h = word(sys, reg, _e(sys, 11, one), _e(sys, 2, s))
     step("conjugated-generator", "v^-1 e11(1) v = e11(1)*e2(s)",
-         h, lambda: conjugate(v.inverse(), word(sys, reg, _e(sys, 11, one))),
-         render=render_word, equal=word_equal)
+         h, lambda: conjugate(v.inverse(), word(sys, reg, _e(sys, 11, one))), equal=word_equal)
 
     torus_ac = word(sys, reg, TorusValue(sys.cocharacter((1, 0, 1, 0)), "t"))
     gens = [nsig, torus_ac, h]
@@ -339,7 +334,7 @@ def _a2(step) -> None:
     expected = word(sys, reg, RootElement(alpha, y), RootElement(beta, x), RootElement(ab, x * y + z))
     step("sigma-conjugation",
          "sigma e1(x)*e2(y)*e3(z) sigma^-1 = e1(y)*e2(x)*e3(xy+z)",
-         expected, lambda: conjugate(sigma, u), render=render_word, equal=word_equal)
+         expected, lambda: conjugate(sigma, u), equal=word_equal)
     step("sigma-conjugation-oracle", "the same identity holds as 3x3 matrices",
          EXACT_MATRICES, lambda: _matrices((sigma * u * sigma.inverse(), expected)))
 
@@ -362,13 +357,12 @@ def _a2(step) -> None:
     curve_expected = sigma * word(sys, reg, RootElement(ab, x * x))
     curve_conj = step("curve-not-centralizing",
                       "e1(x)*e2(x) conjugates sigma to sigma*e3(x^2), a nonzero residual",
-                      curve_expected, lambda: conjugate(v, sigma), render=render_word, equal=word_equal)
+                      curve_expected, lambda: conjugate(v, sigma), equal=word_equal)
 
     m2 = word(sys, reg, RootElement(ab, reg.one()))
     step("pair-formula",
          "v(x) conjugates (sigma, e3(1)) to (sigma*e3(x^2), e3(1))",
-         render_word(curve_expected) + " ; " + render_word(m2),
-         lambda: render_word(curve_conj) + " ; " + render_word(conjugate(v, m2)))
+         f"{curve_expected} ; {m2}", lambda: f"{curve_conj} ; {conjugate(v, m2)}")
     step("pair-formula-oracle", "both pair components check out as matrices",
          EXACT_MATRICES,
          lambda: _matrices((v * sigma * v.inverse(), curve_expected), (v * m2 * v.inverse(), m2)))
@@ -402,7 +396,7 @@ def _d4_nonsep(step) -> None:
     got = step("curve-not-centralizing",
                "e6(x)*e9(x) conjugates n[a]*sigma to n[a]*sigma*e12(x^2), nonzero for generic x",
                nsig * word(sys, reg, _e(sys, 12, xx * xx)), lambda: conjugate(curve, nsig),
-               render=render_word, equal=word_equal)
+               equal=word_equal)
 
     witness = "adjoint-fixed but group-moved"
 
@@ -498,6 +492,9 @@ class _FailedStep:
 
     def __getattr__(self, attr):
         raise RuntimeError(f"input step {self._failed_name!r} failed")
+
+    def __repr__(self):  # rendering the value is a use of it
+        return self.__getattr__("__repr__")
 
 
 def run_scenario(name: str) -> Report:

@@ -25,14 +25,7 @@ import re
 from typing import List, Optional
 
 from .coeffring import ORDINARY, SQRT, UNIT, Polynomial, VariableRegistry, _mul_mono
-from .chevalley import (
-    GraphAut,
-    GroupWord,
-    RadicalElement,
-    RootElement,
-    TorusValue,
-    WeylRep,
-)
+from .chevalley import GraphAut, GroupWord, RootElement, TorusValue, WeylRep
 from .rootsys import Cocharacter, Root, RootSystem
 
 _TOKEN = re.compile(r"[A-Za-z]+[0-9]*|[0-9]+|\^-?[0-9]+|\S")
@@ -250,7 +243,11 @@ def parse_cochar(text: str, system: RootSystem) -> Cocharacter:
 
 
 def parse_word(text: str, system: RootSystem, registry: VariableRegistry) -> GroupWord:
-    return GroupWord(system, registry, _Parser(text, registry, system).parse_word())
+    try:
+        atoms = _Parser(text, registry, system).parse_word()
+    except RecursionError:  # each '(' is one level of parse_poly
+        raise ExprError(f"parentheses nested too deeply in {text[:20]!r}...") from None
+    return GroupWord(system, registry, atoms)
 
 
 # ---------------------------------------------------------------------------
@@ -258,13 +255,6 @@ def parse_word(text: str, system: RootSystem, registry: VariableRegistry) -> Gro
 
 
 def render_word(w) -> str:
-    """The atoms' reprs, '*' between two root elements and '·' elsewhere;
-    every atom's repr parses back to the atom."""
-    atoms = w.atoms() if isinstance(w, RadicalElement) else w.atoms
-    if not atoms:
-        return "1"
-    out = [repr(atoms[0])]
-    for prev, atom in zip(atoms, atoms[1:]):
-        root_pair = isinstance(atom, RootElement) and isinstance(prev, RootElement)
-        out.append(("*" if root_pair else "·") + repr(atom))
-    return "".join(out)
+    """The text of a GroupWord or RadicalElement, its repr, which parses
+    back to the same atoms."""
+    return repr(w)

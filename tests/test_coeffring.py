@@ -296,3 +296,25 @@ def test_pow_stops_squaring_at_the_top_bit(monkeypatch):
     for k in range(1, 6):
         assert u ** -k == monomial(reg, {"t": -3 * k})
         assert u ** -k * u ** k == reg.one()
+
+
+def test_every_power_up_to_20_is_the_repeated_product():
+    # one square-and-multiply serves Polynomial ** n and GF.pow
+    reg = make_registry()
+    rng = random.Random(23)
+    polys = [reg.zero(), reg.one(), reg.var("s"), reg.var("x4") + reg.var("y")] + [
+        random_poly(reg, rng) for _ in range(4)]
+    for p in polys:
+        product = reg.one()
+        for n in range(21):
+            assert p ** n == product, (p, n)
+            product = product * p
+    for q in (2, 4, 16):
+        gf = GF(q)
+        for a in gf.elements():
+            product = 1
+            for n in range(21):
+                assert gf.pow(a, n) == product, (q, a, n)
+                if a:
+                    assert gf.mul(gf.pow(a, -n), product) == 1, (q, a, n)
+                product = gf.mul(product, a)

@@ -1,5 +1,6 @@
 """Parabolic decomposition, membership in P_lambda and limits along lambda."""
 
+import json
 import random
 
 import pytest
@@ -14,7 +15,8 @@ from crlab.chevalley import (
     generic_radical_element,
     word,
 )
-from crlab.parabolic import RParabolicData, limit_along, word_in_rparabolic
+from crlab.cli import main
+from crlab.parabolic import limit_along, word_in_rparabolic
 from crlab.rootsys import pairing, root_system
 
 
@@ -32,43 +34,53 @@ def lam_d4(sys):
     return sys.cocharacter((1, 2, 1, 1))
 
 
-def test_rparabolic_d4_standard_decomposition():
+def rparabolic(capsys, sys, lam) -> dict:
+    """`crlab rparabolic`'s answer for lam: each root list as a set of labels,
+    and sigma_components.  The cocharacter goes after '--', as its text may
+    start with '-'."""
+    assert main(["rparabolic", "--system", sys.type_label.lower(), "--", str(lam)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out.pop("lambda") == str(lam)
+    return {key: set(value) for key, value in out.items()}
+
+
+def test_rparabolic_d4_standard_decomposition(capsys):
     sys, _ = d4_setup()
-    data = RParabolicData(sys, lam_d4(sys))
-    assert {r.label for r in data.l_roots} == {1, 2, 3, -1, -2, -3}
-    assert {r.label for r in data.u_roots} == set(range(4, 13))
-    assert "sigma" in data.sigma_components
-    assert {r.label for r in data.p_roots} == set(range(1, 13)) | {-1, -2, -3}
+    data = rparabolic(capsys, sys, lam_d4(sys))
+    assert data["l_roots"] == {1, 2, 3, -1, -2, -3}
+    assert data["u_roots"] == set(range(4, 13))
+    assert "sigma" in data["sigma_components"]
+    assert data["p_roots"] == set(range(1, 13)) | {-1, -2, -3}
 
 
-def test_rparabolic_zero_cochar():
+def test_rparabolic_zero_cochar(capsys):
     sys, _ = d4_setup()
-    data = RParabolicData(sys, sys.cocharacter((0, 0, 0, 0)))
-    assert data.u_roots == frozenset()
-    assert data.p_roots == frozenset(sys.roots)
+    data = rparabolic(capsys, sys, sys.cocharacter((0, 0, 0, 0)))
+    assert data["u_roots"] == set()
+    assert data["p_roots"] == {r.label for r in sys.roots}
 
 
-def test_rparabolic_a2():
+def test_rparabolic_a2(capsys):
     sys = root_system("a2")
-    data = RParabolicData(sys, sys.cocharacter((1, 1)))
-    assert {r.label for r in data.u_roots} == {1, 2, 3}
-    assert data.l_roots == frozenset()
-    assert "sigma" in data.sigma_components
+    data = rparabolic(capsys, sys, sys.cocharacter((1, 1)))
+    assert data["u_roots"] == {1, 2, 3}
+    assert data["l_roots"] == set()
+    assert "sigma" in data["sigma_components"]
 
 
-def test_rparabolic_partition_invariant():
+def test_rparabolic_partition_invariant(capsys):
     sys, _ = d4_setup()
     rng = random.Random(3)
     for _ in range(50):
         lam = sys.cocharacter([rng.randrange(-3, 4) for _ in range(4)])
-        data = RParabolicData(sys, lam)
-        neg_u = {-r for r in data.u_roots}
-        assert data.u_roots | neg_u | data.l_roots == set(sys.roots)
-        assert not (data.u_roots & neg_u)
-        assert not (data.u_roots & data.l_roots)
-        opp = RParabolicData(sys, -lam)
-        assert opp.u_roots == neg_u
-        assert opp.l_roots == data.l_roots
+        data = rparabolic(capsys, sys, lam)
+        neg_u = {-label for label in data["u_roots"]}
+        assert data["u_roots"] | neg_u | data["l_roots"] == {r.label for r in sys.roots}
+        assert not (data["u_roots"] & neg_u)
+        assert not (data["u_roots"] & data["l_roots"])
+        opp = rparabolic(capsys, sys, -lam)
+        assert opp["u_roots"] == neg_u
+        assert opp["l_roots"] == data["l_roots"]
 
 
 def test_limit_along_radical_element_dies():
@@ -125,14 +137,14 @@ def test_limit_along_iff_levi_support():
                 assert set(lim.support) < set(tail.support) or not lim.support
 
 
-def test_sigma_components_iff_fixed_cochar():
+def test_sigma_components_iff_fixed_cochar(capsys):
     sys, _ = d4_setup()
     rng = random.Random(31)
     for _ in range(30):
         lam = sys.cocharacter([rng.randrange(-2, 3) for _ in range(4)])
-        data = RParabolicData(sys, lam)
+        data = rparabolic(capsys, sys, lam)
         for name, m in sys.diagram_symmetries().items():
-            assert (name in data.sigma_components) == (m.act_cochar(lam) == lam)
+            assert (name in data["sigma_components"]) == (m.act_cochar(lam) == lam)
 
 
 def test_limit_along_frame_guard():

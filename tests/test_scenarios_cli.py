@@ -260,3 +260,46 @@ def test_an_engine_error_fails_only_its_own_steps(monkeypatch):
     # an erroring step still shows the value it was to check: the rendered tail
     assert steps["generic-collection"].expected == expected_tail
     assert expected_tail.startswith("e7(x4+x7)*e10(x7+x10)*")
+
+
+def test_a_rendered_failed_step_names_it(monkeypatch):
+    # pair-formula writes the text of curve-not-centralizing's value
+    def broken(*args, **kwargs):
+        raise RuntimeError("engine broke")
+    monkeypatch.setattr(scenarios, "conjugate", broken)
+    steps = {s.name: s for s in run_scenario("a2-conjugacy").steps}
+    assert steps["curve-not-centralizing"].actual == "RuntimeError: engine broke"
+    assert (steps["pair-formula"].status, steps["pair-formula"].actual) == (
+        "FAIL", "RuntimeError: input step 'curve-not-centralizing' failed")
+    assert steps["pair-formula"].expected == "sigma·e3(x^2) ; e3(1)"
+
+
+@pytest.mark.parametrize("text, atom", [("e1(x) n[a]", "n[a]"), ("t[a](t) e1(x)", "t[a](t)"),
+                                        ("sigma", "sigma")])
+def test_cli_collect_names_the_first_atom_that_is_not_a_root_element(text, atom, capsys):
+    for order in ([], ["--order", "3,1,2"]):
+        assert main(["collect", text, "--system", "a2", *order]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: collect expects root elements, got {atom}\n"
+
+
+def test_cli_reports_deeply_nested_parentheses_in_one_line(capsys):
+    text = "e1(" + "(" * 5000 + "x" + ")" * 5000 + ")"
+    assert main(["collect", text, "--system", "a2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: parentheses nested too deeply in 'e1(((((((((((((((((('...\n"
+
+
+@pytest.mark.parametrize("bad, good", [
+    (["rparabolic", "-a-b", "--system", "a2"], ["rparabolic", "--system", "a2", "--", "-a-b"]),
+    (["pairing", "-a", "a", "--system", "a2"], ["pairing", "--system", "a2", "--", "-a", "a"]),
+])
+def test_a_combination_starting_with_minus_must_follow_a_double_dash(bad, good, capsys):
+    # argparse reads '-a-b' as an option, as the README says
+    with pytest.raises(SystemExit) as exit_:
+        main(bad)
+    assert exit_.value.code == 2
+    assert "the following arguments are required" in capsys.readouterr().err
+    assert main(good) == 0

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from crlab.coeffring import UNIT, Polynomial, VariableRegistry
-from crlab.chevalley import GraphAut, RootElement, TorusValue, WeylRep, word, word_equal
+from crlab.chevalley import GraphAut, RootElement, TorusValue, WeylRep, collect, default_order, word, word_equal
 from crlab.rootsys import root_system
 from crlab.wordexpr import (
     ExprError,
@@ -450,3 +450,44 @@ def test_mutated_words_parse_or_raise_value_error():
             parse_word(mutated, _WORD_SYSTEM, VariableRegistry())
         except ValueError:  # ExprError included
             pass
+
+
+@pytest.mark.parametrize("label", ["a2", "d4"])
+def test_a_word_and_a_collected_element_have_one_text(label):
+    """render_word is repr, for words mixing all four atom kinds and for
+    collected radical elements, and the text parses back to the atoms."""
+    sys = root_system(label)
+    reg = VariableRegistry()
+    coeffs = [parse_poly(text, reg) for text in ("x", "y*t^-1", "s^2+x4", "1")]
+    diagram = sorted(sys.diagram_symmetries())
+    rng = random.Random(2202)
+    kinds = set()
+    for _ in range(80):
+        atoms = []
+        for _ in range(rng.randrange(6)):
+            k = rng.randrange(4)
+            if k == 0:
+                atoms.append(RootElement(rng.choice(sys.roots), rng.choice(coeffs)))
+            elif k == 1:
+                atoms.append(WeylRep(rng.choice(sys.roots)))
+            elif k == 2:
+                atoms.append(TorusValue(sys.cocharacter([rng.randrange(-2, 3) for _ in range(sys.rank)]), "t"))
+            else:
+                atoms.append(GraphAut(sys, rng.choice(diagram)))
+        w = word(sys, reg, *atoms)
+        kinds.update(type(a).__name__ for a in atoms)
+        assert render_word(w) == repr(w) == str(w)
+        assert parse_word(repr(w), sys, reg).atoms == w.atoms, repr(w)
+
+        roots = rng.sample(sys.positive_roots, rng.randrange(1, 4))
+        x = collect([RootElement(r, rng.choice(coeffs)) for r in roots * 2],
+                    default_order(sys, roots), reg)
+        assert render_word(x) == repr(x) == repr(x.as_word())
+        assert parse_word(repr(x), sys, reg).atoms == x.atoms(), repr(x)
+    assert kinds == {"RootElement", "WeylRep", "TorusValue", "GraphAut"}
+
+
+def test_deeply_nested_parentheses_are_an_expr_error():
+    text = "e1(" + "(" * 5000 + "x" + ")" * 5000 + ")"
+    with pytest.raises(ExprError, match=r"nested too deeply in 'e1\(\(\("):
+        parse_word(text, root_system("a2"), VariableRegistry())
