@@ -214,11 +214,6 @@ class Polynomial:
         return Polynomial(self.registry, frozenset(
             tuple(p for p in m if p[0] != i) for m in self.terms if (i, 1) in m))
 
-    @property
-    def involves_sqrt(self) -> bool:
-        s = self.registry.sqrt_name
-        return s is not None and self.involves(s)
-
     def is_unit_monomial(self) -> bool:
         if len(self.terms) != 1:
             return False
@@ -260,7 +255,8 @@ class Polynomial:
         for m in self.terms:
             v = ring.one()
             for i, e in m:
-                v = ring.mul(v, ring.pow(assign[names[i]], e))
+                x = assign[names[i]]
+                v = ring.mul(v, x if e == 1 else ring.pow(x, e))
             total = ring.add(total, v)
         return total
 
@@ -297,9 +293,9 @@ class Polynomial:
 
 
 class PolyRing:
-    """The engine's polynomial ring of one registry, evaluated at its generic
-    point: `value` returns the coefficient itself, and the assignment maps
-    each name to its own variable (`generic_point`).  Only unit monomials are
+    """The engine's polynomial ring of one registry, with the protocol of
+    `Polynomial.evaluate`.  At the generic point, which maps each name to its
+    own variable, a polynomial evaluates to itself.  Only unit monomials are
     inverted, which is all an SL3 determinant or a torus entry needs."""
 
     def __init__(self, registry: VariableRegistry):
@@ -323,9 +319,6 @@ class PolyRing:
     def inv(self, a: Polynomial) -> Polynomial:
         return a.unit_inverse()
 
-    def value(self, coeff: Polynomial, assign) -> Polynomial:
-        return coeff
-
     def generic_point(self) -> Dict[str, Polynomial]:
         return {name: self.registry.var(name) for name in self.registry.names}
 
@@ -333,20 +326,15 @@ class PolyRing:
 def classify_square_obstruction(p: Polynomial) -> str:
     """UNSOLVABLE_OVER_K exactly when p = q^2 + s^2 with q free of the
     square-root constant s, so p = 0 would force a rational square root of
-    a = s^2; everything else is SOLVABLE_CANDIDATE."""
+    a = s^2; everything else is SOLVABLE_CANDIDATE.  Over F2 the squares are
+    the polynomials whose exponents are all even (t^-2 = (t^-1)^2 counts)."""
     reg = p.registry
     s = reg.sqrt_name
     if s is None:
         return SOLVABLE_CANDIDATE
-    si = reg.index(s)
-    s_squared = ((si, 2),)
-    if s_squared not in p.terms:
-        return SOLVABLE_CANDIDATE
-    for m in p.terms:
-        if m == s_squared:
-            continue
-        if any(i == si for i, _ in m):
-            return SOLVABLE_CANDIDATE
-        if any(e % 2 for _, e in m):
-            return SOLVABLE_CANDIDATE
-    return UNSOLVABLE_OVER_K
+    s_squared = reg.var(s) ** 2
+    q_squared = p + s_squared
+    if (s_squared.terms <= p.terms and not q_squared.involves(s)
+            and all(e % 2 == 0 for m in q_squared.terms for _, e in m)):
+        return UNSOLVABLE_OVER_K
+    return SOLVABLE_CANDIDATE

@@ -9,8 +9,8 @@ Group elements of SL3 x <sigma> are (matrix, flag) pairs multiplied through
 the twisted rule (A, s)(B, t) = (A sigma^s(B), s+t).
 
 The kernels are generic over a coefficient ring of characteristic 2 that
-offers add, mul, pow, inv, zero, one and value(coeff, assign).  Two rings
-exist:
+offers zero, one, add, mul, pow and inv, the protocol Polynomial.evaluate
+reads a root element's coefficient through.  Two rings exist:
   - GF(q), q = 2, 4 or 16, elements encoded as ints in a polynomial basis
     (F4: u^2+u+1, F16: u^4+u+1), for enumerating M(F_q) and evaluating a
     word at a point;
@@ -27,7 +27,7 @@ from __future__ import annotations
 from typing import Dict, List, Sequence, Tuple
 
 from .chevalley import GraphAut, GroupWord, RootElement, TorusValue, WeylRep
-from .coeffring import Polynomial, PolyRing, power
+from .coeffring import PolyRing, power
 
 _IRRED = {2: 0b10, 4: 0b111, 16: 0b10011}
 
@@ -71,9 +71,6 @@ class GF:
         if a == 0:
             raise ZeroDivisionError("inverting 0 in a finite field")
         return self.pow(a, self.q - 2)
-
-    def value(self, coeff: Polynomial, assign: Dict[str, int]) -> int:
-        return coeff.evaluate(assign, self)
 
     def elements(self) -> range:
         return range(self.q)
@@ -189,7 +186,7 @@ def evaluate_word(w: GroupWord, assign: Dict[str, object], ring) -> A2Matrix:
     out = A2Matrix(ring, identity(ring))
     for atom in w.atoms:
         if isinstance(atom, RootElement):
-            out = out * transvection(ring, atom.root.label, ring.value(atom.coeff, assign))
+            out = out * transvection(ring, atom.root.label, atom.coeff.evaluate(assign, ring))
         elif isinstance(atom, WeylRep):
             lbl = atom.root.label
             one = ring.one()

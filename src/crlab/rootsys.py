@@ -17,10 +17,11 @@ brute-force search).
 
 Roots are singletons per system: RootSystem builds each Root once, every
 operation returns one of those objects, and root_system() caches the systems,
-so root equality is identity.  RootSystem also tabulates addition once, one
-entry per ordered pair of root indices holding the sum root or None when the
-sum is not a root, so Root.__add__ is two index operations.  Reflections,
-diagram symmetries and Weyl elements are computed once per system by
+so root equality is identity, and cocharacters and root maps compare their
+systems with `is`.  RootSystem also tabulates addition once, one entry per
+ordered pair of root indices holding the sum root or None when the sum is
+not a root, so Root.__add__ is two index operations.  Reflections, diagram
+symmetries and Weyl elements are computed once per system by
 functools.cache, which holds the system as long as root_system() does.
 """
 
@@ -33,17 +34,9 @@ from math import gcd, lcm
 from typing import Iterable, Mapping, Optional, Sequence
 
 
-_SIMPLE_NAMES = {
-    "A1": ("alpha",),
-    "A2": ("alpha", "beta"),
-    "A3": ("alpha", "beta", "gamma"),
-    "A4": ("alpha", "beta", "gamma", "delta"),
-    "D4": ("alpha", "beta", "gamma", "delta"),
-}
-
-SYSTEMS = tuple(label.lower() for label in _SIMPLE_NAMES)  # the labels root_system accepts
-
-_SHORT_NAMES = ("a", "b", "c", "d")
+SYSTEMS = ("a1", "a2", "a3", "a4", "d4")  # the labels root_system accepts
+_SIMPLE_NAMES = ("alpha", "beta", "gamma", "delta")  # a rank-r system names its simples
+_SHORT_NAMES = ("a", "b", "c", "d")  # by the first r entries of each table
 
 # D4 positive roots in label order, coefficients over (alpha, beta, gamma, delta).
 # beta is the branch node; labels 1..4 are alpha, gamma, delta, beta.
@@ -64,12 +57,6 @@ _D4_POSITIVES = (
 
 
 def _cartan_matrix(type_label: str) -> tuple:
-    rank = int(type_label[1])
-    if type_label.startswith("A"):
-        return tuple(
-            tuple(2 if i == j else (-1 if abs(i - j) == 1 else 0) for j in range(rank))
-            for i in range(rank)
-        )
     if type_label == "D4":
         return (
             (2, -1, 0, 0),
@@ -77,7 +64,11 @@ def _cartan_matrix(type_label: str) -> tuple:
             (0, -1, 2, 0),
             (0, -1, 0, 2),
         )
-    raise ValueError(f"unsupported type {type_label!r}")
+    rank = int(type_label[1])
+    return tuple(
+        tuple(2 if i == j else (-1 if abs(i - j) == 1 else 0) for j in range(rank))
+        for i in range(rank)
+    )
 
 
 def _combo(coeffs: Sequence[int], names: Sequence[str]) -> str:
@@ -156,12 +147,12 @@ class Cocharacter:
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Cocharacter)
-            and self.system.type_label == other.system.type_label
+            and self.system is other.system
             and self.coeffs == other.coeffs
         )
 
     def __hash__(self):
-        return hash(("cochar", self.system.type_label, self.coeffs))
+        return hash(("cochar", self.coeffs))
 
     def __str__(self):
         return _combo(self.coeffs, self.system.short_names)
@@ -223,12 +214,12 @@ class RootMap:
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, RootMap)
-            and self.system.type_label == other.system.type_label
+            and self.system is other.system
             and self.images == other.images
         )
 
     def __hash__(self):
-        return hash((self.system.type_label, self.images))
+        return hash(self.images)
 
     def __repr__(self):
         return f"RootMap({self.system.type_label}:{self.images})"
@@ -241,7 +232,7 @@ class RootSystem:
         self.type_label = type_label
         self.rank = int(type_label[1])
         self.cartan = _cartan_matrix(type_label)
-        self.simple_names = _SIMPLE_NAMES[type_label]
+        self.simple_names = _SIMPLE_NAMES[: self.rank]
         self.short_names = _SHORT_NAMES[: self.rank]
         positives = self._positive_roots()
         coeff_list = positives + [tuple(-c for c in p) for p in positives]
@@ -322,10 +313,6 @@ class RootSystem:
         return self._linear_map(
             [[c - pairing(s, chi) * x for c, x in zip(s.coeffs, xi.coeffs)] for s in self.simple_roots])
 
-    def diagram_map(self, perm: Sequence[int]) -> RootMap:
-        """Linear extension of a simple-root permutation i -> perm[i]."""
-        return self._linear_map([self.simple_roots[j].coeffs for j in perm])
-
     @functools.cache
     def diagram_symmetries(self) -> dict:
         """All Dynkin-diagram symmetries, as name -> RootMap ('id' included).
@@ -357,7 +344,9 @@ class RootSystem:
             if p not in named.values():
                 named[f"tau{k}"] = p
                 k += 1
-        return {name: self.diagram_map(p) for name, p in named.items()}
+        # each map is the linear extension of its simple-root permutation i -> p[i]
+        simple = [r.coeffs for r in self.simple_roots]
+        return {name: self._linear_map([simple[j] for j in p]) for name, p in named.items()}
 
     @functools.cache
     def weyl_elements(self) -> tuple:
@@ -396,11 +385,11 @@ _SYSTEMS: dict = {}  # keyed by the normalized label, so "d4" and "D4" share one
 
 def root_system(label: str) -> RootSystem:
     """Cached constructor for the labels in SYSTEMS (case-insensitive)."""
-    key = label.upper().replace("_", "")
-    if key not in _SIMPLE_NAMES:
+    key = label.lower().replace("_", "")
+    if key not in SYSTEMS:
         raise ValueError(f"unsupported root system {label!r}")
     if key not in _SYSTEMS:
-        _SYSTEMS[key] = RootSystem(key)
+        _SYSTEMS[key] = RootSystem(key.upper())
     return _SYSTEMS[key]
 
 
@@ -409,7 +398,7 @@ def root_system(label: str) -> RootSystem:
 
 def pairing(zeta: Root, chi: Cocharacter) -> int:
     """<zeta, chi> computed through the Cartan matrix."""
-    if zeta.system.type_label != chi.system.type_label:
+    if zeta.system is not chi.system:
         raise ValueError("root and cocharacter live in different systems")
     cartan = zeta.system.cartan
     r = zeta.system.rank

@@ -282,7 +282,7 @@ def _d4_gir(step) -> None:
 
     not_rational = "not k-rational as presented"
     step("nonk-flag", "the conjugating element carries the square-root constant", not_rational,
-         lambda: not_rational if any(a.coeff.involves_sqrt for a in v.atoms) else "k-rational")
+         lambda: not_rational if any(a.coeff.involves(reg.sqrt_name) for a in v.atoms) else "k-rational")
 
     y = reg.add("u12arg")
     u12 = word(sys, reg, _e(sys, 12, y))

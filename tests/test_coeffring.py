@@ -11,6 +11,7 @@ from crlab.coeffring import (
     SOLVABLE_CANDIDATE,
     UNSOLVABLE_OVER_K,
     Polynomial,
+    PolyRing,
     VariableRegistry,
     _mul_mono,
     classify_square_obstruction,
@@ -133,12 +134,32 @@ def test_substitute_then_evaluate_is_evaluate_at_the_substituted_point():
             assert p.substitute(b).evaluate(pt, gf) == p.evaluate(moved, gf)
 
 
+def test_evaluate_multiplies_by_a_first_power_without_pow():
+    class CountingRing(PolyRing):
+        pow_calls = 0
+
+        def pow(self, a, n):
+            self.pow_calls += 1
+            return super().pow(a, n)
+
+    reg = make_registry()
+    x, y = reg.var("x4"), reg.var("y")
+    ring = CountingRing(reg)
+    assert (x * y ** 2).evaluate(ring.generic_point(), ring) == x * y ** 2
+    assert ring.pow_calls == 1
+
+
 def test_classifier_key_cases():
     reg = make_registry()
     y, x9, x6, s = reg.var("y"), reg.var("x9"), reg.var("x6"), reg.var("s")
     assert classify_square_obstruction(y ** 2 + x9 ** 2 + s ** 2) == UNSOLVABLE_OVER_K
     assert classify_square_obstruction(reg.var("x4") ** 2) == SOLVABLE_CANDIDATE
     assert classify_square_obstruction(x6 ** 2) == SOLVABLE_CANDIDATE
+    # q = 0: s^2 alone
+    assert classify_square_obstruction(s ** 2) == UNSOLVABLE_OVER_K
+    # t^-2 = (t^-1)^2 is a square
+    t = reg.var("t")
+    assert classify_square_obstruction(t ** -2 + s ** 2) == UNSOLVABLE_OVER_K
 
 
 def test_classifier_negative_cases():
@@ -150,6 +171,12 @@ def test_classifier_negative_cases():
     assert classify_square_obstruction(s ** 4 + x ** 2) == SOLVABLE_CANDIDATE
     # s-containing mixed monomial disqualifies
     assert classify_square_obstruction(s ** 2 + (s * x) ** 2) == SOLVABLE_CANDIDATE
+    # so does a pure power of s other than s^2
+    assert classify_square_obstruction(s ** 4 + s ** 2) == SOLVABLE_CANDIDATE
+    # t^-1 is not a square
+    assert classify_square_obstruction(reg.var("t") ** -1 + s ** 2) == SOLVABLE_CANDIDATE
+    # without a square-root constant there is no obstruction to find
+    assert classify_square_obstruction(VariableRegistry().add("z") ** 2) == SOLVABLE_CANDIDATE
 
 
 def test_classifier_random_q():

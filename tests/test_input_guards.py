@@ -51,6 +51,8 @@ GUARDS = {
         lambda: evaluate_word(word(A2, REG, "x"), {}, GF(4)), ValueError, "cannot evaluate atom"),
     "field-of-size-3": (lambda: GF(3), ValueError, "supported field sizes"),
     "unknown-root-system": (lambda: root_system("b2"), ValueError, "unsupported root system"),
+    "root-system-of-rank-5": (lambda: root_system("a5"), ValueError, "unsupported root system"),
+    "exceptional-root-system": (lambda: root_system("e6"), ValueError, "unsupported root system"),
     "cocharacter-rank": (lambda: D4.cocharacter((1, 2)), ValueError, "wrong rank"),
     "extension-domain": (
         lambda: extends_to_ambient(D4, [A], {B: -B}), ValueError, "exactly on the Levi subsystem"),
@@ -91,6 +93,7 @@ def test_equal_values_hash_equal():
         (GraphAut(D4, "sigma"), GraphAut(D4, "sigma2").inverse()),
         (TorusValue(chi, "t"), TorusValue(D4.cocharacter([1, 0, 1, 0]), "t")),
         (chi, -(-chi)),
+        (chi, root_system("D4").cocharacter((1, 0, 1, 0))),
         (D4.reflection(A), D4.reflection(A).compose(D4.identity_map())),
     ]
     for a, b in pairs:

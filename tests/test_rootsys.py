@@ -462,8 +462,23 @@ def test_roots_are_singletons_per_system():
         assert -(-r) is r
     assert sys.simple("a") + sys.simple("b") is sys.root_by_label(5)
     assert sys.root_by_label(11) + sys.simple("b") is sys.root_by_label(12)
-    # equal coefficients in another system are another root
+    # equal coefficients in another system are another root or cocharacter
     assert root_system("a4").root((1, 1, 1, 1)) != sys.root_by_label(11)
+    assert root_system("a4").cocharacter((1, 0, 1, 0)) != sys.cocharacter((1, 0, 1, 0))
+
+
+def test_every_accepted_label_names_its_simple_roots():
+    names = {
+        "a1": (("alpha",), ("a",)),
+        "a2": (("alpha", "beta"), ("a", "b")),
+        "a3": (("alpha", "beta", "gamma"), ("a", "b", "c")),
+        "a4": (("alpha", "beta", "gamma", "delta"), ("a", "b", "c", "d")),
+        "d4": (("alpha", "beta", "gamma", "delta"), ("a", "b", "c", "d")),
+    }
+    assert SYSTEMS == tuple(names)
+    for label in SYSTEMS:
+        sys = root_system(label)
+        assert (sys.simple_names, sys.short_names) == names[label]
 
 
 @pytest.mark.parametrize("label,det", [("A1", 2), ("A2", 3), ("A3", 4), ("A4", 5), ("D4", 4)])
