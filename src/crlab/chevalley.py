@@ -23,7 +23,7 @@ import itertools
 from collections import namedtuple
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .coeffring import Polynomial, VariableRegistry, mul_terms
+from .coeffring import SQRT, UNIT, Polynomial, VariableRegistry, mul_terms
 from .rootsys import Cocharacter, Root, RootSystem, pairing
 
 
@@ -186,9 +186,6 @@ def default_order(system: RootSystem, roots: Iterable[Root]) -> Optional[tuple]:
     return tuple(sorted(f, key=lambda r: (f[r], r.height, r.index)))
 
 
-_COLLECT_FUEL = 2_000_000
-
-
 @functools.lru_cache(maxsize=16)
 def _order_tables(order: tuple) -> tuple:
     """(pos, graded, below, grade) for a closed nilpotent list of roots: pos
@@ -231,11 +228,13 @@ def collect(x, order: Sequence[Root], registry: Optional[VariableRegistry] = Non
     e_s(y) e_t(x_t) = e_t(x_t) e_s(y) e_{s+t}(y x_t), and finally adds y to
     slot s.  The spawned atom commutes with e_s, so it stands just after
     slot t and is placed by the same rule; a stack holds the atoms still to
-    place, the rightmost on top, and each placed atom spends one unit of
-    fuel.  The loop reads positions and sums from the order's tables and
-    does no root arithmetic.  Any other order is served by collecting over
-    default_order of the same set and re-expressing the result, which is
-    unique in every order of a closed nilpotent set (Steinberg, Lemma 17).
+    place, the rightmost on top.  The stack empties: the order is graded, so
+    an atom spawned at s + t lands past its parent's slot s, and no chain of
+    spawns is longer than the order.  The loop reads positions and sums from
+    the order's tables and does no root arithmetic.  Any other order is
+    served by collecting over default_order of the same set and
+    re-expressing the result, which is unique in every order of a closed
+    nilpotent set (Steinberg, Lemma 17).
     """
     order = tuple(order)
     if isinstance(x, GroupWord):
@@ -265,11 +264,7 @@ def collect(x, order: Sequence[Root], registry: Optional[VariableRegistry] = Non
             stack.append((pos[a.root], -1, a.coeff.terms))  # in front of slot 0
 
     slots = [set() for _ in order]
-    fuel = _COLLECT_FUEL
     while stack:
-        if fuel <= 0:
-            raise RuntimeError("collection did not terminate within fuel budget")
-        fuel -= 1
         s, q, y = stack.pop()
         for t, u in below[s]:
             if t > q and slots[t]:
@@ -340,7 +335,7 @@ class RadicalElement:
         return word_equal(self.as_word(), other.as_word())
 
     def __repr__(self):
-        return "*".join(map(repr, self.atoms())) or "1"
+        return repr(self.as_word())
 
 
 def _coordinate_name(r: Root) -> str:
@@ -602,7 +597,7 @@ def _apply_rule(q: Polynomial, unknowns: set, solved: SolvedSystem) -> bool:
         # x^k * (nonzero constants) = 0 forces x = 0 over a field
         (m,) = q.terms
         hits = [(reg.names[i], e) for i, e in m if reg.names[i] in unknowns]
-        if len(hits) != 1 or any(reg.kind(reg.names[i]) not in ("unit", "sqrt")
+        if len(hits) != 1 or any(reg.kinds[i] not in (UNIT, SQRT)
                                  for i, _ in m if reg.names[i] not in unknowns):
             return False
         [(name, e)] = hits

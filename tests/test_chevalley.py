@@ -272,15 +272,6 @@ def test_collect_rejects_an_order_listing_a_root_twice():
         collect([e(sys, reg, 4, "x4")], radical_roots(sys, [4, 4, 5]), reg)
 
 
-def test_collect_out_of_fuel_raises(monkeypatch):
-    sys, reg = d4_setup()
-    order = radical_roots(sys, range(4, 13))
-    atoms = [e(sys, reg, label, "x4") for label in range(12, 3, -1)]
-    monkeypatch.setattr(chevalley, "_COLLECT_FUEL", 5)
-    with pytest.raises(RuntimeError):
-        collect(atoms, order, reg)
-
-
 # ---------------------------------------------------------------------------
 # conjugation
 

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from crlab import matrixoracle
 from crlab.coeffring import UNIT, SQRT, VariableRegistry
 from crlab.chevalley import (
     GraphAut,
@@ -232,6 +233,30 @@ def test_exact_word_skips_the_identity_diagram_atom():
     u = word(sys, reg, RootElement(sys.root_by_label(1), reg.var("x")))
     ident = word(sys, reg, GraphAut(sys, "id"))
     assert exact_word(ident * u * ident) == exact_word(u)
+
+
+def test_a_sigma_atom_costs_no_matrix_product(monkeypatch):
+    # (A, f)(I, 1) = (A, f+1): sigma only flips the flag
+    sys, reg = setup()
+    e1 = word(sys, reg, RootElement(sys.root_by_label(1), reg.var("x")))
+    e2 = word(sys, reg, RootElement(sys.root_by_label(2), reg.var("y")))
+    sigma = word(sys, reg, GraphAut(sys, "sigma"))
+    calls = {"mat_mul": 0, "sigma_twist": 0}
+
+    def counted(name):
+        inner = getattr(matrixoracle, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return inner(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(matrixoracle, name, counted(name))
+    got = exact_word(e1 * sigma * sigma * e2)
+    monkeypatch.undo()
+    assert calls == {"mat_mul": 2, "sigma_twist": 0}
+    assert got == exact_word(e1 * e2)
 
 
 def test_exact_oracle_rejects_near_miss_identities():

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from crlab import scenarios
+from crlab import rootsys, scenarios
 from crlab.cli import main
 from crlab.rootsys import RootMap
 from crlab.scenarios import run_scenario, scenario_names
@@ -229,6 +229,16 @@ def test_w0_combinatorics_composes_only_witnesses(monkeypatch):
     monkeypatch.setattr(RootMap, "compose", counted)
     assert run_scenario("w0-combinatorics").passed
     assert len(calls) <= 20
+
+
+def test_a2_realization_fails_with_a_wrong_longest_element(monkeypatch):
+    # with w0 = 1, sigma_L = -1 and w0 o sigma_L = -1 still holds; only the
+    # word n[b]n[a]n[b] o sigma_L shows that w0 was wrong
+    monkeypatch.setattr(rootsys, "longest_element", lambda system, simples: system.identity_map())
+    steps = {s.name: s for s in run_scenario("w0-combinatorics").steps}
+    assert (steps["a2-realization"].status, steps["a2-realization"].actual) == (
+        "FAIL", "composite not -1")
+    assert all(s.status == "PASS" for name, s in steps.items() if name != "a2-realization")
 
 
 def test_an_engine_error_fails_only_its_own_steps(monkeypatch):
