@@ -155,8 +155,6 @@ class Polynomial:
         self._check(other)
         return Polynomial(self.registry, self.terms ^ other.terms)
 
-    __sub__ = __add__
-
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
         if self.terms == _ONE:

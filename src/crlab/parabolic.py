@@ -15,11 +15,12 @@ from .chevalley import GroupWord, RadicalElement, normalize
 from .rootsys import Cocharacter, pairing
 
 
-def limit_along(lam: Cocharacter, frame: Optional[GroupWord], tail: Optional[RadicalElement]):
+def limit_along(lam: Cocharacter, frame: Optional[GroupWord], tail: RadicalElement):
     """Limit of frame*tail under conjugation by lam(a) as a goes to 0.
 
-    Returns (frame, limit tail) or None when no limit exists.  Frame atoms
-    must centralize lam (their root maps fix it); a tail coefficient at a
+    Returns (frame, limit tail) or None when no limit exists.  The tail is
+    required; frame may be None.  Frame atoms must centralize lam (their
+    root maps fix it); a tail coefficient at a
     root with positive pairing is killed in the limit, one with negative
     pairing destroys the limit.
     """
@@ -29,8 +30,6 @@ def limit_along(lam: Cocharacter, frame: Optional[GroupWord], tail: Optional[Rad
             raise ValueError("frame word must not contain root elements")
         if n.frame_map.act_cochar(lam) != lam:
             raise ValueError("frame atoms must centralize lambda")
-    if tail is None:
-        return frame, None
     for r in tail.support:
         if pairing(r, lam) < 0:
             return None

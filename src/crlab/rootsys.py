@@ -489,11 +489,11 @@ def extends_to_ambient(
     return None
 
 
-def verify_w0_identities(lam: Cocharacter) -> Optional[dict]:
-    """Check that w = w0L-bar ∘ w0G-bar fixes the roots of the Levi of lam
-    (spanned by the simple roots pairing 0 with lam) and flips the radical
-    root set.  None when -1 on the Levi does not extend to the ambient
-    group, else {"fixes-levi-roots": bool, "maps-radical-to-opposite": bool}."""
+def verify_w0_identities(lam: Cocharacter) -> Optional[bool]:
+    """Whether w = w0L-bar ∘ w0G-bar flips the radical root set of lam (the
+    roots pairing > 0 with it).  None when -1 on the Levi (spanned by the
+    simple roots pairing 0 with lam) does not extend to the ambient group.
+    w fixes each Levi root by construction: the extension is -1 there."""
     system = lam.system
     L_simples = [s for s in system.simple_roots if pairing(s, lam) == 0]
     sub = subsystem_roots(system, L_simples)
@@ -502,10 +502,7 @@ def verify_w0_identities(lam: Cocharacter) -> Optional[dict]:
         return None
     w = ext.compose(system.minus_one_map())  # apply w0G-bar = -1 first
     u_roots = [r for r in system.roots if pairing(r, lam) > 0]
-    return {
-        "fixes-levi-roots": all(w(r) == r for r in sub),
-        "maps-radical-to-opposite": {w(r) for r in u_roots} == {-r for r in u_roots},
-    }
+    return {w(r) for r in u_roots} == {-r for r in u_roots}
 
 
 def row_reduce(rows: Sequence[Sequence]) -> tuple:

@@ -57,7 +57,8 @@ GUARDS = {
     "extension-domain": (
         lambda: extends_to_ambient(D4, [A], {B: -B}), ValueError, "exactly on the Levi subsystem"),
     "limit-frame-with-root-elements": (
-        lambda: limit_along(D4.cocharacter((1, 2, 1, 1)), word(D4, REG, RootElement(A, X)), None),
+        lambda: limit_along(D4.cocharacter((1, 2, 1, 1)), word(D4, REG, RootElement(A, X)),
+                            collect([RootElement(A, X)], [A], REG)),
         ValueError, "must not contain root elements"),
     "registry-unknown-kind": (
         lambda: VariableRegistry().add("x", "weird"), ValueError, "unknown variable kind"),

@@ -150,13 +150,17 @@ def test_sigma_components_iff_fixed_cochar(capsys):
 def test_limit_along_frame_guard():
     sys, reg = d4_setup()
     lam = lam_d4(sys)
+    levi, radical = sys.root_by_label(1), sys.root_by_label(12)
+    order = [levi, radical]
+    tail = collect([RootElement(levi, reg.var("x4")), RootElement(radical, reg.var("x5"))], order, reg)
     bad = word(sys, reg, WeylRep(sys.simple("b")))  # s_beta moves lambda
     with pytest.raises(ValueError):
-        limit_along(lam, bad, None)
+        limit_along(lam, bad, tail)
     good = word(sys, reg, WeylRep(sys.simple("a")), GraphAut(sys, "sigma"),
                 TorusValue(sys.cocharacter((1, 0, 1, 0)), "t"))
-    frame, lim = limit_along(lam, good, None)
-    assert lim is None
+    frame, lim = limit_along(lam, good, tail)
+    assert frame is good
+    assert lim == collect([RootElement(levi, reg.var("x4"))], order, reg)
 
 
 def test_word_membership():

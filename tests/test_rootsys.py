@@ -424,7 +424,7 @@ def test_extends_to_ambient_matches_brute_force(label):
 
 def test_verify_w0_identities_d4():
     report = verify_w0_identities(lam_d4())
-    assert report == {"fixes-levi-roots": True, "maps-radical-to-opposite": True}
+    assert report is True
 
 
 def test_verify_w0_identities_regular_lambda_is_vacuous():
@@ -433,7 +433,19 @@ def test_verify_w0_identities_regular_lambda_is_vacuous():
     lam = sys.cocharacter((1, 1, 1, 1))
     assert all(pairing(s, lam) != 0 for s in sys.simple_roots)
     report = verify_w0_identities(lam)
-    assert report == {"fixes-levi-roots": True, "maps-radical-to-opposite": True}
+    assert report is True
+
+
+@pytest.mark.parametrize("name, coeffs, verdict", [
+    ("d4", (1, 2, 1, 1), True),
+    ("a4", (2, 1, 0, -1), False),
+    ("a4", (1, 0, -1, -2), False),
+    ("a3", (1, 2, 3), None),
+])
+def test_verify_w0_identities_takes_all_three_values(name, coeffs, verdict):
+    # True: w flips the radical; False: -1 on the Levi extends, but w does
+    # not flip the radical; None: -1 on the Levi does not extend
+    assert verify_w0_identities(root_system(name).cocharacter(coeffs)) is verdict
 
 
 def test_verify_w0_identities_a3_reports_hypothesis_failure():

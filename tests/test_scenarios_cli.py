@@ -10,9 +10,12 @@ from pathlib import Path
 import pytest
 
 from crlab import rootsys, scenarios
+from crlab.chevalley import word_equal
 from crlab.cli import main
-from crlab.rootsys import RootMap
+from crlab.coeffring import VariableRegistry
+from crlab.rootsys import RootMap, root_system
 from crlab.scenarios import run_scenario, scenario_names
+from crlab.wordexpr import ExprError, parse_word
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "canonical_golden.json"
 EXPECTED_VERIFY = Path(__file__).resolve().parents[1] / "perfbench" / "expected_verify.json"
@@ -47,6 +50,29 @@ def test_d4_gir_fails_only_on_the_recorded_root11_image():
     assert [s.name for s in failing] == ["n12-action-on-11"]
     assert failing[0].expected == "-12"
     assert failing[0].actual == "-11"
+
+
+SCENARIO_SYSTEMS = {"d4-gcr-not-gcrk": "d4", "d4-gir-not-gcr": "d4", "a2-conjugacy": "a2",
+                    "d4-nonseparability": "d4", "w0-combinatorics": "d4"}
+
+
+def same_word(text1, text2, system):
+    """Both texts parse as words on `system`, and word_equal proves them equal."""
+    reg = VariableRegistry()
+    try:
+        w1, w2 = parse_word(text1, system, reg), parse_word(text2, system, reg)
+    except ExprError:
+        return False
+    return word_equal(w1, w2)
+
+
+@pytest.mark.parametrize("name", scenario_names())
+def test_a_pass_step_records_what_it_compared(name):
+    # a PASS records equal texts, or two spellings of one word
+    system = root_system(SCENARIO_SYSTEMS[name])
+    for s in run_scenario(name).steps:
+        if s.status == "PASS" and s.expected != s.actual:
+            assert same_word(s.expected, s.actual, system), (s.name, s.expected, s.actual)
 
 
 def run_crlab(*args):
