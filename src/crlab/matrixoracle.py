@@ -24,6 +24,7 @@ module is an independent check of the collection machinery.
 
 from __future__ import annotations
 
+import itertools
 from typing import Dict, List, Sequence, Tuple
 
 from .chevalley import GraphAut, GroupWord, RootElement, TorusValue, WeylRep
@@ -213,10 +214,17 @@ def exact_word(w: GroupWord) -> A2Matrix:
     return evaluate_word(w, ring.generic_point(), ring)
 
 
-def matrix_oracle_check(lhs: GroupWord, rhs: GroupWord) -> bool:
-    """Decide lhs == rhs in SL3 x <sigma> exactly, by comparing the two words
-    as matrices over the polynomial ring."""
-    return exact_word(lhs) == exact_word(rhs)
+def first_difference(*pairs: Tuple[A2Matrix, A2Matrix]):
+    """Where the two sides of the first unequal (lhs, rhs) pair differ: (pair
+    index, "sigma") when the flags do, else (pair index, (row, column)) of the
+    first unequal entry in reading order.  None when every pair is equal."""
+    for k, (a, b) in enumerate(pairs):
+        if a.flag != b.flag:
+            return k, "sigma"
+        for i, j in itertools.product(range(3), repeat=2):
+            if a.mat[i][j] != b.mat[i][j]:
+                return k, (i, j)
+    return None
 
 
 def m_stabilizer(gf: GF) -> List[A2Matrix]:

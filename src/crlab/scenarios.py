@@ -3,15 +3,17 @@
 A scenario is a function of one argument, `step`.  It calls
 `step(name, anchor, expected, actual, equal=None)` once per check, in
 order: `anchor` is the algebraic identity the step checks and `actual` a
-zero-argument thunk that does the engine work.  `run_scenario` owns the
-only `step`: it calls the thunk at once, compares the result with
-`expected` by `equal` (or `==`), records both sides as text, and turns an
-exception into that step's FAIL.  `step` returns the computed value, so
-later steps can build on it; after an error it returns a stand-in whose
-use fails the later step naming the failed one.  Code between steps
-that raises ends the scenario with a FAIL step named `build`.  Every
-step is deterministic: the A2 matrix-oracle steps compare words exactly over
-the polynomial ring.
+zero-argument thunk that does the engine work and returns the engine's own
+value: a word, a polynomial, a verdict, the generators or roots that break
+a claim, or the first place where two matrices differ.  No thunk judges its
+own step: `run_scenario` owns the only `step`, which calls the thunk at
+once, compares the result with `expected` by `equal` (or `==`), records
+both sides as text, and turns an exception into that step's FAIL.  `step`
+returns the computed value, so later steps can build on it; after an error
+it returns a stand-in whose use fails the later step naming the failed
+one.  Code between steps that raises ends the scenario with a FAIL step
+named `build`.  Every step is deterministic: the A2 matrix-oracle steps
+compare words exactly over the polynomial ring.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from .chevalley import (
     word,
     word_equal,
 )
-from .matrixoracle import enumerate_m_conjugacy, exact_word, matrix_oracle_check
+from .matrixoracle import A2Matrix, enumerate_m_conjugacy, exact_word, first_difference
 from .parabolic import limit_along, word_in_rparabolic
 from .rootsys import (
     compose_word,
@@ -228,10 +230,8 @@ def _d4_gir(step) -> None:
 
     torus_ac = word(sys, reg, TorusValue(sys.cocharacter((1, 0, 1, 0)), "t"))
     gens = [nsig, torus_ac, h]
-    contained = "all three generators lie in the lambda parabolic"
     step("containment", "n[a]*sigma, (a+c)^v torus and e11(1)*e2(s) lie in P(a+2b+c+d)^v",
-         contained,
-         lambda: contained if all(word_in_rparabolic(g, lam) for g in gens) else "a generator escapes")
+         [], lambda: [g for g in gens if not word_in_rparabolic(g, lam)])
 
     radical = _roots(sys, range(4, 13))
     step("centralizer-nsigma",
@@ -241,11 +241,10 @@ def _d4_gir(step) -> None:
 
     def m_radical():
         rep = centralizer_system([nsig, torus_ac], radical, reg)
-        forced = any(str(p) == "x6^2" for p in rep.solved.forced)
-        return rep.subgroup_description() + (" (forced x6^2)" if forced else " (no square forced)")
+        return rep.subgroup_description(), rep.solved.forced
     step("centralizer-M-radical",
          "the radical centralizer of M collapses to U_12 via the forced x6^2 = 0",
-         "U_12 (forced x6^2)", m_radical)
+         ("U_12", [reg.var("x6") ** 2]), m_radical)
 
     opposite = _roots(sys, range(-4, -13, -1))
     step("centralizer-M-opposite",
@@ -253,14 +252,12 @@ def _d4_gir(step) -> None:
          "U_-12", lambda: centralizer_system([nsig, torus_ac], opposite, reg).subgroup_description())
 
     def levi_torus():
-        chi1 = sys.cocharacter((1, 0, 1, 0))
-        chi2 = sys.cocharacter((0, 0, 1, 1))
-        bad = [r.label for r in _roots(sys, (1, 2, 3, -1, -2, -3))
-               if pairing(r, chi1) == 0 and pairing(r, chi2) == 0]
-        return f"root elements survive at {bad}" if bad else "T"
+        chis = [sys.cocharacter((1, 0, 1, 0)), sys.cocharacter((0, 0, 1, 1))]
+        return [r.label for r in _roots(sys, (1, 2, 3, -1, -2, -3))
+                if all(pairing(r, chi) == 0 for chi in chis)]
     step("centralizer-L-torus",
          "no Levi root element commutes with both (a+c)^v and (c+d)^v images",
-         "T", levi_torus)
+         [], levi_torus)
 
     step("torus-fixed-line",
          "the cocharacters fixed by n[a]*sigma form the line through (a+2b+c+d)^v",
@@ -274,21 +271,16 @@ def _d4_gir(step) -> None:
          "the 12-letter longest word sends root 2 to -(root 2) under inverse action",
          -2, lambda: n12.inverse()(sys.root_by_label(2)).label)
 
-    def bruhat():
-        tail = collect([_e(sys, -12, one), _e(sys, -2, s)], _roots(sys, (-12, -2)), reg)
-        return "no limit" if limit_along(lam, None, tail) is None else "limit exists"
-    step("bruhat-exclusion", "e-12(1)*e-2(s) has no limit along (a+2b+c+d)^v", "no limit", bruhat)
-
-    not_rational = "not k-rational as presented"
-    step("nonk-flag", "the conjugating element carries the square-root constant", not_rational,
-         lambda: not_rational if any(a.coeff.involves(reg.sqrt_name) for a in v.atoms) else "k-rational")
+    step("bruhat-exclusion", "e-12(1)*e-2(s) has no limit along (a+2b+c+d)^v", None,
+         lambda: limit_along(lam, None, collect([_e(sys, -12, one), _e(sys, -2, s)],
+                                                _roots(sys, (-12, -2)), reg)))
+    step("nonk-flag", "the conjugating element carries the square-root constant", list(v.atoms),
+         lambda: [a for a in v.atoms if a.coeff.involves(reg.sqrt_name)])
 
     y = reg.add("u12arg")
     u12 = word(sys, reg, _e(sys, 12, y))
-    centralized = "U_12 centralizes all generators"
     step("u12-centralizes", "e12(y) commutes with every generator of the conjugated group",
-         centralized,
-         lambda: centralized if all(word_equal(conjugate(g, u12), u12) for g in gens) else "U_12 moved")
+         [], lambda: [g for g in gens if not word_equal(conjugate(g, u12), u12)])
 
     uneg = word(sys, reg, _e(sys, -12, y))
     step("u-opposite-fails",
@@ -304,15 +296,6 @@ def _d4_gir(step) -> None:
 # scenario: a2-conjugacy
 
 
-EXACT_MATRICES = "matrices over F2[x,y,z,s][t,t^-1] are equal"
-
-
-def _matrices(*pairs) -> str:
-    """EXACT_MATRICES when both sides of every (lhs, rhs) pair are equal matrices."""
-    ok = all(matrix_oracle_check(lhs, rhs) for lhs, rhs in pairs)
-    return EXACT_MATRICES if ok else "matrix mismatch"
-
-
 def _a2(step) -> None:
     sys = root_system("a2")
     reg = _registry("x", "y", "z")
@@ -326,23 +309,22 @@ def _a2(step) -> None:
          "sigma e1(x)*e2(y)*e3(z) sigma^-1 = e1(y)*e2(x)*e3(xy+z)",
          expected, lambda: conjugate(sigma, u), equal=word_equal)
     step("sigma-conjugation-oracle", "the same identity holds as 3x3 matrices",
-         EXACT_MATRICES, lambda: _matrices((sigma * u * sigma.inverse(), expected)))
+         None, lambda: first_difference((exact_word(sigma * u * sigma.inverse()), exact_word(expected))))
 
     vec = {r: reg.one() for r in (alpha, beta)}
     step("adjoint-fixed", "Ad(sigma)(e1+e2) = e1+e2", _lie_text(vec),
          lambda: _lie_text(adjoint(sigma, vec)))
 
-    fixed = "sl3 adjoint of sigma fixes the matrix of e1+e2"
-
     def oracle_adjoint():
         # u = I + EPS X + O(EPS^2), so Ad(sigma) X is the EPS-linear part of sigma u sigma^-1
         u = word(sys, reg, *(RootElement(r, reg.add(EPS) * c) for r, c in vec.items()))
-        moved, still = exact_word(sigma * u * sigma.inverse()).mat, exact_word(u).mat
-        same = all(a.linear_part(EPS) == b.linear_part(EPS)
-                   for ra, rb in zip(moved, still) for a, b in zip(ra, rb))
-        return fixed if same else "matrix moved"
+
+        def linear(w):
+            m = exact_word(w)
+            return A2Matrix(m.ring, tuple(tuple(a.linear_part(EPS) for a in row) for row in m.mat), m.flag)
+        return first_difference((linear(sigma * u * sigma.inverse()), linear(u)))
     step("adjoint-fixed-oracle", "the fixed vector is fixed in the sl3 matrix model too",
-         fixed, oracle_adjoint)
+         None, oracle_adjoint)
 
     v = word(sys, reg, RootElement(alpha, x), RootElement(beta, x))
     curve_expected = sigma * word(sys, reg, RootElement(ab, x * x))
@@ -355,8 +337,8 @@ def _a2(step) -> None:
          "v(x) conjugates (sigma, e3(1)) to (sigma*e3(x^2), e3(1))",
          f"{curve_expected} ; {m2}", lambda: f"{curve_conj} ; {conjugate(v, m2)}")
     step("pair-formula-oracle", "both pair components check out as matrices",
-         EXACT_MATRICES,
-         lambda: _matrices((v * sigma * v.inverse(), curve_expected), (v * m2 * v.inverse(), m2)))
+         None, lambda: first_difference((exact_word(v * sigma * v.inverse()), exact_word(curve_expected)),
+                                        (exact_word(v * m2 * v.inverse()), exact_word(m2))))
 
     step("m-conjugacy-f4",
          "over F4 the four pairs fall into four singleton conjugacy classes",
@@ -389,15 +371,10 @@ def _d4_nonsep(step) -> None:
                nsig * word(sys, reg, _e(sys, 12, xx * xx)), lambda: conjugate(curve, nsig),
                equal=word_equal)
 
-    witness = "adjoint-fixed but group-moved"
-
-    def curve_vs_adjoint():
-        fixed = adjoint(curve, vec) == vec
-        residual = _root_coefficient(got, (12,), 12)
-        return witness if fixed and residual == xx * xx else "witness failed"
     step("nonseparability-witness",
          "e6+e9 is adjoint-fixed while the matching curve moves the group element",
-         witness, curve_vs_adjoint)
+         (_lie_text(vec), xx * xx),
+         lambda: (_lie_text(adjoint(curve, vec)), _root_coefficient(got, (12,), 12)))
 
 
 # ---------------------------------------------------------------------------
@@ -412,38 +389,23 @@ def _w0(step) -> None:
 
     a3 = root_system("a3")
     La3 = [a3.simple("a"), a3.simple("b")]
-    absent = "no ambient extension"
-
-    def extension():
-        minus_one = {r: -r for r in subsystem_roots(a3, La3)}
-        return absent if extends_to_ambient(a3, La3, minus_one) is None else "witness found"
     step("a3-extension-absent",
          "the -1 realization of the A2 Levi does not extend over the A3 radical",
-         absent, extension)
-    lam_a3 = a3.cocharacter((1, 2, 3))
+         None, lambda: extends_to_ambient(a3, La3, {r: -r for r in subsystem_roots(a3, La3)}))
     step("a3-hypothesis-failure",
          "the composite-map argument is reported unavailable for (A3, L_ab)",
-         "hypothesis failure",
-         lambda: ("hypothesis failure" if verify_w0_identities(lam_a3) is None
-                  else "unexpectedly extended"))
-
-    minus_one_on_levi = "w0L o sigma_L = -1 on the Levi"
+         None, lambda: verify_w0_identities(a3.cocharacter((1, 2, 3))))
 
     def a3_realization():
-        sigma_l = minus_one_realization(a3, La3)[1]
-        if sigma_l is None:
-            return "sigma_L absent"
-        word_map = compose_word(a3, ["b", "a", "b"]).compose(sigma_l)
-        ok = all(word_map(r) == -r for r in subsystem_roots(a3, La3))
-        return minus_one_on_levi if ok else "composite not -1"
+        word_map = compose_word(a3, ["b", "a", "b"]).compose(minus_one_realization(a3, La3)[1])
+        return [r.label for r in subsystem_roots(a3, La3) if word_map(r) != -r]
     step("a2-realization",
          "w0 of the A2 Levi needs the diagram flip to realize -1",
-         minus_one_on_levi, a3_realization)
+         [], a3_realization)
 
-    regular, lam_regular = "regular case: -1 flips everything", d4.cocharacter((1, 1, 1, 1))
     step("regular-lambda-vacuous",
          "with no Levi simples the composite is -1 and flips every root",
-         regular, lambda: regular if verify_w0_identities(lam_regular) is True else "failed")
+         True, lambda: verify_w0_identities(d4.cocharacter((1, 1, 1, 1))))
 
 
 # ---------------------------------------------------------------------------
@@ -465,6 +427,14 @@ def scenario_names() -> List[str]:
 
 def _error(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
+
+
+def _text(value) -> str:
+    """str of a value, and of each item of a list or tuple value."""
+    if isinstance(value, (list, tuple)):
+        items = ", ".join(map(_text, value))
+        return f"[{items}]" if isinstance(value, list) else f"({items})"
+    return str(value)
 
 
 class _FailedStep:
@@ -494,10 +464,10 @@ def run_scenario(name: str) -> Report:
             value = actual()
             ok = equal(expected, value) if equal else expected == value
             results.append(StepResult(step_name, anchor, "PASS" if ok else "FAIL",
-                                      str(expected), str(value)))
+                                      _text(expected), _text(value)))
             return value
         except Exception as exc:  # an engine error fails this step only
-            results.append(StepResult(step_name, anchor, "FAIL", str(expected), _error(exc)))
+            results.append(StepResult(step_name, anchor, "FAIL", _text(expected), _error(exc)))
             return _FailedStep(step_name)
 
     try:

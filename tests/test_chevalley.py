@@ -604,6 +604,21 @@ def test_a_product_of_unknowns_stays_a_residual():
     assert not solved.triangular
 
 
+def test_a_unit_or_square_root_factor_forces_its_unknown_to_zero():
+    # x4 times nonzero constants vanishes only at x4 = 0; an ordinary
+    # parameter y may itself vanish, so y*x4 = 0 decides nothing
+    sys, reg = d4_setup()
+    x4, y = reg.var("x4"), reg.var("y")
+    radical = radical_roots(sys, [4, 5])
+    ordinary = ConstraintSystem(reg, [y * x4], radical)
+    assert ordinary.solved.residuals == [y * x4]
+    assert ordinary.subgroup_description() == "unsolved"
+    for constant in ("t", "s"):
+        rep = ConstraintSystem(reg, [reg.var(constant) * x4], radical)
+        assert rep.solved.is_zero("x4") and rep.solved.triangular, constant
+        assert rep.subgroup_description() == "U_5", constant
+
+
 def test_solved_system_classes_follow_the_unknowns_order():
     solved = SolvedSystem(["x4", "x9", "x10", "x11", "x12"])
     solved.merge("x12", "x9")
@@ -1037,3 +1052,31 @@ def test_normalize_matches_the_frame_by_frame_reference(label):
     assert {c for c, _, _ in outcomes} == {True, False}
     assert {t for _, t, _ in outcomes} == {True, False}
     assert merged  # free reduction shortened some tails
+
+
+def test_root_elements_differing_in_one_field_are_unequal():
+    sys, reg = d4_setup()
+    r4, x4 = sys.root_by_label(4), reg.var("x4")
+    assert RootElement(r4, x4) == RootElement(r4, x4)
+    assert RootElement(r4, x4) != RootElement(sys.root_by_label(5), x4)
+    assert RootElement(r4, x4) != RootElement(r4, reg.var("x5"))
+
+
+def test_weyl_reps_of_different_roots_are_unequal():
+    sys = root_system("d4")
+    assert WeylRep(sys.simple("a")) == WeylRep(sys.simple("a"))
+    assert WeylRep(sys.simple("a")) != WeylRep(sys.simple("b"))
+
+
+def test_graph_automorphisms_with_different_diagram_maps_are_unequal():
+    sys = root_system("d4")
+    assert GraphAut(sys, "sigma") == GraphAut(sys, "sigma")
+    assert GraphAut(sys, "sigma") != GraphAut(sys, "sigma2")
+
+
+def test_torus_values_differing_in_one_field_are_unequal():
+    sys = root_system("d4")
+    chi = sys.cocharacter((1, 0, 1, 0))
+    assert TorusValue(chi, "t") == TorusValue(chi, "t")
+    assert TorusValue(chi, "t") != TorusValue(sys.cocharacter((0, 0, 1, 1)), "t")
+    assert TorusValue(chi, "t") != TorusValue(chi, "u")

@@ -23,9 +23,9 @@ from crlab.matrixoracle import (
     enumerate_m_conjugacy,
     evaluate_word,
     exact_word,
+    first_difference,
     identity,
     m_stabilizer,
-    matrix_oracle_check,
     mat_inv,
     mat_mul,
     pair_for_value,
@@ -46,6 +46,11 @@ def setup():
     reg.add("t", UNIT)
     reg.add("s", SQRT)
     return sys, reg
+
+
+def difference(lhs, rhs):
+    """Where the two words differ as matrices over the polynomial ring."""
+    return first_difference((exact_word(lhs), exact_word(rhs)))
 
 
 def test_gf_arithmetic():
@@ -141,7 +146,7 @@ def test_oracle_sigma_conjugation_identity():
     rhs = word(sys, reg, RootElement(sys.root_by_label(1), y),
                RootElement(sys.root_by_label(2), x),
                RootElement(sys.root_by_label(3), x * y + z))
-    assert matrix_oracle_check(lhs, rhs)
+    assert difference(lhs, rhs) is None
 
 
 def test_oracle_curve_identity():
@@ -152,12 +157,12 @@ def test_oracle_curve_identity():
     sigma = word(sys, reg, GraphAut(sys, "sigma"))
     lhs = v * sigma * v.inverse()
     rhs = sigma * word(sys, reg, RootElement(sys.root_by_label(3), x * x))
-    assert matrix_oracle_check(lhs, rhs)
+    assert difference(lhs, rhs) is None
 
 
 def test_oracle_trivial_identity():
     sys, reg = setup()
-    assert matrix_oracle_check(word(sys, reg), word(sys, reg))
+    assert difference(word(sys, reg), word(sys, reg)) is None
 
 
 def test_oracle_detects_wrong_identity():
@@ -165,7 +170,8 @@ def test_oracle_detects_wrong_identity():
     x = reg.var("x")
     lhs = word(sys, reg, RootElement(sys.root_by_label(1), x))
     rhs = word(sys, reg, RootElement(sys.root_by_label(2), x))
-    assert not matrix_oracle_check(lhs, rhs)
+    # e1(x) = I + xE12 and e2(x) = I + xE23 differ first at row 0, column 1
+    assert difference(lhs, rhs) == (0, (0, 1))
 
 
 def test_oracle_rejects_non_a2():
@@ -173,7 +179,7 @@ def test_oracle_rejects_non_a2():
     reg = VariableRegistry()
     w = word(d4, reg)
     with pytest.raises(ValueError):
-        matrix_oracle_check(w, w)
+        exact_word(w)
 
 
 def random_a2_word(sys, reg, rng, max_len=8):
@@ -265,23 +271,25 @@ def test_exact_oracle_rejects_near_miss_identities():
     e1, e2, e3 = (sys.root_by_label(i) for i in (1, 2, 3))
     sigma = word(sys, reg, GraphAut(sys, "sigma"))
     lhs = sigma * word(sys, reg, RootElement(e1, x), RootElement(e2, y), RootElement(e3, z)) * sigma.inverse()
-    assert matrix_oracle_check(lhs, word(sys, reg, RootElement(e1, y), RootElement(e2, x),
-                                         RootElement(e3, x * y + z)))
-    # x*y dropped from the e3 coefficient
-    assert not matrix_oracle_check(lhs, word(sys, reg, RootElement(e1, y), RootElement(e2, x),
-                                             RootElement(e3, z)))
-    # e1 and e2 swapped
-    assert not matrix_oracle_check(lhs, word(sys, reg, RootElement(e2, y), RootElement(e1, x),
-                                             RootElement(e3, x * y + z)))
-    assert not matrix_oracle_check(lhs, word(sys, reg, RootElement(e1, x), RootElement(e2, y),
-                                             RootElement(e3, x * y + z)))
+    assert difference(lhs, word(sys, reg, RootElement(e1, y), RootElement(e2, x),
+                                RootElement(e3, x * y + z))) is None
+    # x*y dropped from the e3 coefficient: only the corner entry differs
+    assert difference(lhs, word(sys, reg, RootElement(e1, y), RootElement(e2, x),
+                                RootElement(e3, z))) == (0, (0, 2))
+    # e1 and e2 swapped: e2(y)e1(x) puts x, not y, in row 0, column 1
+    assert difference(lhs, word(sys, reg, RootElement(e2, y), RootElement(e1, x),
+                                RootElement(e3, x * y + z))) == (0, (0, 1))
+    assert difference(lhs, word(sys, reg, RootElement(e1, x), RootElement(e2, y),
+                                RootElement(e3, x * y + z))) == (0, (0, 1))
     # e3(x) in place of e3(x^2) in the curve identity
     v = word(sys, reg, RootElement(e1, x), RootElement(e2, x))
     curve = v * sigma * v.inverse()
-    assert matrix_oracle_check(curve, sigma * word(sys, reg, RootElement(e3, x * x)))
-    assert not matrix_oracle_check(curve, sigma * word(sys, reg, RootElement(e3, x)))
+    assert difference(curve, sigma * word(sys, reg, RootElement(e3, x * x))) is None
+    assert difference(curve, sigma * word(sys, reg, RootElement(e3, x))) == (0, (0, 2))
     # a constant coefficient is not the identity
-    assert not matrix_oracle_check(word(sys, reg, RootElement(e3, reg.one())), word(sys, reg))
+    assert difference(word(sys, reg, RootElement(e3, reg.one())), word(sys, reg)) == (0, (0, 2))
+    # the sigma flag is compared before any entry
+    assert difference(sigma * word(sys, reg, RootElement(e1, x)), word(sys, reg)) == (0, "sigma")
 
 
 def test_exact_oracle_decides_the_uncollected_tail():
@@ -290,7 +298,7 @@ def test_exact_oracle_decides_the_uncollected_tail():
     x, y = reg.var("x"), reg.var("y")
     e1, em1 = sys.root_by_label(1), sys.root_by_label(-1)
     w = word(sys, reg, RootElement(e1, x), RootElement(em1, y), RootElement(em1, y), RootElement(e1, x))
-    assert matrix_oracle_check(w, word(sys, reg))
+    assert difference(w, word(sys, reg)) is None
 
 
 def _random_a2_atoms(sys, reg, rng, n, frames=True):
@@ -350,7 +358,7 @@ def test_word_equal_is_sound_against_the_exact_oracle(family):
             atoms[i] = RootElement(atoms[i].root, atoms[i].coeff + reg.one())
             cases.append((w1, word(sys, reg, *atoms), False))
         for lhs, rhs, same in cases:
-            assert matrix_oracle_check(lhs, rhs) == same
+            assert (difference(lhs, rhs) is None) == same
             got = word_equal(lhs, rhs)
             assert not got or same, (lhs, rhs)
             equal += same
@@ -369,8 +377,8 @@ def test_exact_oracle_with_sqrt_constant_and_negative_torus_power():
     assert diag == (t ** -2, t ** 2, reg.one())
     assert PolyRing(reg).inv(t ** 2) == t ** -2
     lhs = h * word(sys, reg, RootElement(e1, s)) * h.inverse()
-    assert matrix_oracle_check(lhs, word(sys, reg, RootElement(e1, t ** -4 * s)))
-    assert not matrix_oracle_check(lhs, word(sys, reg, RootElement(e1, t ** 4 * s)))
+    assert difference(lhs, word(sys, reg, RootElement(e1, t ** -4 * s))) is None
+    assert difference(lhs, word(sys, reg, RootElement(e1, t ** 4 * s))) == (0, (0, 1))
     rng = random.Random(5)
     gf = GF(16)
     exact = exact_word(lhs)
@@ -511,3 +519,15 @@ def test_sigma_twist_is_the_literal_j_conjugate():
         assert sigma_twist(gf, mat_mul(gf, A, B)) == mat_mul(gf, sigma_twist(gf, A), sigma_twist(gf, B))
     with pytest.raises(ZeroDivisionError):
         sigma_twist(gf, ((1, 2, 3), (2, 4, 6), (0, 0, 1)))
+
+
+def test_first_difference_names_the_first_unequal_pair():
+    sys, reg = setup()
+    x = reg.var("x")
+    e1 = exact_word(word(sys, reg, RootElement(sys.root_by_label(1), x)))
+    em1 = exact_word(word(sys, reg, RootElement(sys.root_by_label(-1), x)))
+    one = exact_word(word(sys, reg))
+    assert first_difference() is None
+    assert first_difference((e1, e1), (one, one)) is None
+    # e-1(x) = I + xE21: row 0 agrees with the identity, row 1 does not
+    assert first_difference((e1, e1), (em1, one), (e1, one)) == (1, (1, 0))

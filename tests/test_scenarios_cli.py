@@ -10,9 +10,9 @@ from pathlib import Path
 import pytest
 
 from crlab import rootsys, scenarios
-from crlab.chevalley import word_equal
+from crlab.chevalley import EPS, GraphAut, RootElement, TorusValue, WeylRep, word, word_equal
 from crlab.cli import main
-from crlab.coeffring import VariableRegistry
+from crlab.coeffring import Polynomial, VariableRegistry
 from crlab.rootsys import RootMap, root_system
 from crlab.scenarios import run_scenario, scenario_names
 from crlab.wordexpr import ExprError, parse_word
@@ -217,12 +217,19 @@ def test_python_dash_m_crlab_runs_the_cli():
 
 
 @pytest.mark.parametrize("seed", [0, 5])
-def test_canonical_json_matches_the_golden_file(seed):
+def test_canonical_json_matches_the_golden_file(seed, capsys):
     # the file pins canonical_json() of every scenario byte for byte; a change
-    # of any scenario's behaviour must update it in the same change
+    # of any scenario's behaviour must update it in the same change.  It holds
+    # one record per scenario: `verify --seed` is ignored, so every seed must
+    # print the same records
     golden = json.loads(GOLDEN.read_text())
+    assert list(golden) == sorted(scenario_names())
     for name in scenario_names():
-        assert run_scenario(name).canonical_json() == golden[f"{seed}/{name}"], name
+        assert run_scenario(name).canonical_json() == golden[name], name
+    assert main(["verify", "--all", "--seed", str(seed), "--format", "json"]) == 1
+    for record in json.loads(capsys.readouterr().out):
+        record["elapsed_ms"] = 0
+        assert json.dumps(record, sort_keys=True) == golden[record["scenario"]], record["scenario"]
 
 
 @pytest.mark.parametrize("exc", [RuntimeError("engine broke"), ValueError("bad table")])
@@ -259,11 +266,12 @@ def test_w0_combinatorics_composes_only_witnesses(monkeypatch):
 
 def test_a2_realization_fails_with_a_wrong_longest_element(monkeypatch):
     # with w0 = 1, sigma_L = -1 and w0 o sigma_L = -1 still holds; only the
-    # word n[b]n[a]n[b] o sigma_L shows that w0 was wrong
+    # word n[b]n[a]n[b] o sigma_L shows that w0 was wrong: it is the diagram
+    # flip, which sends no Levi root to its negative
     monkeypatch.setattr(rootsys, "longest_element", lambda system, simples: system.identity_map())
     steps = {s.name: s for s in run_scenario("w0-combinatorics").steps}
     assert (steps["a2-realization"].status, steps["a2-realization"].actual) == (
-        "FAIL", "composite not -1")
+        "FAIL", "[1, 2, 4, -1, -2, -4]")
     assert all(s.status == "PASS" for name, s in steps.items() if name != "a2-realization")
 
 
@@ -339,3 +347,68 @@ def test_a_combination_starting_with_minus_must_follow_a_double_dash(bad, good, 
     assert exit_.value.code == 2
     assert "the following arguments are required" in capsys.readouterr().err
     assert main(good) == 0
+
+
+def mentions(w, name):
+    """Some root element of the word has a coefficient involving `name`."""
+    return any(isinstance(a, RootElement) and a.coeff.involves(name) for a in w.atoms)
+
+
+def sigma_read_as_n_a(real, w):
+    """The matrix model evaluating each diagram atom as n[a]."""
+    n_a = WeylRep(w.system.simple("a"))
+    return real(word(w.system, w.registry, *(n_a if isinstance(a, GraphAut) else a for a in w.atoms)))
+
+
+def always(*args):
+    return True
+
+
+# (scenario, step, owner and name of the function the step reads, when it
+# answers wrong, the wrong answer given the real function, the step's actual)
+MUTATIONS = [
+    ("d4-gir-not-gcr", "containment", scenarios, "word_in_rparabolic",
+     lambda g, lam: isinstance(g.atoms[0], TorusValue), lambda real, g, lam: False, "[t[a+c](t)]"),
+    ("d4-gir-not-gcr", "centralizer-M-radical", scenarios, "centralizer_system",
+     lambda gens, radical, reg: len(gens) == 2 and radical[0].label > 0,
+     lambda real, gens, radical, reg: real(gens[:1], radical, reg), "(coordinates x4, x12, [x4^2+x6^2])"),
+    ("d4-gir-not-gcr", "centralizer-L-torus", scenarios, "pairing",
+     lambda r, chi: abs(r.label) == 2, lambda real, r, chi: 0, "[2, -2]"),
+    ("d4-gir-not-gcr", "bruhat-exclusion", scenarios, "limit_along",
+     always, lambda real, lam, frame, tail: (frame, tail), "(None, e-12(1)*e-2(s))"),
+    ("d4-gir-not-gcr", "nonk-flag", Polynomial, "involves",
+     lambda p, name: name == "s", lambda real, p, name: False, "[]"),
+    ("d4-gir-not-gcr", "u12-centralizes", scenarios, "conjugate",
+     lambda g, h: isinstance(g.atoms[0], TorusValue) and mentions(h, "u12arg"),
+     lambda real, g, h: real(g, h) * h, "[t[a+c](t)]"),
+    ("a2-conjugacy", "sigma-conjugation-oracle", scenarios, "exact_word",
+     lambda w: mentions(w, "z"), sigma_read_as_n_a, "(0, (0, 1))"),
+    ("a2-conjugacy", "adjoint-fixed-oracle", scenarios, "exact_word",
+     lambda w: mentions(w, EPS), sigma_read_as_n_a, "(0, (0, 1))"),
+    ("a2-conjugacy", "pair-formula-oracle", scenarios, "exact_word",
+     lambda w: mentions(w, "x") and not mentions(w, "z"), sigma_read_as_n_a, "(0, (0, 0))"),
+    ("d4-nonseparability", "nonseparability-witness", scenarios, "adjoint",
+     lambda g, v: isinstance(g.atoms[0], RootElement),
+     lambda real, g, v: {r: c for r, c in real(g, v).items() if r.label != 9}, "(e6, x^2)"),
+    ("w0-combinatorics", "a3-extension-absent", scenarios, "extends_to_ambient",
+     always, lambda real, system, simples, partial: system.identity_map(),
+     "RootMap(A3:(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11))"),
+    ("w0-combinatorics", "a3-hypothesis-failure", scenarios, "verify_w0_identities",
+     lambda lam: lam.system.type_label == "A3", lambda real, lam: True, "True"),
+    ("w0-combinatorics", "a2-realization", scenarios, "minus_one_realization",
+     always, lambda real, system, simples: (None, system.identity_map()), "[1, 2, -1, -2]"),
+    ("w0-combinatorics", "regular-lambda-vacuous", scenarios, "verify_w0_identities",
+     lambda lam: lam.coeffs == (1, 1, 1, 1), lambda real, lam: False, "False"),
+]
+
+
+@pytest.mark.parametrize("scenario, name, owner, function, when, wrong, actual", MUTATIONS,
+                         ids=[m[1] for m in MUTATIONS])
+def test_a_step_whose_engine_answers_wrong_fails_and_names_the_culprit(
+        monkeypatch, scenario, name, owner, function, when, wrong, actual):
+    before = {s.name: s.status for s in run_scenario(scenario).steps}
+    real = getattr(owner, function)
+    monkeypatch.setattr(owner, function, lambda *args: wrong(real, *args) if when(*args) else real(*args))
+    steps = {s.name: s for s in run_scenario(scenario).steps}
+    assert (steps[name].status, steps[name].actual) == ("FAIL", actual)
+    assert {n: s.status for n, s in steps.items()} == {**before, name: "FAIL"}
