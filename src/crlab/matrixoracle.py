@@ -2,11 +2,15 @@
 
 SL3 root elements are elementary transvections (e_alpha(x) = I + x E12,
 e_beta(x) = I + x E23, e_{alpha+beta}(x) = I + x E13, negative roots
-transposed), the torus is diagonal, and the graph automorphism is
-g -> J (g^T)^-1 J with J the antidiagonal unit, which fixes the standard
-pinning: sigma e_alpha(x) sigma^-1 = e_beta(x) and sigma fixes U_{alpha+beta}.
-Group elements of SL3 x <sigma> are (matrix, flag) pairs multiplied through
-the twisted rule (A, s)(B, t) = (A sigma^s(B), s+t).
+transposed), n_r is the product e_r(1) e_-r(1) e_r(1), and the torus is
+diagonal.  A pair (A, f) stands for A sigma^f in SL3 x <sigma>.  With the
+standard pinning the graph automorphism acts on generators by relabeling,
+sigma e_r(x) sigma^-1 = e_sigma(r)(x), where sigma swaps the labels 1 <-> 2
+and -1 <-> -2 and fixes 3 and -3, and it sends the torus value
+(c1 alpha^v + c2 beta^v)(t) to (c2 alpha^v + c1 beta^v)(t).  So a word is
+evaluated left to right with a running flag: a sigma atom flips it, and
+while it is set every other atom is relabeled before it is multiplied in.
+No matrix is twisted.
 
 The kernels are generic over a coefficient ring of characteristic 2 that
 offers zero, one, add, mul, pow and inv, the protocol Polynomial.evaluate
@@ -27,8 +31,9 @@ from __future__ import annotations
 import itertools
 from typing import Dict, List, Sequence, Tuple
 
-from .chevalley import GraphAut, GroupWord, RootElement, TorusValue, WeylRep
-from .coeffring import PolyRing, power
+from .chevalley import GraphAut, GroupWord, RootElement, TorusValue, WeylRep, word
+from .coeffring import PolyRing, VariableRegistry, power
+from .rootsys import root_system
 
 _IRRED = {2: 0b10, 4: 0b111, 16: 0b10011}
 
@@ -96,11 +101,6 @@ def mat_mul(ring, A: Mat, B: Mat) -> Mat:
     )
 
 
-def _j_transpose_j(A: Mat) -> Mat:
-    """J A^T J: conjugating by J reverses rows and columns."""
-    return tuple(tuple(A[2 - j][2 - i] for j in range(3)) for i in range(3))
-
-
 def mat_inv(ring, A: Mat) -> Mat:
     """Inverse by one cofactor pass: column j of adj(A) is the cross product
     of rows j+1 and j+2 (indices mod 3, signs vanish in characteristic 2),
@@ -116,36 +116,21 @@ def mat_inv(ring, A: Mat) -> Mat:
     return tuple(tuple(mul(col[i], dinv) for col in adj_cols) for i in (0, 1, 2))
 
 
-def sigma_twist(ring, A: Mat) -> Mat:
-    # (A^T)^-1 = (A^-1)^T
-    return _j_transpose_j(mat_inv(ring, A))
-
-
 class A2Matrix:
-    """Element of SL3 x <sigma> as (matrix, sigma flag); the sigma twist of
-    the matrix is computed at most once."""
+    """Element A sigma^flag of SL3 x <sigma> as the pair (A, flag)."""
 
-    __slots__ = ("ring", "mat", "flag", "_twisted")
+    __slots__ = ("ring", "mat", "flag")
 
     def __init__(self, ring, mat: Mat, flag: int = 0):
         self.ring = ring
         self.mat = mat
         self.flag = flag & 1
-        self._twisted = None
-
-    def twisted(self) -> Mat:
-        if self._twisted is None:
-            self._twisted = sigma_twist(self.ring, self.mat)
-        return self._twisted
-
-    def __mul__(self, other: "A2Matrix") -> "A2Matrix":
-        right = other.twisted() if self.flag else other.mat
-        return A2Matrix(self.ring, mat_mul(self.ring, self.mat, right), self.flag ^ other.flag)
 
     def inverse(self) -> "A2Matrix":
         if self.flag:
-            # (A, 1)^-1 = (sigma(A^-1), 1), and sigma(A^-1) = J A^T J
-            return A2Matrix(self.ring, _j_transpose_j(self.mat), 1)
+            # (A sigma)^-1 = sigma A^-1 = (J A^T J) sigma, and J A^T J reverses A^T's rows and columns
+            mat = tuple(tuple(self.mat[2 - j][2 - i] for j in range(3)) for i in range(3))
+            return A2Matrix(self.ring, mat, 1)
         return A2Matrix(self.ring, mat_inv(self.ring, self.mat))
 
     def __eq__(self, other):
@@ -159,53 +144,41 @@ class A2Matrix:
 
 
 _ROOT_POSITIONS = {1: (0, 1), 2: (1, 2), 3: (0, 2), -1: (1, 0), -2: (2, 1), -3: (2, 0)}
-
-
-def transvection(ring, label: int, x) -> A2Matrix:
-    i, j = _ROOT_POSITIONS[label]
-    m = [list(row) for row in identity(ring)]
-    m[i][j] = x
-    return A2Matrix(ring, tuple(tuple(row) for row in m))
-
-
-def torus_matrix(ring, cochar_coeffs: Sequence[int], t) -> A2Matrix:
-    c1, c2 = cochar_coeffs
-    zero = ring.zero()
-    # alpha^v(t) = diag(t, t^-1, 1), beta^v(t) = diag(1, t, t^-1)
-    d1, d2, d3 = ring.pow(t, c1), ring.pow(t, c2 - c1), ring.pow(t, -c2)
-    return A2Matrix(ring, ((d1, zero, zero), (zero, d2, zero), (zero, zero, d3)))
-
-
-def sigma_element(ring) -> A2Matrix:
-    return A2Matrix(ring, identity(ring), 1)
+_SIGMA = {1: 2, 2: 1, 3: 3, -1: -2, -2: -1, -3: -3}  # the root labels as sigma permutes them
 
 
 def evaluate_word(w: GroupWord, assign: Dict[str, object], ring) -> A2Matrix:
     """Evaluate an A2 group word at a point of `ring`; raises on non-A2 atoms.
-    A sigma atom flips the product's flag and costs no matrix product."""
+    A sigma atom flips the running flag.  Each root element and torus value,
+    relabeled while the flag is set, costs one matrix product, and n_r three."""
     if w.system.type_label != "A2":
         raise ValueError("the matrix model is for A2 only")
-    out = A2Matrix(ring, identity(ring))
+    one, zero = ring.one(), ring.zero()
+    mat, flag = identity(ring), 0
     for atom in w.atoms:
+        if isinstance(atom, GraphAut):
+            flag ^= not atom.map.is_identity()
+            continue
+        if isinstance(atom, TorusValue):
+            c1, c2 = atom.cochar.coeffs[::-1] if flag else atom.cochar.coeffs
+            t = assign[atom.unit]
+            # alpha^v(t) = diag(t, t^-1, 1), beta^v(t) = diag(1, t, t^-1)
+            d1, d2, d3 = ring.pow(t, c1), ring.pow(t, c2 - c1), ring.pow(t, -c2)
+            mat = mat_mul(ring, mat, ((d1, zero, zero), (zero, d2, zero), (zero, zero, d3)))
+            continue
         if isinstance(atom, RootElement):
-            out = out * transvection(ring, atom.root.label, atom.coeff.evaluate(assign, ring))
-        elif isinstance(atom, WeylRep):
-            lbl = atom.root.label
-            one = ring.one()
-            n = (
-                transvection(ring, lbl, one)
-                * transvection(ring, -lbl, one)
-                * transvection(ring, lbl, one)
-            )
-            out = out * n
-        elif isinstance(atom, TorusValue):
-            out = out * torus_matrix(ring, atom.cochar.coeffs, assign[atom.unit])
-        elif isinstance(atom, GraphAut):
-            if not atom.map.is_identity():
-                out = A2Matrix(ring, out.mat, out.flag ^ 1)  # (A, f)(I, 1) = (A, f+1)
+            factors = [(atom.root.label, atom.coeff.evaluate(assign, ring))]
+        elif isinstance(atom, WeylRep):  # n_r = e_r(1) e_-r(1) e_r(1)
+            r = atom.root.label
+            factors = [(r, one), (-r, one), (r, one)]
         else:
             raise ValueError(f"cannot evaluate atom {atom!r}")
-    return out
+        for label, x in factors:
+            i, j = _ROOT_POSITIONS[_SIGMA[label] if flag else label]
+            m = [[one, zero, zero], [zero, one, zero], [zero, zero, one]]
+            m[i][j] = x
+            mat = mat_mul(ring, mat, m)
+    return A2Matrix(ring, mat, flag)
 
 
 def exact_word(w: GroupWord) -> A2Matrix:
@@ -227,30 +200,26 @@ def first_difference(*pairs: Tuple[A2Matrix, A2Matrix]):
     return None
 
 
-def m_stabilizer(gf: GF) -> List[A2Matrix]:
-    """C_M(m2) for m2 = e_{alpha+beta}(1): the 2q elements [[1, b], [0, 1]]
-    on the outer coordinates, each with either sigma flag (sigma fixes
-    U_{alpha+beta})."""
-    return [A2Matrix(gf, ((1, 0, b), (0, 1, 0), (0, 0, 1)), flag)
-            for b in gf.elements() for flag in (0, 1)]
-
-
-def pair_for_value(gf: GF, x: int) -> Tuple[A2Matrix, A2Matrix]:
-    """(m1, m2)_x = (sigma e_{alpha+beta}(x^2), e_{alpha+beta}(1))."""
-    x2 = gf.mul(x, x)
-    return (sigma_element(gf) * transvection(gf, 3, x2), transvection(gf, 3, 1))
-
-
 def enumerate_m_conjugacy(q: int, values: Sequence[int]) -> List[List[int]]:
-    """Partition of the pairs (m1, m2)_x under simultaneous M(F_q)-conjugacy:
-    classes in order of first member, members in input order.
+    """Partition of the pairs (m1, m2)_x = (sigma e3(x^2), e3(1)) under
+    simultaneous M(F_q)-conjugacy: classes in order of first member, members
+    in input order.
 
-    Every pair has the same m2, so a conjugator lies in C_M(m2), and two
-    pairs are conjugate exactly when their m1 have the same C_M(m2)-orbit."""
+    A conjugator fixes m2, so it is one of the 2q elements e3(b) sigma^f of
+    C_M(m2), and two pairs are conjugate exactly when their m1 have the same
+    orbit.  The conjugate e3(b) sigma^f m1_x (e3(b) sigma^f)^-1 is evaluated
+    once per f over the polynomial ring in b and x, then specialized."""
     gf = GF(q)
-    conjugators = [(m, m.inverse()) for m in m_stabilizer(gf)]
+    sys = root_system("a2")
+    reg = VariableRegistry()
+    b, x = reg.add("b"), reg.add("x")
+    e3b, sigma = RootElement(sys.root_by_label(3), b), GraphAut(sys, "sigma")
+    m1 = (sigma, RootElement(sys.root_by_label(3), x * x))
+    conjugates = [exact_word(word(sys, reg, e3b, *(sigma,) * f, *m1, *(sigma,) * f, e3b)) for f in (0, 1)]
     classes: Dict[frozenset, List[int]] = {}
-    for x in values:
-        m1 = pair_for_value(gf, x)[0]
-        classes.setdefault(frozenset(m * m1 * minv for m, minv in conjugators), []).append(x)
+    for xv in values:
+        points = [{"b": bv, "x": xv} for bv in gf.elements()]
+        orbit = frozenset((tuple(tuple(e.evaluate(p, gf) for e in row) for row in c.mat), c.flag)
+                          for c in conjugates for p in points)
+        classes.setdefault(orbit, []).append(xv)
     return list(classes.values())

@@ -194,11 +194,10 @@ def _d4_gcr(step) -> None:
 
     def constraints():
         report = centralizer_system([nsig], radical, reg)
-        classes = "; ".join("=".join(c) for c in report.linear_classes())
-        return classes + "".join(f"; {p}=0" for p in report.nonlinear_equations())
+        return report.linear_classes(), report.nonlinear_equations()
     step("constraint-extraction",
          "membership of the conjugate in the Levi forces x4=x5=x7=x8=x10=x11 and x6=x9",
-         "x4=x5=x7=x8=x10=x11; x6=x9; x5x10+x6x9=0", constraints)
+         ([["x4", "x5", "x7", "x8", "x10", "x11"], ["x6", "x9"]], [x[5] * x[10] + x[6] * x[9]]), constraints)
 
     y, x9 = reg.var("y"), reg.var("x9")
     bindings = {n: y for n in ("x4", "x5", "x7", "x8", "x10", "x11")}
@@ -236,8 +235,8 @@ def _d4_gir(step) -> None:
     radical = _roots(sys, range(4, 13))
     step("centralizer-nsigma",
          "commuting with n[a]*sigma forces x4=x5=x7=x8=x10=x11 and x6=x9",
-         "x4=x5=x7=x8=x10=x11; x6=x9",
-         lambda: "; ".join("=".join(c) for c in centralizer_system([nsig], radical, reg).linear_classes()))
+         [["x4", "x5", "x7", "x8", "x10", "x11"], ["x6", "x9"]],
+         lambda: centralizer_system([nsig], radical, reg).linear_classes())
 
     def m_radical():
         rep = centralizer_system([nsig, torus_ac], radical, reg)
@@ -335,7 +334,8 @@ def _a2(step) -> None:
     m2 = word(sys, reg, RootElement(ab, reg.one()))
     step("pair-formula",
          "v(x) conjugates (sigma, e3(1)) to (sigma*e3(x^2), e3(1))",
-         f"{curve_expected} ; {m2}", lambda: f"{curve_conj} ; {conjugate(v, m2)}")
+         (curve_expected, m2), lambda: (curve_conj, conjugate(v, m2)),
+         equal=lambda a, b: all(map(word_equal, a, b)))
     step("pair-formula-oracle", "both pair components check out as matrices",
          None, lambda: first_difference((exact_word(v * sigma * v.inverse()), exact_word(curve_expected)),
                                         (exact_word(v * m2 * v.inverse()), exact_word(m2))))

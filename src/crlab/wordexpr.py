@@ -185,7 +185,7 @@ class _Parser:
         atoms: List = []
         i = 0
         while toks[i] != _END:
-            if toks[i] in _SEPARATORS or not toks[i].strip("1"):  # '1' is the identity
+            if toks[i] in _SEPARATORS or toks[i] == "1":  # "1" is the identity
                 i += 1
                 continue
             atom, i = self.parse_atom(i)

@@ -3,15 +3,23 @@ of M(F_q), the Leibniz determinant, random points for finite-field evaluation, t
 transpose, monomials built from exponent maps, the matrix derivative of a
 word, polynomials parsed from text, w0 found by generating the whole
 parabolic subgroup, and re-expression over another order one root at a time.
+
+The A2 matrix model's twisted group law lives here too, as the reference
+the relabeling evaluator `matrixoracle.evaluate_word` is checked against:
+the literal twist sigma(A) = J (A^T)^-1 J, the product (A, s)(B, t) =
+(A sigma^s(B), s+t), the generators' matrices (`transvection`,
+`torus_matrix`, `sigma_element`), an evaluator built on them, and the
+centralizer C_M(m2) and the pairs (m1, m2)_x that `enumerate_m_conjugacy`
+classifies.
 """
 
 import itertools
 import random
-from typing import Dict, Iterable, List, Mapping
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
-from crlab.chevalley import EPS, GraphAut, GroupWord, RootElement, TorusValue, collect, word
+from crlab.chevalley import EPS, GraphAut, GroupWord, RootElement, TorusValue, WeylRep, collect, word
 from crlab.coeffring import Polynomial, VariableRegistry
-from crlab.matrixoracle import GF, A2Matrix, Mat, exact_word
+from crlab.matrixoracle import GF, A2Matrix, Mat, exact_word, identity, mat_inv, mat_mul
 from crlab.rootsys import RootMap, RootSystem, subsystem_roots
 from crlab.wordexpr import _Parser
 
@@ -28,6 +36,77 @@ def mat_det(ring, A: Mat):
         d = add(d, mul(A[0][j0], mul(A[1][j1], A[2][j2])))
         d = add(d, mul(A[0][j2], mul(A[1][j1], A[2][j0])))
     return d
+
+
+J = ((0, 0, 1), (0, 1, 0), (1, 0, 0))  # the antidiagonal unit
+
+
+def sigma_twist(ring, A: Mat) -> Mat:
+    """The graph automorphism as a matrix map, J (A^T)^-1 J, computed literally."""
+    j = tuple(tuple(ring.one() if e else ring.zero() for e in row) for row in J)
+    return mat_mul(ring, mat_mul(ring, j, mat_inv(ring, mat_transpose(A))), j)
+
+
+def times(*factors: A2Matrix) -> A2Matrix:
+    """The product in SL3 x <sigma> by the twisted rule (A, s)(B, t) = (A sigma^s(B), s+t)."""
+    out = factors[0]
+    for g in factors[1:]:
+        right = sigma_twist(g.ring, g.mat) if out.flag else g.mat
+        out = A2Matrix(g.ring, mat_mul(g.ring, out.mat, right), out.flag ^ g.flag)
+    return out
+
+
+_POSITIONS = {1: (0, 1), 2: (1, 2), 3: (0, 2), -1: (1, 0), -2: (2, 1), -3: (2, 0)}
+
+
+def transvection(ring, label: int, x) -> A2Matrix:
+    i, j = _POSITIONS[label]
+    m = [list(row) for row in identity(ring)]
+    m[i][j] = x
+    return A2Matrix(ring, tuple(tuple(row) for row in m))
+
+
+def torus_matrix(ring, cochar_coeffs: Sequence[int], t) -> A2Matrix:
+    c1, c2 = cochar_coeffs
+    zero = ring.zero()
+    # alpha^v(t) = diag(t, t^-1, 1), beta^v(t) = diag(1, t, t^-1)
+    d1, d2, d3 = ring.pow(t, c1), ring.pow(t, c2 - c1), ring.pow(t, -c2)
+    return A2Matrix(ring, ((d1, zero, zero), (zero, d2, zero), (zero, zero, d3)))
+
+
+def sigma_element(ring) -> A2Matrix:
+    return A2Matrix(ring, identity(ring), 1)
+
+
+def twisted_evaluate(w: GroupWord, assign: Mapping[str, object], ring) -> A2Matrix:
+    """`evaluate_word`'s reference: each atom's own matrix, and sigma as the
+    element (I, 1), multiplied in by the twisted group law."""
+    out = A2Matrix(ring, identity(ring))
+    for atom in w.atoms:
+        if isinstance(atom, RootElement):
+            g = transvection(ring, atom.root.label, atom.coeff.evaluate(assign, ring))
+        elif isinstance(atom, WeylRep):  # n_r = e_r(1) e_-r(1) e_r(1)
+            r, one = atom.root.label, ring.one()
+            g = times(transvection(ring, r, one), transvection(ring, -r, one), transvection(ring, r, one))
+        elif isinstance(atom, TorusValue):
+            g = torus_matrix(ring, atom.cochar.coeffs, assign[atom.unit])
+        else:
+            g = A2Matrix(ring, identity(ring), int(not atom.map.is_identity()))
+        out = times(out, g)
+    return out
+
+
+def m_stabilizer(gf: GF) -> List[A2Matrix]:
+    """C_M(m2) for m2 = e_{alpha+beta}(1): the 2q elements [[1, b], [0, 1]]
+    on the outer coordinates, each with either sigma flag (sigma fixes
+    U_{alpha+beta})."""
+    return [A2Matrix(gf, ((1, 0, b), (0, 1, 0), (0, 0, 1)), flag)
+            for b in gf.elements() for flag in (0, 1)]
+
+
+def pair_for_value(gf: GF, x: int) -> Tuple[A2Matrix, A2Matrix]:
+    """(m1, m2)_x = (sigma e_{alpha+beta}(x^2), e_{alpha+beta}(1))."""
+    return times(sigma_element(gf), transvection(gf, 3, gf.mul(x, x))), transvection(gf, 3, 1)
 
 
 def m_group_elements(gf: GF) -> List[A2Matrix]:

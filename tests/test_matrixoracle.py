@@ -25,17 +25,25 @@ from crlab.matrixoracle import (
     exact_word,
     first_difference,
     identity,
-    m_stabilizer,
     mat_inv,
     mat_mul,
-    pair_for_value,
-    sigma_element,
-    sigma_twist,
-    transvection,
 )
 from crlab.rootsys import root_system
 
-from references import lie_word, linear_matrix, m_group_elements, mat_det, mat_transpose
+from references import (
+    lie_word,
+    linear_matrix,
+    m_group_elements,
+    m_stabilizer,
+    mat_det,
+    pair_for_value,
+    sigma_element,
+    sigma_twist,
+    times,
+    torus_matrix,
+    transvection,
+    twisted_evaluate,
+)
 
 
 def setup():
@@ -116,16 +124,15 @@ def test_mat_inverse():
 def test_sigma_invariants():
     gf = GF(16)
     sig = sigma_element(gf)
-    assert sig * sig == A2Matrix(gf, identity(gf))
+    assert times(sig, sig) == A2Matrix(gf, identity(gf))
     for x in range(16):
-        assert sig * transvection(gf, 1, x) * sig == transvection(gf, 2, x)
-        assert sig * transvection(gf, -1, x) * sig == transvection(gf, -2, x)
-        assert sig * transvection(gf, 3, x) * sig == transvection(gf, 3, x)
+        assert times(sig, transvection(gf, 1, x), sig) == transvection(gf, 2, x)
+        assert times(sig, transvection(gf, -1, x), sig) == transvection(gf, -2, x)
+        assert times(sig, transvection(gf, 3, x), sig) == transvection(gf, 3, x)
     # sigma fixes the image of (alpha+beta)^v pointwise
-    from crlab.matrixoracle import torus_matrix
     for t in range(1, 16):
         tv = torus_matrix(gf, (1, 1), t)
-        assert sig * tv * sig == tv
+        assert times(sig, tv, sig) == tv
 
 
 def test_sl3_determinant_one():
@@ -234,6 +241,23 @@ def test_exact_word_specializes_to_the_f16_evaluation():
             assert exact.flag == numeric.flag
 
 
+def test_relabeling_evaluator_agrees_with_the_twisted_group_law():
+    # 2,000 seeded words of up to 15 atoms and their normal forms at an F16
+    # point, then 300 words over the polynomial ring
+    sys, reg = setup()
+    rng = random.Random(27)
+    gf = GF(16)
+    for _ in range(2000):
+        w = random_a2_word(sys, reg, rng, max_len=15)
+        point = random_point(rng)
+        for v in (w, normalized_word(w)):
+            assert evaluate_word(v, point, gf) == twisted_evaluate(v, point, gf), v
+    ring = PolyRing(reg)
+    for _ in range(300):
+        w = random_a2_word(sys, reg, rng, max_len=15)
+        assert exact_word(w) == twisted_evaluate(w, ring.generic_point(), ring), w
+
+
 def test_exact_word_skips_the_identity_diagram_atom():
     sys, reg = setup()
     u = word(sys, reg, RootElement(sys.root_by_label(1), reg.var("x")))
@@ -242,12 +266,15 @@ def test_exact_word_skips_the_identity_diagram_atom():
 
 
 def test_a_sigma_atom_costs_no_matrix_product(monkeypatch):
-    # (A, f)(I, 1) = (A, f+1): sigma only flips the flag
+    # sigma flips the flag and relabels the atoms after it, so no matrix is twisted:
+    # one product per root element and torus value, three per n_r = e_r(1) e_-r(1) e_r(1)
     sys, reg = setup()
-    e1 = word(sys, reg, RootElement(sys.root_by_label(1), reg.var("x")))
-    e2 = word(sys, reg, RootElement(sys.root_by_label(2), reg.var("y")))
-    sigma = word(sys, reg, GraphAut(sys, "sigma"))
-    calls = {"mat_mul": 0, "sigma_twist": 0}
+    x, y = reg.var("x"), reg.var("y")
+    atoms = [RootElement(sys.root_by_label(1), x), GraphAut(sys, "sigma"), WeylRep(sys.root_by_label(1)),
+             TorusValue(sys.cocharacter((2, -1)), "t"), GraphAut(sys, "sigma"), GraphAut(sys, "sigma"),
+             RootElement(sys.root_by_label(-2), y), GraphAut(sys, "id")]
+    w = word(sys, reg, *atoms)
+    calls = {"mat_mul": 0, "mat_inv": 0}
 
     def counted(name):
         inner = getattr(matrixoracle, name)
@@ -259,10 +286,11 @@ def test_a_sigma_atom_costs_no_matrix_product(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(matrixoracle, name, counted(name))
-    got = exact_word(e1 * sigma * sigma * e2)
+    got = exact_word(w)
     monkeypatch.undo()
-    assert calls == {"mat_mul": 2, "sigma_twist": 0}
-    assert got == exact_word(e1 * e2)
+    assert calls == {"mat_mul": 1 + 3 + 1 + 1, "mat_inv": 0}
+    ring = PolyRing(reg)
+    assert got == twisted_evaluate(w, ring.generic_point(), ring)
 
 
 def test_exact_oracle_rejects_near_miss_identities():
@@ -391,8 +419,8 @@ def test_inverse_of_every_m_element():
     gf = GF(4)
     one = A2Matrix(gf, identity(gf))
     for g in m_group_elements(gf):
-        assert g * g.inverse() == one
-        assert g.inverse() * g == one
+        assert times(g, g.inverse()) == one
+        assert times(g.inverse(), g) == one
 
 
 def random_borel_word(sys, reg, rng, max_len):
@@ -449,7 +477,7 @@ def brute_force_m_conjugacy(q, values):
     for x in values:
         for cls in classes:
             target = pairs[cls[0]]
-            if any((m * pairs[x][0] * m.inverse(), m * pairs[x][1] * m.inverse()) == target
+            if any((times(m, pairs[x][0], m.inverse()), times(m, pairs[x][1], m.inverse())) == target
                    for m in group):
                 cls.append(x)
                 break
@@ -462,7 +490,7 @@ def brute_force_m_conjugacy(q, values):
 def test_m_stabilizer_is_centralizer_of_m2(q):
     gf = GF(q)
     m2 = transvection(gf, 3, 1)
-    brute = {g for g in m_group_elements(gf) if g * m2 * g.inverse() == m2}
+    brute = {g for g in m_group_elements(gf) if times(g, m2, g.inverse()) == m2}
     stab = m_stabilizer(gf)
     assert len(stab) == len(set(stab)) == 2 * q
     assert set(stab) == brute
@@ -473,8 +501,8 @@ def test_m_stabilizer_f16_is_a_centralizing_subgroup():
     m2 = transvection(gf, 3, 1)
     stab = set(m_stabilizer(gf))
     assert len(stab) == 32
-    assert all(g * m2 * g.inverse() == m2 for g in stab)
-    assert all(g * h in stab for g in stab for h in stab)
+    assert all(times(g, m2, g.inverse()) == m2 for g in stab)
+    assert all(times(g, h) in stab for g in stab for h in stab)
 
 
 @pytest.mark.parametrize("q, values", [
@@ -493,32 +521,43 @@ def test_enumerate_m_conjugacy_f16_is_singletons():
     assert enumerate_m_conjugacy(16, range(16)) == [[x] for x in range(16)]
 
 
-J = ((0, 0, 1), (0, 1, 0), (1, 0, 0))  # the antidiagonal unit
-
-
-def literal_sigma_twist(gf, A):
-    return mat_mul(gf, mat_mul(gf, J, mat_inv(gf, mat_transpose(A))), J)
-
-
-def test_sigma_twist_is_the_literal_j_conjugate():
-    gf = GF(4)
-    for g in m_group_elements(gf):
-        assert sigma_twist(gf, g.mat) == literal_sigma_twist(gf, g.mat)
+def test_the_literal_twist_is_an_involutive_automorphism():
     gf = GF(16)
     rng = random.Random(16)
     mats = []
     for _ in range(40):
         A = identity(gf)
         for _ in range(rng.randrange(1, 8)):
-            t = transvection(gf, rng.choice((1, 2, 3, -1, -2, -3)), rng.randrange(16))
-            A = mat_mul(gf, A, t.mat)
+            A = mat_mul(gf, A, transvection(gf, rng.choice((1, 2, 3, -1, -2, -3)), rng.randrange(16)).mat)
         mats.append(A)
-        assert sigma_twist(gf, A) == literal_sigma_twist(gf, A)
         assert sigma_twist(gf, sigma_twist(gf, A)) == A
     for A, B in zip(mats, mats[1:]):
         assert sigma_twist(gf, mat_mul(gf, A, B)) == mat_mul(gf, sigma_twist(gf, A), sigma_twist(gf, B))
     with pytest.raises(ZeroDivisionError):
         sigma_twist(gf, ((1, 2, 3), (2, 4, 6), (0, 0, 1)))
+
+
+@pytest.mark.parametrize("over", ["F16", "PolyRing"])
+def test_sigma_relabeling_is_the_literal_j_twist(over):
+    # the evaluator's relabeling table against J (A^T)^-1 J, generator by generator
+    sys, reg = setup()
+    if over == "F16":
+        ring = GF(16)
+        points = [{"x": x, "t": t} for x in range(16) for t in (1, 2, 7, 15)]
+    else:
+        ring = PolyRing(reg)
+        points = [ring.generic_point()]
+    x = reg.var("x")
+    atoms = [RootElement(sys.root_by_label(label), x) for label in (1, 2, 3, -1, -2, -3)]
+    atoms += [TorusValue(sys.cocharacter(c), "t") for c in ((1, 0), (0, 1), (2, -1))]
+    atoms += [WeylRep(sys.root_by_label(label)) for label in (1, 2, 3)]
+    sigma = word(sys, reg, GraphAut(sys, "sigma"))
+    for atom in atoms:
+        w = word(sys, reg, atom)
+        for p in points:
+            plain = evaluate_word(w, p, ring)
+            assert plain.flag == 0
+            assert evaluate_word(sigma * w * sigma, p, ring) == A2Matrix(ring, sigma_twist(ring, plain.mat)), atom
 
 
 def test_first_difference_names_the_first_unequal_pair():

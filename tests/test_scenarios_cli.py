@@ -307,15 +307,34 @@ def test_an_engine_error_fails_only_its_own_steps(monkeypatch):
 
 
 def test_a_rendered_failed_step_names_it(monkeypatch):
-    # pair-formula writes the text of curve-not-centralizing's value
-    def broken(*args, **kwargs):
-        raise RuntimeError("engine broke")
+    # pair-formula compares curve-not-centralizing's value: conjugating sigma breaks,
+    # conjugating e3(1) does not
+    conjugate = scenarios.conjugate
+
+    def broken(g, h):
+        if [type(a) for a in h.atoms] == [GraphAut]:
+            raise RuntimeError("engine broke")
+        return conjugate(g, h)
     monkeypatch.setattr(scenarios, "conjugate", broken)
     steps = {s.name: s for s in run_scenario("a2-conjugacy").steps}
     assert steps["curve-not-centralizing"].actual == "RuntimeError: engine broke"
     assert (steps["pair-formula"].status, steps["pair-formula"].actual) == (
         "FAIL", "RuntimeError: input step 'curve-not-centralizing' failed")
-    assert steps["pair-formula"].expected == "sigma·e3(x^2) ; e3(1)"
+    assert steps["pair-formula"].expected == "(sigma·e3(x^2), e3(1))"
+
+
+def test_a2_steps_compare_words_not_their_text(monkeypatch):
+    # e1(1)*e1(1) = e1(0) = 1 in characteristic 2: the same element, a longer word
+    conjugate = scenarios.conjugate
+
+    def padded(g, h):
+        w = conjugate(g, h)
+        e1 = RootElement(w.system.root_by_label(1), w.registry.one())
+        return w * word(w.system, w.registry, e1, e1)
+    monkeypatch.setattr(scenarios, "conjugate", padded)
+    steps = run_scenario("a2-conjugacy").steps
+    assert "pair-formula" in [s.name for s in steps]
+    assert [s.name for s in steps if s.status != "PASS"] == []
 
 
 @pytest.mark.parametrize("text, atom", [("e1(x) n[a]", "n[a]"), ("t[a](t) e1(x)", "t[a](t)"),

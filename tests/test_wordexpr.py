@@ -80,6 +80,17 @@ def test_parse_word_powers():
     assert word_equal(parse_word("e12(x)^-1", sys, reg), parse_word("e12(x)", sys, reg))
 
 
+@pytest.mark.parametrize("text, atoms", [("1", 0), ("e1(x) 1 e2(y)", 2)])
+def test_the_token_1_is_the_identity(text, atoms):
+    assert len(parse_word(text, root_system("a2"), VariableRegistry()).atoms) == atoms
+
+
+@pytest.mark.parametrize("text", ["11", "e1(x) 11 e2(y)"])
+def test_only_the_token_1_is_the_identity(text):
+    with pytest.raises(ExprError, match="got '11' in"):
+        parse_word(text, root_system("a2"), VariableRegistry())
+
+
 def test_render_round_trip_fixed():
     sys = root_system("d4")
     reg = VariableRegistry()
