@@ -10,7 +10,8 @@ the tail is normal-ordered by commutator collection over a closed nilpotent
 root set, using [e_zeta(x), e_xi(y)] = e_{zeta+xi}(xy) when zeta+xi is a root.
 Over a graded order (each sum after its summands) collection places atoms
 straight into one coefficient term set per root of the order; any other
-order is read off the collection over a graded order of the same set.
+order is read off the collection over a graded order of the same set, one
+root at a time.
 The adjoint action on the Lie algebra of a unipotent group is not coded
 separately: Ad(g) is the derivative of conjugation, read off the collected
 conjugate of a root-element product over a first-order variable.
@@ -138,6 +139,17 @@ class GroupWord:
     def inverse(self) -> "GroupWord":
         return GroupWord(self.system, self.registry, [a.inverse() for a in reversed(self.atoms)])
 
+    def __eq__(self, other):
+        """Group equality as word_equal decides it; False for a word of
+        another system or registry."""
+        if not isinstance(other, GroupWord):
+            return NotImplemented
+        if self.system is not other.system or self.registry is not other.registry:
+            return False
+        return word_equal(self, other)
+
+    __hash__ = None
+
     def __repr__(self):
         """The atoms' reprs, '*' between two root elements and '·' elsewhere;
         the text parses back to the atoms."""
@@ -188,11 +200,10 @@ def default_order(system: RootSystem, roots: Iterable[Root]) -> Optional[tuple]:
 
 @functools.lru_cache(maxsize=16)
 def _order_tables(order: tuple) -> tuple:
-    """(pos, graded, below, grade) for a closed nilpotent list of roots: pos
-    maps a root to its position, below[s] lists the pairs (t, position of
-    order[s] + order[t]) for t < s where that sum is a root, ascending in t,
-    graded says every such sum comes after both summands, and then grade[s]
-    is one more than the largest grade of a summand of order[s], or 1."""
+    """(pos, graded, below) for a closed nilpotent list of roots: pos maps a
+    root to its position, below[s] lists the pairs (t, position of order[s] +
+    order[t]) for t < s where that sum is a root, ascending in t, and graded
+    says every such sum comes after both summands."""
     pos = {r: i for i, r in enumerate(order)}
     if len(pos) < len(order):
         raise ValueError("collection order lists a root twice")
@@ -208,18 +219,15 @@ def _order_tables(order: tuple) -> tuple:
             raise ValueError(f"root set not closed: {a} + {b} = {c} missing")
         below[s].append((t, pos[c]))
         graded = graded and pos[c] > s
-    grade = [1] * len(order)
-    for s, pairs in enumerate(below):  # over a graded order grade[s] is final here
-        for t, u in pairs:
-            grade[u] = max(grade[u], grade[s] + 1, grade[t] + 1)
-    return pos, graded, below, grade
+    return pos, graded, below
 
 
 def collect(x, order: Sequence[Root], registry: Optional[VariableRegistry] = None) -> "RadicalElement":
     """Normal-order a product of root elements over a closed nilpotent set.
 
     `x` is a GroupWord of RootElements, which also gives the result its
-    system and registry, or an iterable of RootElements; `order` fixes the
+    system and registry, or an iterable of RootElements whose coefficients
+    lie in `registry`, which must then be given; `order` fixes the
     target sequence of roots and must list a closed nilpotent set, each root
     once.  The word is collected over a graded order (every sum of
     two of its roots comes after both) from its right end into one term set
@@ -233,21 +241,19 @@ def collect(x, order: Sequence[Root], registry: Optional[VariableRegistry] = Non
     spawns is longer than the order.  The loop reads positions and sums from
     the order's tables and does no root arithmetic.  Any other order is
     served by collecting over default_order of the same set and
-    re-expressing the result, which is unique in every order of a closed
-    nilpotent set (Steinberg, Lemma 17).
+    re-expressing the result root by root; it is unique in every order of a
+    closed nilpotent set (Steinberg, Lemma 17).
     """
     order = tuple(order)
     if isinstance(x, GroupWord):
         if registry is not None and registry is not x.registry:
             raise ValueError("coefficients from different registries")
         system, registry, atoms = x.system, x.registry, list(x.atoms)
+    elif registry is None:
+        raise ValueError("collect needs the registry of a list of atoms")
     else:
         system, atoms = (order[0].system if order else None), list(x)
-    if registry is None:
-        if not atoms:
-            raise ValueError("cannot infer a registry from an empty word")
-        registry = atoms[0].coeff.registry
-    pos, graded, below, _ = _order_tables(order)
+    pos, graded, below = _order_tables(order)
     if not graded:
         graded_x = collect(atoms, default_order(system, order), registry)
         return RadicalElement(system, registry, order, _reexpress(graded_x, order))
@@ -276,19 +282,17 @@ def collect(x, order: Sequence[Root], registry: Optional[VariableRegistry] = Non
 
 def _reexpress(x: "RadicalElement", order: tuple) -> Dict[Root, Polynomial]:
     """Coefficients over `order` of x, which is collected over a graded order
-    of the same set.  Walking x's order one grade at a time, the coefficient
+    of the same set.  Walking x's order one root at a time, the coefficient
     at r is x_r plus the r-coefficient of the roots found so far, listed in
-    `order` and collected over x's order: modulo the roots of higher grade
-    the roots of r's grade are central, so only the found roots of lower
-    grade reach r, and one collection serves every root of a grade."""
-    grade = _order_tables(x.order)[3]
+    `order` and collected over x's order: the roots after r in x's order
+    span a normal subgroup, modulo which e_r is central, so where `order`
+    puts r does not matter."""
     found: Dict[Root, Polynomial] = {}
-    for _, group in itertools.groupby(zip(x.order, grade), key=lambda rg: rg[1]):
+    for r in x.order:
         have = collect([RootElement(s, found[s]) for s in order if s in found], x.order, x.registry)
-        for r, _ in group:
-            c = x.coefficient(r) + have.coefficient(r)
-            if not c.is_zero:
-                found[r] = c
+        c = x.coefficient(r) + have.coefficient(r)
+        if not c.is_zero:
+            found[r] = c
     return found
 
 

@@ -315,7 +315,9 @@ class RootSystem:
 
     @functools.cache
     def diagram_symmetries(self) -> dict:
-        """All Dynkin-diagram symmetries, as name -> RootMap ('id' included).
+        """All Dynkin-diagram symmetries, as name -> RootMap, listed 'id',
+        'sigma' ('sigma2' after it on D4), then the others as tau0, tau1, ...
+        in the order of their simple-root permutations.
 
         'sigma' is the canonical generator: the triality 3-cycle
         alpha -> gamma -> delta -> alpha for D4, the flip for A_n (n >= 2).
@@ -367,13 +369,13 @@ class RootSystem:
         return tuple(seen.values())
 
     def _weyl_diagram_pairs(self):
-        """Yield (w, d), w a Weyl element and d a diagram symmetry: d sorted by
-        name with 'id' first, then w in weyl_elements() order.  Searches that
-        prefer inner witnesses scan in this order, so it is deterministic."""
-        diag = self.diagram_symmetries()
-        for name in sorted(diag, key=lambda n: (n != "id", n)):
+        """Yield (w, d), w a Weyl element and d a diagram symmetry: d in the
+        order of diagram_symmetries(), 'id' first, then w in weyl_elements()
+        order.  Searches that prefer inner witnesses scan in this order, so it
+        is deterministic."""
+        for d in self.diagram_symmetries().values():
             for w in self.weyl_elements():
-                yield w, diag[name]
+                yield w, d
 
     def weyl_and_diagram_elements(self) -> tuple:
         """All maps w∘d, in the order of _weyl_diagram_pairs()."""
@@ -473,8 +475,9 @@ def extends_to_ambient(
     outside the subsystem) onto itself, which is what lets it act on the
     corresponding unipotent radical.  Returns None, or the first witness w∘d
     in the order of system.weyl_and_diagram_elements(): diagram symmetries
-    by name with 'id' first, Weyl elements in BFS order.  Candidates are
-    tested on root indices, and only the returned witness is composed.
+    as diagram_symmetries() lists them, 'id' first, Weyl elements in BFS
+    order.  Candidates are tested on root indices, and only the returned
+    witness is composed.
     """
     sub = set(subsystem_roots(system, L_simples))
     if set(partial) != sub:

@@ -1,19 +1,20 @@
 """Named verification scenarios chaining the engine operations.
 
 A scenario is a function of one argument, `step`.  It calls
-`step(name, anchor, expected, actual, equal=None)` once per check, in
-order: `anchor` is the algebraic identity the step checks and `actual` a
-zero-argument thunk that does the engine work and returns the engine's own
-value: a word, a polynomial, a verdict, the generators or roots that break
-a claim, or the first place where two matrices differ.  No thunk judges its
-own step: `run_scenario` owns the only `step`, which calls the thunk at
-once, compares the result with `expected` by `equal` (or `==`), records
-both sides as text, and turns an exception into that step's FAIL.  `step`
-returns the computed value, so later steps can build on it; after an error
-it returns a stand-in whose use fails the later step naming the failed
-one.  Code between steps that raises ends the scenario with a FAIL step
-named `build`.  Every step is deterministic: the A2 matrix-oracle steps
-compare words exactly over the polynomial ring.
+`step(name, anchor, expected, actual)` once per check, in order: `anchor`
+is the algebraic identity the step checks and `actual` a zero-argument
+thunk that does the engine work and returns the engine's own value: a
+word, a polynomial, a Lie vector, a verdict, the generators or roots that
+break a claim, or the first place where two matrices differ.  No thunk
+judges or renders its own step: `run_scenario` owns the only `step`, which
+calls the thunk at once, compares the result with `expected` by `==`
+(group equality for words), records both sides as text, and turns an
+exception into that step's FAIL.  `step` returns the computed value, so
+later steps can build on it; after an error it returns a stand-in whose use
+fails the later step naming the failed one.  Code between steps that raises
+ends the scenario with a FAIL step named `build`.  Every step is
+deterministic: the A2 matrix-oracle steps compare words exactly over the
+polynomial ring.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .coeffring import (
 from .chevalley import (
     EPS,
     GraphAut,
+    RadicalElement,
     RootElement,
     TorusValue,
     WeylRep,
@@ -43,7 +45,6 @@ from .chevalley import (
     generic_radical_element,
     normalize,
     word,
-    word_equal,
 )
 from .matrixoracle import A2Matrix, enumerate_m_conjugacy, exact_word, first_difference
 from .parabolic import limit_along, word_in_rparabolic
@@ -134,13 +135,6 @@ def _root_coefficient(w, order: Sequence[int], label: int):
     return collect(atoms, _roots(w.system, order), w.registry).coefficient(label)
 
 
-def _lie_text(v) -> str:
-    """e6+e9: the vector's basis terms in root order."""
-    parts = [f"e{r.label}" if c.is_one else f"({c})e{r.label}"
-             for r, c in sorted(v.items(), key=lambda rc: rc[0].index)]
-    return "+".join(parts) or "0"
-
-
 PERM_CYCLES = "(4 5 8 11 10 7)(6 9)(12)"
 DISPLAY_ORDER = (7, 10, 9, 11, 6, 8, 4, 5, 12)
 W0_WORD = ("a", "b", "a", "c", "b", "a", "d", "b", "a", "c", "b", "d")
@@ -161,34 +155,21 @@ def _d4_gcr(step) -> None:
 
     v = word(sys, reg, _e(sys, 6, s), _e(sys, 9, s))
     step("conjugation-identity", "e6(s)*e9(s) conjugates n[a]*sigma to n[a]*sigma*e12(s^2)",
-         nsig * word(sys, reg, _e(sys, 12, s * s)), lambda: conjugate(v, nsig), equal=word_equal)
+         nsig * word(sys, reg, _e(sys, 12, s * s)), lambda: conjugate(v, nsig))
     step("lir-cocharacter-swap", "n[a]*sigma maps (a+c)^v to (c+d)^v",
          sys.cocharacter((0, 0, 1, 1)), lambda: nmap.act_cochar(sys.cocharacter((1, 0, 1, 0))))
     step("lir-cube", "(n[a]*sigma)^3 = n[a]*n[c]*n[d]",
-         word(sys, reg, *(WeylRep(sys.simple(c)) for c in "acd")), lambda: nsig * nsig * nsig,
-         equal=word_equal)
+         word(sys, reg, *(WeylRep(sys.simple(c)) for c in "acd")), lambda: nsig * nsig * nsig)
 
     radical = _roots(sys, range(4, 13))
     u = generic_radical_element(sys, reg, radical).as_word()
     g = nsig * word(sys, reg, _e(sys, 12, s * s))
     x = {i: reg.var(f"x{i}") for i in range(4, 13)}
     display = _roots(sys, DISPLAY_ORDER)
-    expected_tail = collect(
-        [
-            _e(sys, 7, x[4] + x[7]),
-            _e(sys, 10, x[7] + x[10]),
-            _e(sys, 9, x[6] + x[9]),
-            _e(sys, 11, x[10] + x[11]),
-            _e(sys, 6, x[6] + x[9]),
-            _e(sys, 8, x[8] + x[11]),
-            _e(sys, 4, x[4] + x[5]),
-            _e(sys, 5, x[5] + x[8]),
-            _e(sys, 12, x[5] * x[10] + x[5] * x[11] + x[7] * x[8] + x[7] * x[11] + x[8] * x[10]
-               + x[9] ** 2 + s * s),
-        ],
-        display,
-        reg,
-    )
+    coeffs = {7: x[4] + x[7], 10: x[7] + x[10], 9: x[6] + x[9], 11: x[10] + x[11], 6: x[6] + x[9],
+              8: x[8] + x[11], 4: x[4] + x[5], 5: x[5] + x[8],
+              12: x[5] * x[10] + x[5] * x[11] + x[7] * x[8] + x[7] * x[11] + x[8] * x[10] + x[9] ** 2 + s * s}
+    expected_tail = RadicalElement(sys, reg, display, {sys.root_by_label(i): c for i, c in coeffs.items()})
     tail = step("generic-collection", "all nine coefficients of u^-1 * (n[a]*sigma*e12(s^2)) * u",
                 expected_tail, lambda: normalize(u.inverse() * g * u).tail.reordered(display))
 
@@ -222,10 +203,10 @@ def _d4_gir(step) -> None:
 
     v = word(sys, reg, _e(sys, -6, s), _e(sys, -9, s))
     step("conjugation-identity-opposite", "e-6(s)*e-9(s) conjugates n[a]*sigma to n[a]*sigma*e-12(s^2)",
-         nsig * word(sys, reg, _e(sys, -12, s * s)), lambda: conjugate(v, nsig), equal=word_equal)
+         nsig * word(sys, reg, _e(sys, -12, s * s)), lambda: conjugate(v, nsig))
     h = word(sys, reg, _e(sys, 11, one), _e(sys, 2, s))
     step("conjugated-generator", "v^-1 e11(1) v = e11(1)*e2(s)",
-         h, lambda: conjugate(v.inverse(), word(sys, reg, _e(sys, 11, one))), equal=word_equal)
+         h, lambda: conjugate(v.inverse(), word(sys, reg, _e(sys, 11, one))))
 
     torus_ac = word(sys, reg, TorusValue(sys.cocharacter((1, 0, 1, 0)), "t"))
     gens = [nsig, torus_ac, h]
@@ -279,7 +260,7 @@ def _d4_gir(step) -> None:
     y = reg.add("u12arg")
     u12 = word(sys, reg, _e(sys, 12, y))
     step("u12-centralizes", "e12(y) commutes with every generator of the conjugated group",
-         [], lambda: [g for g in gens if not word_equal(conjugate(g, u12), u12)])
+         [], lambda: [g for g in gens if conjugate(g, u12) != u12])
 
     uneg = word(sys, reg, _e(sys, -12, y))
     step("u-opposite-fails",
@@ -306,13 +287,12 @@ def _a2(step) -> None:
     expected = word(sys, reg, RootElement(alpha, y), RootElement(beta, x), RootElement(ab, x * y + z))
     step("sigma-conjugation",
          "sigma e1(x)*e2(y)*e3(z) sigma^-1 = e1(y)*e2(x)*e3(xy+z)",
-         expected, lambda: conjugate(sigma, u), equal=word_equal)
+         expected, lambda: conjugate(sigma, u))
     step("sigma-conjugation-oracle", "the same identity holds as 3x3 matrices",
          None, lambda: first_difference((exact_word(sigma * u * sigma.inverse()), exact_word(expected))))
 
     vec = {r: reg.one() for r in (alpha, beta)}
-    step("adjoint-fixed", "Ad(sigma)(e1+e2) = e1+e2", _lie_text(vec),
-         lambda: _lie_text(adjoint(sigma, vec)))
+    step("adjoint-fixed", "Ad(sigma)(e1+e2) = e1+e2", vec, lambda: adjoint(sigma, vec))
 
     def oracle_adjoint():
         # u = I + EPS X + O(EPS^2), so Ad(sigma) X is the EPS-linear part of sigma u sigma^-1
@@ -329,13 +309,12 @@ def _a2(step) -> None:
     curve_expected = sigma * word(sys, reg, RootElement(ab, x * x))
     curve_conj = step("curve-not-centralizing",
                       "e1(x)*e2(x) conjugates sigma to sigma*e3(x^2), a nonzero residual",
-                      curve_expected, lambda: conjugate(v, sigma), equal=word_equal)
+                      curve_expected, lambda: conjugate(v, sigma))
 
     m2 = word(sys, reg, RootElement(ab, reg.one()))
     step("pair-formula",
          "v(x) conjugates (sigma, e3(1)) to (sigma*e3(x^2), e3(1))",
-         (curve_expected, m2), lambda: (curve_conj, conjugate(v, m2)),
-         equal=lambda a, b: all(map(word_equal, a, b)))
+         (curve_expected, m2), lambda: (curve_conj, conjugate(v, m2)))
     step("pair-formula-oracle", "both pair components check out as matrices",
          None, lambda: first_difference((exact_word(v * sigma * v.inverse()), exact_word(curve_expected)),
                                         (exact_word(v * m2 * v.inverse()), exact_word(m2))))
@@ -357,24 +336,20 @@ def _d4_nonsep(step) -> None:
     reg = _registry("y", *(f"x{i}" for i in range(4, 13)))
     nsig = _nsigma(sys, reg)
     vec = {r: reg.one() for r in _roots(sys, (6, 9))}
-    step("adjoint-fixed-weyl", "Ad(n[a]*sigma)(e6+e9) = e6+e9", _lie_text(vec),
-         lambda: _lie_text(adjoint(nsig, vec)))
+    step("adjoint-fixed-weyl", "Ad(n[a]*sigma)(e6+e9) = e6+e9", vec, lambda: adjoint(nsig, vec))
 
     torus_ac = word(sys, reg, TorusValue(sys.cocharacter((1, 0, 1, 0)), "t"))
-    step("adjoint-fixed-torus", "Ad((a+c)^v(t))(e6+e9) = e6+e9", _lie_text(vec),
-         lambda: _lie_text(adjoint(torus_ac, vec)))
+    step("adjoint-fixed-torus", "Ad((a+c)^v(t))(e6+e9) = e6+e9", vec, lambda: adjoint(torus_ac, vec))
 
     xx = reg.add("x")
     curve = word(sys, reg, _e(sys, 6, xx), _e(sys, 9, xx))
     got = step("curve-not-centralizing",
                "e6(x)*e9(x) conjugates n[a]*sigma to n[a]*sigma*e12(x^2), nonzero for generic x",
-               nsig * word(sys, reg, _e(sys, 12, xx * xx)), lambda: conjugate(curve, nsig),
-               equal=word_equal)
+               nsig * word(sys, reg, _e(sys, 12, xx * xx)), lambda: conjugate(curve, nsig))
 
     step("nonseparability-witness",
          "e6+e9 is adjoint-fixed while the matching curve moves the group element",
-         (_lie_text(vec), xx * xx),
-         lambda: (_lie_text(adjoint(curve, vec)), _root_coefficient(got, (12,), 12)))
+         (vec, xx * xx), lambda: (adjoint(curve, vec), _root_coefficient(got, (12,), 12)))
 
 
 # ---------------------------------------------------------------------------
@@ -430,10 +405,14 @@ def _error(exc: Exception) -> str:
 
 
 def _text(value) -> str:
-    """str of a value, and of each item of a list or tuple value."""
+    """str of a value, and of each item of a list or tuple value; a Lie
+    vector {root: coefficient} as its basis terms in root order, e6+e9."""
     if isinstance(value, (list, tuple)):
         items = ", ".join(map(_text, value))
         return f"[{items}]" if isinstance(value, list) else f"({items})"
+    if isinstance(value, dict):
+        return "+".join(f"e{r.label}" if c.is_one else f"({c})e{r.label}"
+                        for r, c in sorted(value.items(), key=lambda rc: rc[0].index)) or "0"
     return str(value)
 
 
@@ -459,10 +438,10 @@ def run_scenario(name: str) -> Report:
     start = time.perf_counter()
     results: List[StepResult] = []
 
-    def step(step_name, anchor, expected, actual, equal=None):
+    def step(step_name, anchor, expected, actual):
         try:
             value = actual()
-            ok = equal(expected, value) if equal else expected == value
+            ok = expected == value
             results.append(StepResult(step_name, anchor, "PASS" if ok else "FAIL",
                                       _text(expected), _text(value)))
             return value

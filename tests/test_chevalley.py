@@ -35,7 +35,7 @@ from crlab.chevalley import (
 from crlab.rootsys import pairing, root_system
 from crlab.wordexpr import parse_word
 
-from references import per_root_reexpress, random_d4_borel_word
+from references import random_d4_borel_word
 
 
 def d4_setup():
@@ -79,7 +79,7 @@ def test_collect_a2_swap_example():
     sys, reg = a2_setup()
     x, y, z = reg.var("x"), reg.var("y"), reg.var("z")
     order = radical_roots(sys, [1, 2, 3])  # alpha, beta, alpha+beta
-    got = collect([e(sys, reg, 2, "x"), e(sys, reg, 1, "y"), e(sys, reg, 3, "z")], order)
+    got = collect([e(sys, reg, 2, "x"), e(sys, reg, 1, "y"), e(sys, reg, 3, "z")], order, reg)
     assert got.coefficient(1) == y
     assert got.coefficient(2) == x
     assert got.coefficient(3) == x * y + z
@@ -97,7 +97,7 @@ def test_collect_d4_single_commutator():
     sys, reg = d4_setup()
     x, y = reg.var("x4"), reg.var("x5")
     order = radical_roots(sys, range(4, 13))
-    got = collect([e(sys, reg, 9, "x4"), e(sys, reg, 6, "x5")], order)
+    got = collect([e(sys, reg, 9, "x4"), e(sys, reg, 6, "x5")], order, reg)
     assert got.coefficient(6) == y
     assert got.coefficient(9) == x
     assert got.coefficient(12) == x * y
@@ -226,35 +226,6 @@ def test_collect_over_an_order_that_is_not_graded():
     w = word(sys, reg, *atoms)
     assert collect(w * w.inverse(), order).is_trivial
     assert collect(got.as_word() * w.inverse(), order).is_trivial
-
-
-@pytest.mark.parametrize("typ,labels,seed", [("d4", range(1, 13), 51), ("a4", range(1, 11), 52)])
-def test_reexpress_collects_once_per_grade(typ, labels, seed, monkeypatch):
-    """Re-expression over an order that is not graded gives the coefficients
-    of the one-root-at-a-time reference with one collection per grade, plus
-    the outer call and the graded collection."""
-    sys = root_system(typ)
-    reg = VariableRegistry()
-    xs = [reg.add(n) for n in ("x", "y", "z")]
-    rng = random.Random(seed)
-    graded = default_order(sys, radical_roots(sys, labels))
-    order = list(graded)
-    while is_graded(order):
-        rng.shuffle(order)
-    grades = len(set(chevalley._order_tables(graded)[3]))
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return collect(*args)
-
-    monkeypatch.setattr(chevalley, "collect", counted)
-    for _ in range(20):
-        atoms = [RootElement(sys.root_by_label(rng.choice(labels)), rng.choice(xs)) for _ in range(40)]
-        calls.clear()
-        got = chevalley.collect(atoms, order, reg)
-        assert len(calls) <= grades + 2
-        assert got.coeffs == per_root_reexpress(collect(atoms, graded, reg), tuple(order))
 
 
 def test_collect_rejects_a_registry_other_than_the_words():
@@ -604,6 +575,15 @@ def test_a_product_of_unknowns_stays_a_residual():
     assert not solved.triangular
 
 
+def test_a_binomial_with_a_parameter_binds_nothing():
+    # y is registered after x4, so the binomial reads (x4, y, 1): only its first name is an unknown
+    sys, reg = d4_setup()
+    x4, y = reg.var("x4"), reg.var("y")
+    rep = ConstraintSystem(reg, [x4 + y], radical_roots(sys, [4, 5]))
+    assert rep.solved.residuals == [x4 + y]
+    assert rep.linear_classes() == []
+
+
 def test_a_unit_or_square_root_factor_forces_its_unknown_to_zero():
     # x4 times nonzero constants vanishes only at x4 = 0; an ordinary
     # parameter y may itself vanish, so y*x4 = 0 decides nothing
@@ -883,6 +863,17 @@ def test_word_equal_rejects_words_from_different_registries():
     sys, reg = a2_setup()
     with pytest.raises(ValueError):
         word_equal(word(sys, reg), word(sys, VariableRegistry()))
+
+
+def test_words_compare_as_group_elements():
+    # == is word_equal on one system and registry, and False across either
+    sys, reg = a2_setup()
+    w = parse_word("e2(x)e1(y)", sys, reg)
+    assert w == parse_word("e1(y)e2(x)e3(x*y)", sys, reg)
+    assert w != parse_word("e1(y)e2(x)", sys, reg)
+    assert word(sys, reg) != word(sys, VariableRegistry())
+    assert word(sys, reg) != word(root_system("a3"), reg)
+    assert w != repr(w)
 
 
 def test_the_tail_of_a_frame_only_word_knows_its_system():

@@ -206,6 +206,11 @@ def test_rendering_sorted():
     assert str(p) == "x5x10+x5x11+x7x8+x7x11+x8x10+x9^2+s^2"
     assert str(reg.zero()) == "0"
     assert str(reg.one()) == "1"
+    # within a degree, a missing variable is exponent 0, which comes before t^-1
+    units_first = VariableRegistry()
+    t = units_first.add("t", UNIT)
+    x, y = units_first.add("x"), units_first.add("y")
+    assert str(t ** -1 * x * y + x) == "x+t^-1x*y"
 
 
 def test_sqrt_uniqueness():

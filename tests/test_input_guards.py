@@ -1,6 +1,7 @@
 """Input guards that only a wrong call reaches: each row names the call,
 the exception it raises and a fragment of its message.  Equal atoms,
-cocharacters and root maps hash equal, and radical elements stay unhashable."""
+cocharacters and root maps hash equal, and radical elements and group words,
+which compare as group elements, stay unhashable."""
 
 import pytest
 
@@ -44,8 +45,8 @@ GUARDS = {
     "collect-mixed-registries": (
         lambda: collect([RootElement(A, X), RootElement(B, OTHER.var("x"))], [A, B, A + B], REG),
         ValueError, "coefficients from different registries"),
-    "collect-empty-word-without-registry": (
-        lambda: collect([], [A]), ValueError, "cannot infer a registry"),
+    "collect-atoms-without-registry": (
+        lambda: collect([RootElement(A, X)], [A]), ValueError, "collect needs the registry"),
     "normalize-unknown-atom": (lambda: normalize(word(D4, REG, "x")), ValueError, "unknown atom"),
     "evaluate-unknown-atom": (
         lambda: evaluate_word(word(A2, REG, "x"), {}, GF(4)), ValueError, "cannot evaluate atom"),
@@ -64,12 +65,13 @@ GUARDS = {
         lambda: VariableRegistry().add("x", "weird"), ValueError, "unknown variable kind"),
     "registry-kind-clash": (lambda: REG.add("x", UNIT), ValueError, "already registered as ordinary"),
     "registry-unknown-variable": (lambda: REG.var("nope"), KeyError, "unknown variable 'nope'"),
-    "negative-exponent-on-a-non-unit": (
-        lambda: _x_to_the(-2) * X, ValueError, "negative exponent on non-unit variable 'x'"),
+    "negative-exponent-on-a-non-unit": (  # x^-3, since names[-2] is 'x' too
+        lambda: _x_to_the(-3) * X, ValueError, "negative exponent on non-unit variable 'x'"),
     "substitute-foreign-binding": (
         lambda: X.substitute({"x": OTHER.var("x")}), ValueError, "binding from a different registry"),
     "radical-element-hash": (
         lambda: hash(RadicalElement(D4, REG, [A], {A: X})), TypeError, "unhashable"),
+    "group-word-hash": (lambda: hash(word(D4, REG, RootElement(A, X))), TypeError, "unhashable"),
 }
 
 

@@ -190,3 +190,15 @@ def test_word_membership_of_a_word_that_freely_reduces_to_1():
     w = word(sys, reg, RootElement(a, x), RootElement(minus_a, y), RootElement(minus_a, y), RootElement(a, x))
     assert word_in_rparabolic(w, sys.coroot(a))
     assert not word_in_rparabolic(word(sys, reg, RootElement(minus_a, y)), sys.coroot(a))
+
+
+def test_word_membership_of_a_word_whose_tail_does_not_collect():
+    # the closure of {alpha, -alpha} is not nilpotent, so the tail stays uncollected;
+    # membership is read off its atoms' roots: both pair 0 with (1,2) and +-2 with (1,0)
+    sys = root_system("a2")
+    reg = VariableRegistry()
+    x, y = reg.add("x"), reg.add("y")
+    a = sys.simple("a")
+    w = word(sys, reg, RootElement(a, x), RootElement(-a, y))
+    assert word_in_rparabolic(w, sys.cocharacter((1, 2)))
+    assert not word_in_rparabolic(w, sys.cocharacter((1, 0)))

@@ -441,6 +441,9 @@ def test_verify_w0_identities_regular_lambda_is_vacuous():
     ("a4", (2, 1, 0, -1), False),
     ("a4", (1, 0, -1, -2), False),
     ("a3", (1, 2, 3), None),
+    # pairs (1, 0, 0, 6) with the simple roots; -1 on the A2 Levi needs the diagram
+    # flip, which swaps those of a and d, so the radical flips as a set, not level by level
+    ("a4", (2, 3, 4, 5), True),
 ])
 def test_verify_w0_identities_takes_all_three_values(name, coeffs, verdict):
     # True: w flips the radical; False: -1 on the Levi extends, but w does
@@ -529,6 +532,37 @@ def test_fixed_cocharacter_lattice_normalizes_the_sign():
     # the reflection in a+b fixes the line through a^v - b^v; row reduction gives (-1, 1)
     a2 = root_system("a2")
     assert fixed_cocharacter_lattice(a2.reflection(a2.root_by_label(3))) == [(1, -1)]
+    # the third generator comes out as (0, -1, 0, 1): the sign follows the first nonzero entry
+    a4 = root_system("a4")
+    assert fixed_cocharacter_lattice(a4.reflection(a4.simple("c"))) == [(1, 0, 0, 0), (0, 2, 1, 0), (0, 1, 0, -1)]
+
+
+def test_d4_diagram_table():
+    """id, the triality sigma and its square, then the three transpositions
+    of the legs, which fix b; the six maps form a group."""
+    d4 = root_system("d4")
+    table = d4.diagram_symmetries()
+    assert list(table) == ["id", "sigma", "sigma2", "tau0", "tau1", "tau2"]
+    maps = list(table.values())
+    assert len({m.images for m in maps}) == 6
+    assert all(d.compose(e) in maps for d in maps for e in maps)
+    b = d4.simple("b")
+    for name in ("tau0", "tau1", "tau2"):
+        tau = table[name]
+        assert tau(b) == b and not tau.is_identity() and tau.compose(tau).is_identity()
+    assert table["sigma"].compose(table["sigma"]) == table["sigma2"]
+
+
+@pytest.mark.parametrize("label,names", [("A1", ["id"]), ("A2", ["id", "sigma"]),
+                                         ("A3", ["id", "sigma"]), ("A4", ["id", "sigma"])])
+def test_type_a_diagram_table(label, names):
+    sys = root_system(label)
+    table = sys.diagram_symmetries()
+    assert list(table) == names
+    assert table["id"].is_identity()
+    if "sigma" in table:
+        sigma = table["sigma"]
+        assert not sigma.is_identity() and sigma.compose(sigma).is_identity()
 
 
 @pytest.mark.parametrize("label", ["A1", "A2", "A3", "A4", "D4"])
