@@ -10,6 +10,7 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys as _sys
 
@@ -72,7 +73,11 @@ def _cmd_rparabolic(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process: `main` parses every argv with it, so
+    in-process callers (the benchmark, the tests, a notebook) build it once.
+    A one-shot `crlab` process builds one parser either way."""
     p = argparse.ArgumentParser(prog="crlab", description=__doc__,
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="command", required=True)

@@ -13,6 +13,9 @@ Two monomials multiply by one merge of their sorted pairs.  A product of
 polynomials XORs, for each term m1 of the smaller factor, the set
 {m1*m2 : m2 in the larger factor} into the result; that is exact mod 2
 because m2 -> m1*m2 is injective, so no row holds a product twice.
+A sum with 0 and a product with 0 or 1 return an operand, after the
+registry check, instead of building a new polynomial; polynomials are
+immutable, so sharing one is safe.
 """
 
 from __future__ import annotations
@@ -153,14 +156,18 @@ class Polynomial:
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
         return Polynomial(self.registry, self.terms ^ other.terms)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
-        if self.terms == _ONE:
-            return other
-        if other.terms == _ONE:
+        if not self.terms or other.terms == _ONE:
             return self
+        if not other.terms or self.terms == _ONE:
+            return other
         return Polynomial(self.registry, frozenset(mul_terms(self.registry, self.terms, other.terms)))
 
     def __pow__(self, n: int) -> "Polynomial":

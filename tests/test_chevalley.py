@@ -849,6 +849,23 @@ def test_word_equal_decides_a_word_that_freely_reduces_to_1(text):
     assert not word_equal(w, parse_word("e1(x)", sys, reg))
 
 
+@pytest.mark.parametrize("text", [
+    "e1(x)e-1(y)",
+    "n[a]e3(x)t[a+b](t)sigma e-2(y*s)",
+    "sigma e1(x)e-3(y)n[b]e-1(z)e3(1)",
+])
+def test_identical_spellings_are_equal_as_the_identity_test_finds(text):
+    # an e_r(0) factor changes the spelling and not the element, so the
+    # padded word takes the full identity test, also when its tail does not
+    # collect; the identical spelling must get the same answer
+    sys, reg = a2_setup()
+    w = parse_word(text, sys, reg)
+    padded = parse_word(text + " e2(0)", sys, reg)
+    assert padded.atoms != w.atoms
+    assert word_equal(w, padded) and word_equal(padded, w)
+    assert word_equal(w, parse_word(text, sys, reg))
+
+
 def test_word_equal_meets_two_collected_tails_over_their_supports():
     # each side collects alone to e3(x), but together their atoms hold alpha
     # and -alpha; the quotient of the normal forms holds e3 only
@@ -863,6 +880,12 @@ def test_word_equal_rejects_words_from_different_registries():
     sys, reg = a2_setup()
     with pytest.raises(ValueError):
         word_equal(word(sys, reg), word(sys, VariableRegistry()))
+    # identically spelled words too: the spelling shortcut needs one system
+    # and one registry, and frame atoms compare equal across registries
+    with pytest.raises(ValueError):
+        word_equal(parse_word("n[a]", sys, reg), parse_word("n[a]", sys, VariableRegistry()))
+    with pytest.raises(ValueError):
+        word_equal(word(sys, reg), word(root_system("a3"), reg))
 
 
 def test_words_compare_as_group_elements():
@@ -874,6 +897,10 @@ def test_words_compare_as_group_elements():
     assert word(sys, reg) != word(sys, VariableRegistry())
     assert word(sys, reg) != word(root_system("a3"), reg)
     assert w != repr(w)
+    # identical spellings over two systems or two registries are still unequal
+    a3 = root_system("a3")
+    assert parse_word("n[a]e1(1)", sys, reg) != parse_word("n[a]e1(1)", a3, reg)
+    assert parse_word("n[a]e1(1)", sys, reg) != parse_word("n[a]e1(1)", sys, VariableRegistry())
 
 
 def test_the_tail_of_a_frame_only_word_knows_its_system():

@@ -1,5 +1,6 @@
 """F2 polynomial ring tests: ring axioms, Frobenius, the rationality classifier."""
 
+import operator
 import random
 
 import pytest
@@ -85,6 +86,17 @@ def test_registry_mismatch_raises():
     reg1, reg2 = make_registry(), make_registry()
     with pytest.raises(ValueError):
         reg1.var("y") + reg2.var("y")
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.mul])
+@pytest.mark.parametrize("const", [0, 1])
+def test_a_zero_or_one_from_another_registry_still_raises(op, const):
+    # the registry check runs before the 0/1 short-circuits, on either side
+    reg1, reg2 = make_registry(), make_registry()
+    for a, b in ((reg1.const(const), reg2.var("y")), (reg1.var("y"), reg2.const(const)),
+                 (reg1.const(const), reg2.const(const))):
+        with pytest.raises(ValueError, match="different registries"):
+            op(a, b)
 
 
 def test_laurent_units():

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -209,6 +210,30 @@ def test_cli_rparabolic(capsys):
 def test_cli_bad_input(capsys):
     assert main(["pairing", "a+d", "a", "--system", "d4"]) == 2
     capsys.readouterr()
+
+
+def _untimed(text):
+    """CLI output with the scenario timings blanked out."""
+    return re.sub(r'"elapsed_ms": \d+|\(\d+ ms\)', "<elapsed>", text)
+
+
+def test_the_shared_parser_leaks_no_state_between_calls(capsys):
+    # main parses every argv with one cached parser; each call in one process
+    # prints and exits as a fresh `python -m crlab` does
+    for argv in (["verify", "w0-combinatorics", "--format", "text"],
+                 ["verify", "--all", "--format", "json"],
+                 ["collect", "e2(x)e1(y)e3(z)", "--system", "a2"],
+                 ["collect", "e2(x)", "--system", "e8"]):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        fresh = run_crlab(*argv)
+        assert code == fresh.returncode, argv
+        assert _untimed(captured.out) == _untimed(fresh.stdout), argv
+        assert captured.err == fresh.stderr, argv
+    assert code == 2
 
 
 def test_python_dash_m_crlab_runs_the_cli():
