@@ -14,8 +14,9 @@ polynomials XORs, for each term m1 of the smaller factor, the set
 {m1*m2 : m2 in the larger factor} into the result; that is exact mod 2
 because m2 -> m1*m2 is injective, so no row holds a product twice.
 A sum with 0 and a product with 0 or 1 return an operand, after the
-registry check, instead of building a new polynomial; polynomials are
-immutable, so sharing one is safe.
+registry check, instead of building a new polynomial, and a registry hands
+out one shared polynomial for each variable and one each for 0 and 1;
+polynomials are immutable, so sharing one is safe.
 """
 
 from __future__ import annotations
@@ -35,12 +36,19 @@ _ONE = frozenset({()})
 
 
 class VariableRegistry:
-    """Ordered, append-only table of variable names and kinds."""
+    """Ordered, append-only table of variable names and kinds.
+
+    It hands out one shared polynomial per variable and one each for 0 and
+    1, built once: polynomials are immutable, so every caller may hold the
+    same object.  Two registries never share one."""
 
     def __init__(self):
         self.names: list = []
         self.kinds: list = []
         self._index: Dict[str, int] = {}
+        self._vars: list = []  # the polynomial of each variable, by index
+        self._zero = Polynomial(self, frozenset())
+        self._one = Polynomial(self, _ONE)
 
     def add(self, name: str, kind: str = ORDINARY) -> "Polynomial":
         if kind not in (ORDINARY, UNIT, SQRT):
@@ -52,10 +60,11 @@ class VariableRegistry:
             return self.var(name)
         if kind == SQRT and SQRT in self.kinds:
             raise ValueError("only one square-root constant per registry")
-        self._index[name] = len(self.names)
+        i = self._index[name] = len(self.names)
         self.names.append(name)
         self.kinds.append(kind)
-        return self.var(name)
+        self._vars.append(Polynomial(self, frozenset({((i, 1),)})))
+        return self._vars[i]
 
     def index(self, name: str) -> int:
         if name not in self._index:
@@ -76,14 +85,13 @@ class VariableRegistry:
         return None
 
     def var(self, name: str) -> "Polynomial":
-        i = self.index(name)
-        return Polynomial(self, frozenset({((i, 1),)}))
+        return self._vars[self.index(name)]
 
     def zero(self) -> "Polynomial":
-        return Polynomial(self, frozenset())
+        return self._zero
 
     def one(self) -> "Polynomial":
-        return Polynomial(self, frozenset({()}))
+        return self._one
 
     def const(self, c: int) -> "Polynomial":
         return self.one() if c % 2 else self.zero()

@@ -20,9 +20,11 @@ operation returns one of those objects, and root_system() caches the systems,
 so root equality is identity, and cocharacters and root maps compare their
 systems with `is`.  RootSystem also tabulates addition once, one entry per
 ordered pair of root indices holding the sum root or None when the sum is
-not a root, so Root.__add__ is two index operations.  Reflections, diagram
-symmetries and Weyl elements are computed once per system by
-functools.cache, which holds the system as long as root_system() does.
+not a root, so Root.__add__ is two index operations; and it tabulates each
+root's pairings with the simple coroots, so a pairing is one rank-length
+dot product.  Reflections, diagram symmetries and Weyl elements are
+computed once per system by functools.cache, which holds the system as long
+as root_system() does.
 """
 
 from __future__ import annotations
@@ -243,6 +245,11 @@ class RootSystem:
             tuple(self.root_or_none(tuple(x + y for x, y in zip(a, b))) for b in coeff_list)
             for a in coeff_list
         )
+        # row i: sum_k coeffs[k] * cartan[k][j] of root i, so <root, chi> is one dot product
+        self._pairing_rows = tuple(
+            tuple(sum(c * row[j] for c, row in zip(a, self.cartan)) for j in range(self.rank))
+            for a in coeff_list
+        )
         self.simple_roots = tuple(
             self.root(tuple(1 if j == i else 0 for j in range(self.rank)))
             for i in range(self.rank)
@@ -399,14 +406,11 @@ def root_system(label: str) -> RootSystem:
 
 
 def pairing(zeta: Root, chi: Cocharacter) -> int:
-    """<zeta, chi> computed through the Cartan matrix."""
+    """<zeta, chi> = sum_ij zeta_i cartan[i][j] chi_j, read as the dot
+    product of chi with zeta's row of the system's pairing table."""
     if zeta.system is not chi.system:
         raise ValueError("root and cocharacter live in different systems")
-    cartan = zeta.system.cartan
-    r = zeta.system.rank
-    return sum(
-        zeta.coeffs[i] * cartan[i][j] * chi.coeffs[j] for i in range(r) for j in range(r)
-    )
+    return sum(a * b for a, b in zip(zeta.system._pairing_rows[zeta.index], chi.coeffs))
 
 
 def compose_word(system: RootSystem, word: Iterable[str]) -> RootMap:

@@ -2,7 +2,8 @@
 of M(F_q), the Leibniz determinant, random points for finite-field evaluation, the literal matrix
 transpose, monomials built from exponent maps, the matrix derivative of a
 word, polynomials parsed from text, and w0 found by generating the whole
-parabolic subgroup.
+parabolic subgroup, and the root-cocharacter pairing as the Cartan double
+sum.
 
 The A2 matrix model's twisted group law lives here too, as the reference
 the relabeling evaluator `matrixoracle.evaluate_word` is checked against:
@@ -22,6 +23,13 @@ from crlab.coeffring import Polynomial, VariableRegistry
 from crlab.matrixoracle import GF, A2Matrix, Mat, exact_word, identity, mat_inv, mat_mul
 from crlab.rootsys import RootMap, RootSystem, subsystem_roots
 from crlab.wordexpr import _Parser
+
+
+def cartan_pairing(zeta, chi) -> int:
+    """<zeta, chi> as the double sum sum_ij zeta_i cartan[i][j] chi_j over
+    the system's Cartan matrix."""
+    cartan, r = zeta.system.cartan, zeta.system.rank
+    return sum(zeta.coeffs[i] * cartan[i][j] * chi.coeffs[j] for i in range(r) for j in range(r))
 
 
 def mat_transpose(A: Mat) -> Mat:

@@ -703,6 +703,56 @@ def test_centralizer_radical_instability_raises():
         centralizer_system([word(sys, reg, e(sys, reg, -1, 1))], radical_roots(sys, [3]), reg)
 
 
+def reference_centralizer_system(generators, radical, registry):
+    """Two collections per conjugate: normalize g u g^-1 over the closure of
+    its tail, then collect that again over the radical order."""
+    u = generic_radical_element(radical[0].system, registry, radical)
+    equations = []
+    for g in generators:
+        n = normalize(g * u.as_word() * g.inverse())
+        assert n.tail is not None and set(n.tail.support) <= set(radical)
+        conj = n.tail.reordered(radical)
+        for r in radical:
+            equations.extend((conj.coefficient(r) + u.coefficient(r)).split_by_units().values())
+    return ConstraintSystem(registry, equations, radical)
+
+
+def _centralizer_generators(sys, reg):
+    """name -> (generators, whether the pushed tail of some g u g^-1 holds
+    a Levi root and so leaves the radical)."""
+    nsigma = nsigma_word(sys, reg)
+    torus = word(sys, reg, TorusValue(sys.cocharacter((1, 0, 1, 0)), "t"))
+    return {
+        "none": ([], False),
+        "nsigma": ([nsigma], False),
+        "M": ([nsigma, torus], False),
+        "e1": ([word(sys, reg, e(sys, reg, 1, "t"))], True),
+        "e-2": ([word(sys, reg, e(sys, reg, -2, "y"))], True),
+        "nsigma-e3": ([nsigma * word(sys, reg, e(sys, reg, 3, 1))], True),
+        "M-and-e-1": ([nsigma, torus, word(sys, reg, e(sys, reg, -1, "s"), e(sys, reg, 2, "y"))], True),
+    }
+
+
+@pytest.mark.parametrize("name", ["none", "nsigma", "M", "e1", "e-2", "nsigma-e3", "M-and-e-1"])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_centralizer_collected_once_matches_two_collections(name, sign):
+    # a tail inside the radical is collected once, straight over its order;
+    # one holding a Levi root leaves the radical and collects back into it
+    sys, reg = d4_setup()
+    radical = radical_roots(sys, [sign * i for i in range(4, 13)])
+    gens, leaves = _centralizer_generators(sys, reg)[name]
+    u = generic_radical_element(sys, reg, radical).as_word()
+    tails = [chevalley._push(g * u * g.inverse())[2] for g in gens]
+    assert any(not {a.root for a in tail} <= set(radical) for tail in tails) == leaves
+    got = centralizer_system(gens, radical, reg)
+    want = reference_centralizer_system(gens, radical, reg)
+    assert got.equations == want.equations
+    assert got.solved.classes() == want.solved.classes()
+    assert got.linear_classes() == want.linear_classes()
+    assert got.solved.forced == want.solved.forced and got.solved.residuals == want.solved.residuals
+    assert got.subgroup_description() == want.subgroup_description()
+
+
 # ---------------------------------------------------------------------------
 # word equality edge cases
 
@@ -965,7 +1015,8 @@ def reference_default_order(roots):
 @pytest.mark.parametrize("label", ["a1", "a2", "a3", "a4", "d4"])
 def test_default_order_matches_closure_then_grading(label):
     # every set of at most 3 roots, then seeded random sets of up to 8; a set
-    # whose closure holds a root and its negative has no order
+    # whose closure holds a root and its negative has no order.  A shuffled
+    # copy listing each root twice has the same order, cached or computed afresh
     sys = root_system(label)
     rng = random.Random(11)
     sets = [c for k in range(4) for c in itertools.combinations(sys.roots, k)]
@@ -974,6 +1025,11 @@ def test_default_order_matches_closure_then_grading(label):
     for roots in sets:
         want = reference_default_order(roots)
         assert default_order(sys, roots) == want, [r.label for r in roots]
+        twice = list(roots) * 2
+        rng.shuffle(twice)
+        assert default_order(sys, twice) == want, [r.label for r in twice]
+        chevalley._default_order.cache_clear()
+        assert default_order(sys, twice) == want, [r.label for r in twice]
         outcomes.add(want is None)
     assert outcomes == {True, False}
 

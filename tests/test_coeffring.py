@@ -99,6 +99,26 @@ def test_a_zero_or_one_from_another_registry_still_raises(op, const):
             op(a, b)
 
 
+def test_the_registry_hands_out_one_shared_polynomial_per_variable_and_constant():
+    reg = make_registry()
+    x = reg.var("x4")
+    assert reg.var("x4") is x and reg.add("x4") is x
+    assert reg.var("t") is reg.add("t", UNIT)
+    assert reg.zero() is reg.const(0) and reg.one() is reg.const(1)
+    assert reg.add("z") is reg.var("z")
+    # a shared operand is never changed by arithmetic on it
+    terms = x.terms
+    assert (x + x).is_zero and x * reg.one() is x
+    assert x.terms is terms and x.terms == frozenset({((reg.index("x4"), 1),)})
+    assert reg.one().terms == frozenset({()}) and not reg.zero().terms
+    # two registries never share one
+    other = make_registry()
+    mine = [reg.var(n) for n in reg.names] + [reg.zero(), reg.one()]
+    theirs = [other.var(n) for n in other.names] + [other.zero(), other.one()]
+    assert not {id(p) for p in mine} & {id(p) for p in theirs}
+    assert all(p.registry is reg for p in mine) and all(p.registry is other for p in theirs)
+
+
 def test_laurent_units():
     reg = make_registry()
     t, x = reg.var("t"), reg.var("x4")

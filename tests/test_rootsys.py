@@ -26,7 +26,7 @@ from crlab.rootsys import (
     verify_w0_identities,
 )
 
-from references import generated_longest_element
+from references import cartan_pairing, generated_longest_element
 
 
 # ---------------------------------------------------------------------------
@@ -186,6 +186,16 @@ def test_pairing_key_values():
     alpha = sys.simple("a")
     assert pairing(alpha, sys.coroot(alpha)) == 2
     assert pairing(sys.simple("b"), lam_d4()) == 1
+
+
+@pytest.mark.parametrize("label", SYSTEMS)
+def test_pairing_matches_the_cartan_double_sum(label):
+    # every root against every cocharacter with coefficients in -2..2
+    sys = root_system(label)
+    for coeffs in itertools.product(range(-2, 3), repeat=sys.rank):
+        chi = sys.cocharacter(coeffs)
+        for zeta in sys.roots:
+            assert pairing(zeta, chi) == cartan_pairing(zeta, chi), (zeta, chi)
 
 
 def test_pairing_rejects_foreign_root():

@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import re
 import shlex
 import subprocess
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from crlab import rootsys, scenarios
+from crlab import chevalley, rootsys, scenarios
 from crlab.chevalley import EPS, GraphAut, RootElement, TorusValue, WeylRep, word, word_equal
 from crlab.cli import main
 from crlab.coeffring import Polynomial, VariableRegistry
@@ -252,6 +253,27 @@ def test_canonical_json_matches_the_golden_file(seed, capsys):
     for name in scenario_names():
         assert run_scenario(name).canonical_json() == golden[name], name
     assert main(["verify", "--all", "--seed", str(seed), "--format", "json"]) == 1
+    for record in json.loads(capsys.readouterr().out):
+        record["elapsed_ms"] = 0
+        assert json.dumps(record, sort_keys=True) == golden[record["scenario"]], record["scenario"]
+
+
+@pytest.mark.parametrize("cache", ["cold", "evicted"])
+def test_the_default_order_cache_keeps_no_state_between_calls(cache, capsys):
+    # verify --all prints the golden records from a cleared cache, and again
+    # after 300 seeded random D4 root sets have turned the bounded cache over
+    memo = chevalley._default_order
+    memo.cache_clear()
+    if cache == "evicted":
+        assert main(["verify", "--all", "--format", "json"]) == 1
+        capsys.readouterr()
+        d4, rng = root_system("d4"), random.Random(30)
+        sets = {frozenset(rng.sample(d4.roots, rng.randrange(1, 9))) for _ in range(300)}
+        for roots in sets:
+            chevalley.default_order(d4, roots)
+        assert len(sets) > memo.cache_info().maxsize == memo.cache_info().currsize
+    golden = json.loads(GOLDEN.read_text())
+    assert main(["verify", "--all", "--format", "json"]) == 1
     for record in json.loads(capsys.readouterr().out):
         record["elapsed_ms"] = 0
         assert json.dumps(record, sort_keys=True) == golden[record["scenario"]], record["scenario"]
