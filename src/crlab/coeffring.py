@@ -27,9 +27,6 @@ ORDINARY = "ordinary"
 UNIT = "unit"
 SQRT = "sqrt"
 
-SOLVABLE_CANDIDATE = "SOLVABLE_CANDIDATE"
-UNSOLVABLE_OVER_K = "UNSOLVABLE_OVER_K"
-
 Monomial = Tuple[Tuple[int, int], ...]
 
 _ONE = frozenset({()})
@@ -336,18 +333,19 @@ class PolyRing:
         return {name: self.registry.var(name) for name in self.registry.names}
 
 
-def classify_square_obstruction(p: Polynomial) -> str:
-    """UNSOLVABLE_OVER_K exactly when p = q^2 + s^2 with q free of the
-    square-root constant s, so p = 0 would force a rational square root of
-    a = s^2; everything else is SOLVABLE_CANDIDATE.  Over F2 the squares are
-    the polynomials whose exponents are all even (t^-2 = (t^-1)^2 counts)."""
+def square_obstruction_witness(p: Polynomial) -> Optional[Polynomial]:
+    """The q free of the square-root constant s with p = q^2 + s^2, or None.
+    Such a q makes p = (q+s)^2, so p = 0 forces q = s, a square root of
+    a = s^2 that the base field lacks; q = 0 (p = s^2) is a witness too.
+    Over F2, q^2 has the monomials of q with doubled exponents, so q halves
+    those of p + s^2, which must all be even (t^-2 = (t^-1)^2 counts)."""
     reg = p.registry
     s = reg.sqrt_name
     if s is None:
-        return SOLVABLE_CANDIDATE
+        return None
     s_squared = reg.var(s) ** 2
     q_squared = p + s_squared
-    if (s_squared.terms <= p.terms and not q_squared.involves(s)
-            and all(e % 2 == 0 for m in q_squared.terms for _, e in m)):
-        return UNSOLVABLE_OVER_K
-    return SOLVABLE_CANDIDATE
+    if (not s_squared.terms <= p.terms or q_squared.involves(s)
+            or any(e % 2 for m in q_squared.terms for _, e in m)):
+        return None
+    return Polynomial(reg, frozenset(tuple((i, e // 2) for i, e in m) for m in q_squared.terms))

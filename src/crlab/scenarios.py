@@ -19,18 +19,11 @@ polynomial ring.
 
 from __future__ import annotations
 
-import json
 import time
 from collections import namedtuple
 from typing import Callable, Dict, List, Sequence
 
-from .coeffring import (
-    SQRT,
-    UNIT,
-    UNSOLVABLE_OVER_K,
-    VariableRegistry,
-    classify_square_obstruction,
-)
+from .coeffring import SQRT, UNIT, VariableRegistry, square_obstruction_witness
 from .chevalley import (
     EPS,
     GraphAut,
@@ -82,11 +75,6 @@ class Report:
             "elapsed_ms": self.elapsed_ms,
         }
 
-    def canonical_json(self) -> str:
-        d = self.to_dict()
-        d["elapsed_ms"] = 0  # timing excluded from determinism comparisons
-        return json.dumps(d, sort_keys=True)
-
     def text(self) -> str:
         lines = [f"scenario {self.scenario}"]
         for s in self.steps:
@@ -112,14 +100,6 @@ def _registry(*names: str) -> VariableRegistry:
     return reg
 
 
-def _nsigma(sys, reg):
-    return word(sys, reg, WeylRep(sys.simple("a")), GraphAut(sys, "sigma"))
-
-
-def _lam(sys):
-    return sys.cocharacter((1, 2, 1, 1))
-
-
 def _roots(sys, labels: Sequence[int]) -> list:
     return [sys.root_by_label(i) for i in labels]
 
@@ -135,9 +115,24 @@ def _root_coefficient(w, order: Sequence[int], label: int):
     return collect(atoms, _roots(w.system, order), w.registry).coefficient(label)
 
 
+# the D4 example: the radical of P(lambda), lambda = (a+2b+c+d)^v, is U_4..U_12,
+# and commuting with n[a]*sigma splits its coordinates into these classes
+D4_RADICAL = range(4, 13)
+D4_LAMBDA = (1, 2, 1, 1)
+A_PLUS_C, C_PLUS_D = (1, 0, 1, 0), (0, 0, 1, 1)
+NSIGMA_CLASSES = [["x4", "x5", "x7", "x8", "x10", "x11"], ["x6", "x9"]]
 PERM_CYCLES = "(4 5 8 11 10 7)(6 9)(12)"
 DISPLAY_ORDER = (7, 10, 9, 11, 6, 8, 4, 5, 12)
 W0_WORD = ("a", "b", "a", "c", "b", "a", "d", "b", "a", "c", "b", "d")
+
+
+def _d4():
+    """D4, a new registry y, x4..x12, t, s, the word n[a]*sigma and the
+    torus word (a+c)^v(t); each scenario builds its own."""
+    sys = root_system("d4")
+    reg = _registry("y", *(f"x{i}" for i in D4_RADICAL))
+    nsig = word(sys, reg, WeylRep(sys.simple("a")), GraphAut(sys, "sigma"))
+    return sys, reg, nsig, word(sys, reg, TorusValue(sys.cocharacter(A_PLUS_C), "t"))
 
 
 # ---------------------------------------------------------------------------
@@ -145,26 +140,24 @@ W0_WORD = ("a", "b", "a", "c", "b", "a", "d", "b", "a", "c", "b", "d")
 
 
 def _d4_gcr(step) -> None:
-    sys = root_system("d4")
-    reg = _registry("y", *(f"x{i}" for i in range(4, 13)))
+    sys, reg, nsig, _ = _d4()
     s = reg.var("s")
-    nsig = _nsigma(sys, reg)
     nmap = compose_word(sys, ["a", "sigma"])
     step("eq-perm", "n[a]*sigma acts on labels 4..12 as (4 5 8 11 10 7)(6 9)(12)",
-         PERM_CYCLES, lambda: label_cycles({i: nmap(sys.root_by_label(i)).label for i in range(4, 13)}))
+         PERM_CYCLES, lambda: label_cycles({i: nmap(sys.root_by_label(i)).label for i in D4_RADICAL}))
 
     v = word(sys, reg, _e(sys, 6, s), _e(sys, 9, s))
     step("conjugation-identity", "e6(s)*e9(s) conjugates n[a]*sigma to n[a]*sigma*e12(s^2)",
          nsig * word(sys, reg, _e(sys, 12, s * s)), lambda: conjugate(v, nsig))
     step("lir-cocharacter-swap", "n[a]*sigma maps (a+c)^v to (c+d)^v",
-         sys.cocharacter((0, 0, 1, 1)), lambda: nmap.act_cochar(sys.cocharacter((1, 0, 1, 0))))
+         sys.cocharacter(C_PLUS_D), lambda: nmap.act_cochar(sys.cocharacter(A_PLUS_C)))
     step("lir-cube", "(n[a]*sigma)^3 = n[a]*n[c]*n[d]",
          word(sys, reg, *(WeylRep(sys.simple(c)) for c in "acd")), lambda: nsig * nsig * nsig)
 
-    radical = _roots(sys, range(4, 13))
+    radical = _roots(sys, D4_RADICAL)
     u = generic_radical_element(sys, reg, radical).as_word()
     g = nsig * word(sys, reg, _e(sys, 12, s * s))
-    x = {i: reg.var(f"x{i}") for i in range(4, 13)}
+    x = {i: reg.var(f"x{i}") for i in D4_RADICAL}
     display = _roots(sys, DISPLAY_ORDER)
     coeffs = {7: x[4] + x[7], 10: x[7] + x[10], 9: x[6] + x[9], 11: x[10] + x[11], 6: x[6] + x[9],
               8: x[8] + x[11], 4: x[4] + x[5], 5: x[5] + x[8],
@@ -176,18 +169,18 @@ def _d4_gcr(step) -> None:
     def constraints():
         report = centralizer_system([nsig], radical, reg)
         return report.linear_classes(), report.nonlinear_equations()
-    step("constraint-extraction",
-         "membership of the conjugate in the Levi forces x4=x5=x7=x8=x10=x11 and x6=x9",
-         ([["x4", "x5", "x7", "x8", "x10", "x11"], ["x6", "x9"]], [x[5] * x[10] + x[6] * x[9]]), constraints)
+    extracted = step("constraint-extraction",
+                     "membership of the conjugate in the Levi forces x4=x5=x7=x8=x10=x11 and x6=x9",
+                     (NSIGMA_CLASSES, [x[5] * x[10] + x[6] * x[9]]), constraints)
 
-    y, x9 = reg.var("y"), reg.var("x9")
-    bindings = {n: y for n in ("x4", "x5", "x7", "x8", "x10", "x11")}
-    bindings["x6"] = x9
+    y, x9 = reg.var("y"), x[9]  # the substitution sends the first extracted class to y, the second to x9
     substituted = step("rationality-substitution",
-                       "the equalities reduce the e12 coefficient to y^2+x9^2+s^2",
-                       y ** 2 + x9 ** 2 + s ** 2, lambda: tail.coefficient(12).substitute(bindings))
-    step("rationality-obstruction", "y^2+x9^2+s^2 = 0 has no solution with s-free coordinates",
-         UNSOLVABLE_OVER_K, lambda: classify_square_obstruction(substituted))
+                       "the equalities reduce the e12 coefficient to y^2+x9^2+s^2", y ** 2 + x9 ** 2 + s ** 2,
+                       lambda: tail.coefficient(12).substitute(
+                           {n: v for cls, v in zip(extracted[0], (y, x9)) for n in cls}))
+    step("rationality-obstruction",
+         "y^2+x9^2+s^2 = (y+x9+s)^2 forces y+x9 = s: no s-free solution",
+         y + x9, lambda: square_obstruction_witness(substituted))
 
 
 # ---------------------------------------------------------------------------
@@ -195,11 +188,9 @@ def _d4_gcr(step) -> None:
 
 
 def _d4_gir(step) -> None:
-    sys = root_system("d4")
-    reg = _registry("y", *(f"x{i}" for i in range(4, 13)))
+    sys, reg, nsig, torus_ac = _d4()
     s, one = reg.var("s"), reg.one()
-    lam = _lam(sys)
-    nsig = _nsigma(sys, reg)
+    lam = sys.cocharacter(D4_LAMBDA)
 
     v = word(sys, reg, _e(sys, -6, s), _e(sys, -9, s))
     step("conjugation-identity-opposite", "e-6(s)*e-9(s) conjugates n[a]*sigma to n[a]*sigma*e-12(s^2)",
@@ -208,16 +199,14 @@ def _d4_gir(step) -> None:
     step("conjugated-generator", "v^-1 e11(1) v = e11(1)*e2(s)",
          h, lambda: conjugate(v.inverse(), word(sys, reg, _e(sys, 11, one))))
 
-    torus_ac = word(sys, reg, TorusValue(sys.cocharacter((1, 0, 1, 0)), "t"))
     gens = [nsig, torus_ac, h]
     step("containment", "n[a]*sigma, (a+c)^v torus and e11(1)*e2(s) lie in P(a+2b+c+d)^v",
          [], lambda: [g for g in gens if not word_in_rparabolic(g, lam)])
 
-    radical = _roots(sys, range(4, 13))
+    radical = _roots(sys, D4_RADICAL)
     step("centralizer-nsigma",
          "commuting with n[a]*sigma forces x4=x5=x7=x8=x10=x11 and x6=x9",
-         [["x4", "x5", "x7", "x8", "x10", "x11"], ["x6", "x9"]],
-         lambda: centralizer_system([nsig], radical, reg).linear_classes())
+         NSIGMA_CLASSES, lambda: centralizer_system([nsig], radical, reg).linear_classes())
 
     def m_radical():
         rep = centralizer_system([nsig, torus_ac], radical, reg)
@@ -226,13 +215,13 @@ def _d4_gir(step) -> None:
          "the radical centralizer of M collapses to U_12 via the forced x6^2 = 0",
          ("U_12", [reg.var("x6") ** 2]), m_radical)
 
-    opposite = _roots(sys, range(-4, -13, -1))
+    opposite = _roots(sys, [-i for i in D4_RADICAL])
     step("centralizer-M-opposite",
          "the opposite-radical centralizer of M is U_-12",
          "U_-12", lambda: centralizer_system([nsig, torus_ac], opposite, reg).subgroup_description())
 
     def levi_torus():
-        chis = [sys.cocharacter((1, 0, 1, 0)), sys.cocharacter((0, 0, 1, 1))]
+        chis = [sys.cocharacter(A_PLUS_C), sys.cocharacter(C_PLUS_D)]
         return [r.label for r in _roots(sys, (1, 2, 3, -1, -2, -3))
                 if all(pairing(r, chi) == 0 for chi in chis)]
     step("centralizer-L-torus",
@@ -241,7 +230,7 @@ def _d4_gir(step) -> None:
 
     step("torus-fixed-line",
          "the cocharacters fixed by n[a]*sigma form the line through (a+2b+c+d)^v",
-         [(1, 2, 1, 1)], lambda: fixed_cocharacter_lattice(compose_word(sys, ["a", "sigma"])))
+         [D4_LAMBDA], lambda: fixed_cocharacter_lattice(compose_word(sys, ["a", "sigma"])))
 
     n12 = compose_word(sys, W0_WORD)
     step("n12-action-on-11",
@@ -332,13 +321,10 @@ def _a2(step) -> None:
 
 
 def _d4_nonsep(step) -> None:
-    sys = root_system("d4")
-    reg = _registry("y", *(f"x{i}" for i in range(4, 13)))
-    nsig = _nsigma(sys, reg)
+    sys, reg, nsig, torus_ac = _d4()
     vec = {r: reg.one() for r in _roots(sys, (6, 9))}
     step("adjoint-fixed-weyl", "Ad(n[a]*sigma)(e6+e9) = e6+e9", vec, lambda: adjoint(nsig, vec))
 
-    torus_ac = word(sys, reg, TorusValue(sys.cocharacter((1, 0, 1, 0)), "t"))
     step("adjoint-fixed-torus", "Ad((a+c)^v(t))(e6+e9) = e6+e9", vec, lambda: adjoint(torus_ac, vec))
 
     xx = reg.add("x")
@@ -360,7 +346,7 @@ def _w0(step) -> None:
     d4 = root_system("d4")
     step("d4-composite-identities",
          "w = w0L-bar o w0G-bar, which fixes the A1^3 Levi roots by construction, flips the radical",
-         True, lambda: verify_w0_identities(_lam(d4)))
+         True, lambda: verify_w0_identities(d4.cocharacter(D4_LAMBDA)))
 
     a3 = root_system("a3")
     La3 = [a3.simple("a"), a3.simple("b")]
@@ -417,17 +403,16 @@ def _text(value) -> str:
 
 
 class _FailedStep:
-    """The value of a step that raised; a later step that reads it fails
-    naming that step."""
+    """The value of a step that raised; a later step that reads it, by an
+    attribute, an index, iteration or rendering, fails naming that step."""
 
     def __init__(self, name: str):
         self._failed_name = name
 
-    def __getattr__(self, attr):
+    def _fail(self, *_):
         raise RuntimeError(f"input step {self._failed_name!r} failed")
 
-    def __repr__(self):  # rendering the value is a use of it
-        return self.__getattr__("__repr__")
+    __getattr__ = __getitem__ = __iter__ = __repr__ = _fail
 
 
 def run_scenario(name: str) -> Report:

@@ -5,11 +5,13 @@ Word atoms:  e<label>(poly)   root element (label may be negative)
              t[<cochar>](<unit>)  torus value with a formal unit variable
              sigma, sigma2, id, tau0, ...   diagram symmetries
              1                the identity
-Atoms juxtapose (whitespace, '*', '.' or '·' separators all work); '^-1'
-inverts the preceding atom and '^k' repeats it.  Polynomials use '+',
-implicit or '*' multiplication (a '*' must be followed by a factor), '^'
-powers (negative only on unit variables), and variable names of the shape
-letters-then-digits.
+Atoms juxtapose (whitespace, '*', '.' or '·' separators all work); '^k' is
+the group power, at most one atom: a torus value scales its cocharacter by
+k, and any other atom reads k modulo its order (2 for e_r(c) and n_r in
+characteristic 2; 1, 2 or 3 for a diagram symmetry), so '^-1' inverts.
+Polynomials use '+', implicit or '*' multiplication (a '*' must be followed
+by a factor), '^' powers (negative only on unit variables), and variable
+names of the shape letters-then-digits.
 
 Text splits into tokens: names, integers, exponents '^k' (the '^' touching
 its integer) and single characters.  Whitespace may stand between any two
@@ -189,11 +191,11 @@ class _Parser:
                 i += 1
                 continue
             atom, i = self.parse_atom(i)
-            k = 1
             if toks[i][0] == "^":
-                k = self.exponent(i)
+                atoms.extend(_power(atom, self.exponent(i)))
                 i += 1
-            atoms.extend([atom.inverse()] * -k if k < 0 else [atom] * k)
+            else:
+                atoms.append(atom)
         return atoms
 
     def parse_atom(self, i):
@@ -226,6 +228,16 @@ class _Parser:
         if tok in system.diagram_symmetries():
             return GraphAut(system, tok), i + 1
         self.fail(i, "a word atom")
+
+
+def _power(atom, k: int) -> list:
+    """atom^k as a list of at most one atom (see the grammar above)."""
+    if isinstance(atom, TorusValue):
+        return [TorusValue(atom.cochar.system.cocharacter([k * c for c in atom.cochar.coeffs]), atom.unit)]
+    if isinstance(atom, GraphAut) and atom.map.is_identity():
+        return []
+    inverse = atom.inverse()  # only a triality symmetry is not its own inverse
+    return [[], [atom], [inverse]][k % (2 if inverse == atom else 3)]
 
 
 def parse_root(text: str, system: RootSystem) -> Root:

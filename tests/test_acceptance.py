@@ -18,13 +18,7 @@ recorded ones.
 import random
 import time
 
-from crlab.coeffring import (
-    UNIT,
-    SQRT,
-    UNSOLVABLE_OVER_K,
-    VariableRegistry,
-    classify_square_obstruction,
-)
+from crlab.coeffring import UNIT, SQRT, VariableRegistry, square_obstruction_witness
 from crlab.chevalley import (
     GraphAut,
     RootElement,
@@ -130,7 +124,7 @@ def test_criterion_4_rationality_obstruction():
     bindings["x6"] = reg.var("x9")
     substituted = tail.coefficient(12).substitute(bindings)
     ok = substituted == reg.var("y") ** 2 + reg.var("x9") ** 2 + s ** 2
-    ok = ok and classify_square_obstruction(substituted) == UNSOLVABLE_OVER_K
+    ok = ok and square_obstruction_witness(substituted) == reg.var("y") + reg.var("x9")
     assert report(4, ok, "the equalities force y^2+x9^2+s^2 = 0, unsolvable with s-free values")
 
 

@@ -9,13 +9,11 @@ from crlab.coeffring import (
     ORDINARY,
     SQRT,
     UNIT,
-    SOLVABLE_CANDIDATE,
-    UNSOLVABLE_OVER_K,
     Polynomial,
     PolyRing,
     VariableRegistry,
     _mul_mono,
-    classify_square_obstruction,
+    square_obstruction_witness,
 )
 from crlab.matrixoracle import GF
 
@@ -182,33 +180,34 @@ def test_evaluate_multiplies_by_a_first_power_without_pow():
 
 
 def test_classifier_key_cases():
+    # the witness is the s-free q with p = q^2 + s^2
     reg = make_registry()
     y, x9, x6, s = reg.var("y"), reg.var("x9"), reg.var("x6"), reg.var("s")
-    assert classify_square_obstruction(y ** 2 + x9 ** 2 + s ** 2) == UNSOLVABLE_OVER_K
-    assert classify_square_obstruction(reg.var("x4") ** 2) == SOLVABLE_CANDIDATE
-    assert classify_square_obstruction(x6 ** 2) == SOLVABLE_CANDIDATE
-    # q = 0: s^2 alone
-    assert classify_square_obstruction(s ** 2) == UNSOLVABLE_OVER_K
+    assert square_obstruction_witness(y ** 2 + x9 ** 2 + s ** 2) == y + x9
+    assert square_obstruction_witness(reg.var("x4") ** 2) is None
+    assert square_obstruction_witness(x6 ** 2) is None
+    # q = 0: s^2 alone; 0 is a witness, not a missing one
+    assert square_obstruction_witness(s ** 2) == reg.zero()
     # t^-2 = (t^-1)^2 is a square
     t = reg.var("t")
-    assert classify_square_obstruction(t ** -2 + s ** 2) == UNSOLVABLE_OVER_K
+    assert square_obstruction_witness(t ** -2 + s ** 2) == t ** -1
 
 
 def test_classifier_negative_cases():
     reg = make_registry()
     x, y, s = reg.var("x4"), reg.var("y"), reg.var("s")
     # odd exponent next to s^2: not of the shape q^2 + s^2
-    assert classify_square_obstruction(x * y + s ** 2) == SOLVABLE_CANDIDATE
+    assert square_obstruction_witness(x * y + s ** 2) is None
     # s^4 = a^2 is not the monomial s^2
-    assert classify_square_obstruction(s ** 4 + x ** 2) == SOLVABLE_CANDIDATE
+    assert square_obstruction_witness(s ** 4 + x ** 2) is None
     # s-containing mixed monomial disqualifies
-    assert classify_square_obstruction(s ** 2 + (s * x) ** 2) == SOLVABLE_CANDIDATE
+    assert square_obstruction_witness(s ** 2 + (s * x) ** 2) is None
     # so does a pure power of s other than s^2
-    assert classify_square_obstruction(s ** 4 + s ** 2) == SOLVABLE_CANDIDATE
+    assert square_obstruction_witness(s ** 4 + s ** 2) is None
     # t^-1 is not a square
-    assert classify_square_obstruction(reg.var("t") ** -1 + s ** 2) == SOLVABLE_CANDIDATE
+    assert square_obstruction_witness(reg.var("t") ** -1 + s ** 2) is None
     # without a square-root constant there is no obstruction to find
-    assert classify_square_obstruction(VariableRegistry().add("z") ** 2) == SOLVABLE_CANDIDATE
+    assert square_obstruction_witness(VariableRegistry().add("z") ** 2) is None
 
 
 def test_classifier_random_q():
@@ -217,7 +216,7 @@ def test_classifier_random_q():
     rng = random.Random(17)
     for _ in range(100):
         q = random_poly(reg, rng)
-        assert classify_square_obstruction(q ** 2 + s ** 2) == UNSOLVABLE_OVER_K
+        assert square_obstruction_witness(q ** 2 + s ** 2) == q
 
 
 def test_split_by_units():

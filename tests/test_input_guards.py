@@ -5,13 +5,7 @@ which compare as group elements, stay unhashable."""
 
 import pytest
 
-from crlab.coeffring import (
-    SOLVABLE_CANDIDATE,
-    UNIT,
-    Polynomial,
-    VariableRegistry,
-    classify_square_obstruction,
-)
+from crlab.coeffring import UNIT, Polynomial, VariableRegistry, square_obstruction_witness
 from crlab.chevalley import (
     GraphAut,
     RadicalElement,
@@ -85,7 +79,7 @@ def test_input_guard(name):
 
 def test_square_obstruction_needs_the_square_root_constant():
     assert REG.sqrt_name is None
-    assert classify_square_obstruction(X * X) == SOLVABLE_CANDIDATE
+    assert square_obstruction_witness(X * X) is None
 
 
 def test_equal_values_hash_equal():

@@ -25,6 +25,12 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 README_COMMANDS = [line for line in README.read_text().splitlines() if line.startswith("crlab ")]
 
 
+def canonical_json(record: dict) -> str:
+    """A report's dict as the golden file pins it: sorted keys, and the
+    timing zeroed so that runs compare byte for byte."""
+    return json.dumps({**record, "elapsed_ms": 0}, sort_keys=True)
+
+
 FULLY_PASSING = ["d4-gcr-not-gcrk", "a2-conjugacy", "d4-nonseparability", "w0-combinatorics"]
 
 
@@ -104,16 +110,16 @@ def test_unknown_scenario():
 
 def test_determinism_same_seed():
     for name in scenario_names():
-        a = run_scenario(name).canonical_json()
-        b = run_scenario(name).canonical_json()
+        a = canonical_json(run_scenario(name).to_dict())
+        b = canonical_json(run_scenario(name).to_dict())
         assert a == b
 
 
 def test_scenario_independence():
     # no shared mutable state: interleaved runs reproduce isolated runs
-    isolated = {n: run_scenario(n).canonical_json() for n in scenario_names()}
+    isolated = {n: canonical_json(run_scenario(n).to_dict()) for n in scenario_names()}
     for n in reversed(scenario_names()):
-        assert run_scenario(n).canonical_json() == isolated[n]
+        assert canonical_json(run_scenario(n).to_dict()) == isolated[n]
 
 
 def test_report_schema():
@@ -244,18 +250,17 @@ def test_python_dash_m_crlab_runs_the_cli():
 
 @pytest.mark.parametrize("seed", [0, 5])
 def test_canonical_json_matches_the_golden_file(seed, capsys):
-    # the file pins canonical_json() of every scenario byte for byte; a change
+    # the file pins canonical_json of every scenario byte for byte; a change
     # of any scenario's behaviour must update it in the same change.  It holds
     # one record per scenario: `verify --seed` is ignored, so every seed must
     # print the same records
     golden = json.loads(GOLDEN.read_text())
     assert list(golden) == sorted(scenario_names())
     for name in scenario_names():
-        assert run_scenario(name).canonical_json() == golden[name], name
+        assert canonical_json(run_scenario(name).to_dict()) == golden[name], name
     assert main(["verify", "--all", "--seed", str(seed), "--format", "json"]) == 1
     for record in json.loads(capsys.readouterr().out):
-        record["elapsed_ms"] = 0
-        assert json.dumps(record, sort_keys=True) == golden[record["scenario"]], record["scenario"]
+        assert canonical_json(record) == golden[record["scenario"]], record["scenario"]
 
 
 @pytest.mark.parametrize("cache", ["cold", "evicted"])
@@ -275,8 +280,7 @@ def test_the_default_order_cache_keeps_no_state_between_calls(cache, capsys):
     golden = json.loads(GOLDEN.read_text())
     assert main(["verify", "--all", "--format", "json"]) == 1
     for record in json.loads(capsys.readouterr().out):
-        record["elapsed_ms"] = 0
-        assert json.dumps(record, sort_keys=True) == golden[record["scenario"]], record["scenario"]
+        assert canonical_json(record) == golden[record["scenario"]], record["scenario"]
 
 
 @pytest.mark.parametrize("exc", [RuntimeError("engine broke"), ValueError("bad table")])
@@ -351,6 +355,61 @@ def test_an_engine_error_fails_only_its_own_steps(monkeypatch):
     # an erroring step still shows the value it was to check: the rendered tail
     assert steps["generic-collection"].expected == expected_tail
     assert expected_tail.startswith("e7(x4+x7)*e10(x7+x10)*")
+
+
+def _statuses_differing_from_the_table():
+    """(scenario, step) of every `verify --all` status that differs from
+    perfbench/expected_verify.json."""
+    expected = json.loads(EXPECTED_VERIFY.read_text())
+    return sorted((n, s.name) for n in scenario_names() for s in run_scenario(n).steps
+                  if s.status != expected[n][s.name])
+
+
+def test_a_wrong_linear_class_fails_the_substitution(monkeypatch):
+    # the substitution binds the classes that constraint-extraction returned,
+    # so moving x9 into the first class fails it too: the e12 coefficient
+    # collapses to s^2, whose witness 0 then fails the obstruction step.
+    # centralizer-nsigma reads the same classes in d4-gir-not-gcr
+    linear_classes = chevalley.ConstraintSystem.linear_classes
+
+    def moved(self):
+        first, second = linear_classes(self)
+        return [first + ["x9"], [n for n in second if n != "x9"]]
+    monkeypatch.setattr(chevalley.ConstraintSystem, "linear_classes", moved)
+    assert _statuses_differing_from_the_table() == [
+        ("d4-gcr-not-gcrk", "constraint-extraction"), ("d4-gcr-not-gcrk", "rationality-obstruction"),
+        ("d4-gcr-not-gcrk", "rationality-substitution"), ("d4-gir-not-gcr", "centralizer-nsigma")]
+    steps = {s.name: s for s in run_scenario("d4-gcr-not-gcrk").steps}
+    assert (steps["rationality-substitution"].expected, steps["rationality-substitution"].actual) == (
+        "y^2+x9^2+s^2", "s^2")
+    assert steps["rationality-obstruction"].actual == "0"
+
+
+def test_a_wrong_witness_fails_the_obstruction_naming_it(monkeypatch):
+    monkeypatch.setattr(scenarios, "square_obstruction_witness", lambda p: p.registry.var("y"))
+    assert _statuses_differing_from_the_table() == [("d4-gcr-not-gcrk", "rationality-obstruction")]
+    steps = {s.name: s for s in run_scenario("d4-gcr-not-gcrk").steps}
+    assert (steps["rationality-obstruction"].expected, steps["rationality-obstruction"].actual) == (
+        "y+x9", "y")
+
+
+def test_a_failed_tuple_valued_step_is_named_downstream(monkeypatch):
+    # the substitution indexes constraint-extraction's (classes, equations)
+    def broken(*args):
+        raise RuntimeError("engine broke")
+    monkeypatch.setattr(scenarios, "centralizer_system", broken)
+    steps = {s.name: s for s in run_scenario("d4-gcr-not-gcrk").steps}
+    assert steps["constraint-extraction"].actual == "RuntimeError: engine broke"
+    assert (steps["rationality-substitution"].status, steps["rationality-substitution"].actual) == (
+        "FAIL", "RuntimeError: input step 'constraint-extraction' failed")
+
+
+@pytest.mark.parametrize("use", [lambda v: v.attr, lambda v: v[0], lambda v: list(v),
+                                 lambda v: [*v], lambda v: repr(v)],
+                         ids=["attribute", "index", "iteration", "unpacking", "rendering"])
+def test_every_use_of_a_failed_value_names_its_step(use):
+    with pytest.raises(RuntimeError, match="input step 'extract' failed"):
+        use(scenarios._FailedStep("extract"))
 
 
 def test_a_rendered_failed_step_names_it(monkeypatch):

@@ -1,6 +1,7 @@
 """Every public function, class and method in `src/crlab` has a caller in
 the program itself: in `src/crlab` (the CLI included) or in the benchmark
-under `perfbench/`.  A name that only tests reach belongs in the tests.
+under `perfbench/`.  A name that only tests reach belongs in the tests;
+there are no exceptions.
 
 The scan is by name, except inside the definition itself.  A module-level
 function or class counts as reached only through a bare `name` or through
@@ -24,9 +25,6 @@ import crlab.cli  # noqa: F401  (imports every submodule but __main__)
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "crlab"
 PROGRAM = sorted(SRC.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
-
-# the pinning API: tests compare it with tests/data/canonical_golden.json
-ALLOWED = {"Report.canonical_json"}
 
 _DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
 
@@ -85,13 +83,7 @@ def unreached_names():
 
 
 def test_every_public_src_name_has_a_caller_outside_the_tests():
-    unreached = [n for n in unreached_names() if n.split(".", 1)[1] not in ALLOWED]
-    assert unreached == []
-
-
-def test_the_allow_list_names_only_unreached_names():
-    # an allowed name that gains a caller leaves the list
-    assert {n.split(".", 1)[1] for n in unreached_names()} >= ALLOWED
+    assert unreached_names() == ()
 
 
 def test_the_package_re_exports_nothing():

@@ -80,6 +80,32 @@ def test_parse_word_powers():
     assert word_equal(parse_word("e12(x)^-1", sys, reg), parse_word("e12(x)", sys, reg))
 
 
+@pytest.mark.parametrize("system, text, expected", [
+    ("a2", "e1(x)^1000001", "e1(x)"),
+    ("a2", "n[a]^-1000000", "1"),
+    ("d4", "sigma^1000000", "sigma"),
+    ("d4", "sigma^-1000000", "sigma2"),
+    ("d4", "t[a](t)^1000000", "t[1000000a](t)"),
+    ("d4", "e4(x)^-1", "e4(x)"),
+])
+def test_a_large_power_is_at_most_one_atom(system, text, expected):
+    # a^k is read as a group power, not as k copies of a
+    sys, reg = root_system(system), VariableRegistry()
+    w = parse_word(text, sys, reg)
+    assert len(w.atoms) <= 1
+    assert w.atoms == parse_word(expected, sys, reg).atoms
+
+
+@pytest.mark.parametrize("system", ["a2", "a3", "d4"])
+def test_a_power_is_the_product_of_its_copies(system):
+    # the exponent read modulo an atom's order agrees with multiplying out
+    sys, reg = root_system(system), VariableRegistry()
+    atoms = ["e1(x)", "n[a]", "t[a](t)", *sys.diagram_symmetries()]
+    for text, k in itertools.product(atoms, range(-4, 8)):
+        copies = " ".join([text if k > 0 else f"{text}^-1"] * abs(k))
+        assert word_equal(parse_word(f"{text}^{k}", sys, reg), parse_word(copies, sys, reg)), (text, k)
+
+
 @pytest.mark.parametrize("text, atoms", [("1", 0), ("e1(x) 1 e2(y)", 2)])
 def test_the_token_1_is_the_identity(text, atoms):
     assert len(parse_word(text, root_system("a2"), VariableRegistry()).atoms) == atoms
@@ -413,12 +439,31 @@ def _random_atom(rng, seen):
     else:
         name = rng.choice(sorted(sys.diagram_symmetries()))
         text, atom = name, lambda reg: GraphAut(sys, name)
-    power = rng.choice((1, 1, 1, -1, 0, 2, 3))
+    power = rng.choice((1, 1, 1, -1, 0, 2, 3, 4, -2))
     if power == 1:
         return text, lambda reg: [atom(reg)]
-    if power < 0:
-        return f"{text}^{power}", lambda reg: [atom(reg).inverse()] * -power
-    return f"{text}^{power}", lambda reg: [atom(reg)] * power
+    return f"{text}^{power}", lambda reg: _atom_power(atom(reg), power)
+
+
+def _atom_power(atom, k):
+    """atom^k by the group law, as at most one atom: a torus value with k
+    times its cocharacter; a root element or a Weyl representative, which
+    square to 1 in characteristic 2, when k is odd; a diagram symmetry as
+    the symmetry whose map is its map composed k times, none for the
+    identity map."""
+    if isinstance(atom, TorusValue):
+        step = atom.cochar if k > 0 else -atom.cochar
+        chi = _WORD_SYSTEM.cocharacter([0] * _WORD_SYSTEM.rank)
+        for _ in range(abs(k)):
+            chi = chi + step
+        return [TorusValue(chi, atom.unit)]
+    if not isinstance(atom, GraphAut):
+        return [atom] * (k % 2)
+    m, step = _WORD_SYSTEM.identity_map(), atom.map if k > 0 else atom.map.inverse()
+    for _ in range(abs(k)):
+        m = m.compose(step)
+    return [] if m.is_identity() else [next(GraphAut(_WORD_SYSTEM, name) for name, g in
+                                            _WORD_SYSTEM.diagram_symmetries().items() if g == m)]
 
 
 def random_word_text(rng):
