@@ -664,6 +664,7 @@ def centralizer_system(generators: Sequence[GroupWord], radical: Sequence[Root],
     system = radical[0].system
     inside = set(radical)
     u = generic_radical_element(system, registry, radical)
+    zero = registry.zero()
     equations: List[Polynomial] = []
     for g in generators:
         _, _, tail = _push(g * u.as_word() * g.inverse())
@@ -672,8 +673,9 @@ def centralizer_system(generators: Sequence[GroupWord], radical: Sequence[Root],
             if closed is None or not inside.issuperset(closed.support):
                 raise ValueError("conjugate of the radical element did not return to the radical")
             tail = closed.atoms()
-        conj = collect(tail, radical, registry)
+        got = collect(tail, radical, registry).coeffs
         for r in radical:
-            eq = conj.coefficient(r) + u.coefficient(r)
-            equations.extend(eq.split_by_units().values())
+            eq = got.get(r, zero) + u.coeffs[r]
+            if eq.terms:
+                equations.extend(eq.split_by_units().values())
     return ConstraintSystem(registry, equations, radical)

@@ -26,7 +26,8 @@ def _cmd_verify(args) -> int:
     reports = [run_scenario(n) for n in names]
     if args.format == "json":
         payload = [r.to_dict() for r in reports]
-        print(json.dumps(payload[0] if len(payload) == 1 else payload, indent=2))
+        # a report holds only fresh dicts, lists and scalars, so it has no cycle to look for
+        print(json.dumps(payload[0] if len(payload) == 1 else payload, indent=2, check_circular=False))
     else:
         for r in reports:
             print(r.text())

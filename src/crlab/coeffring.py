@@ -21,6 +21,7 @@ polynomials are immutable, so sharing one is safe.
 
 from __future__ import annotations
 
+import operator
 from typing import Dict, Mapping, Optional, Tuple
 
 ORDINARY = "ordinary"
@@ -238,10 +239,13 @@ class Polynomial:
         field is infinite).
         """
         reg = self.registry
+        kinds = reg.kinds
+        if not any(kinds[i] == UNIT for m in self.terms for i, _ in m):
+            return {(): self} if self.terms else {}
         groups: Dict[Monomial, set] = {}
         for m in self.terms:
-            unit_part = tuple((i, e) for i, e in m if reg.kinds[i] == UNIT)
-            rest = tuple((i, e) for i, e in m if reg.kinds[i] != UNIT)
+            unit_part = tuple((i, e) for i, e in m if kinds[i] == UNIT)
+            rest = tuple((i, e) for i, e in m if kinds[i] != UNIT)
             groups.setdefault(unit_part, set()).add(rest)
         return {k: Polynomial(reg, frozenset(v)) for k, v in groups.items()}
 
@@ -259,10 +263,16 @@ class Polynomial:
 
     def evaluate(self, assign: Mapping[str, object], ring):
         """Value at the point `assign` of `ring`, any ring with the oracle's
-        zero, one, add, mul and pow; ring.pow inverts for negative exponents."""
+        zero, one, add, mul and pow; ring.pow inverts for negative exponents.
+        0 and 1 are the ring's own zero and one, with no ring operation."""
+        terms = self.terms
+        if not terms:
+            return ring.zero()
+        if terms == _ONE:
+            return ring.one()
         names = self.registry.names
         total = ring.zero()
-        for m in self.terms:
+        for m in terms:
             v = ring.one()
             for i, e in m:
                 x = assign[names[i]]
@@ -306,7 +316,11 @@ class PolyRing:
     """The engine's polynomial ring of one registry, with the protocol of
     `Polynomial.evaluate`.  At the generic point, which maps each name to its
     own variable, a polynomial evaluates to itself.  Only unit monomials are
-    inverted, which is all an SL3 determinant or a torus entry needs."""
+    inverted, which is all an SL3 determinant or a torus entry needs.
+
+    add, mul and pow are Python's operators themselves, so a ring operation
+    costs no frame of its own and still runs Polynomial's current `+`, `*`
+    and `**`; a subclass may override them as methods."""
 
     def __init__(self, registry: VariableRegistry):
         self.registry = registry
@@ -317,14 +331,9 @@ class PolyRing:
     def one(self) -> Polynomial:
         return self.registry.one()
 
-    def add(self, a: Polynomial, b: Polynomial) -> Polynomial:
-        return a + b
-
-    def mul(self, a: Polynomial, b: Polynomial) -> Polynomial:
-        return a * b
-
-    def pow(self, a: Polynomial, n: int) -> Polynomial:
-        return a ** n
+    add = staticmethod(operator.add)
+    mul = staticmethod(operator.mul)
+    pow = staticmethod(operator.pow)
 
     def inv(self, a: Polynomial) -> Polynomial:
         return a.unit_inverse()

@@ -150,11 +150,12 @@ _SIGMA = {1: 2, 2: 1, 3: 3, -1: -2, -2: -1, -3: -3}  # the root labels as sigma 
 def evaluate_word(w: GroupWord, assign: Dict[str, object], ring) -> A2Matrix:
     """Evaluate an A2 group word at a point of `ring`; raises on non-A2 atoms.
     A sigma atom flips the running flag.  Each root element and torus value,
-    relabeled while the flag is set, costs one matrix product, and n_r three."""
+    relabeled while the flag is set, is one factor and n_r three; the product
+    starts from the first factor, so k factors cost k - 1 matrix products."""
     if w.system.type_label != "A2":
         raise ValueError("the matrix model is for A2 only")
     one, zero = ring.one(), ring.zero()
-    mat, flag = identity(ring), 0
+    mat, flag = None, 0  # None: no factor yet, the identity
     for atom in w.atoms:
         if isinstance(atom, GraphAut):
             flag ^= not atom.map.is_identity()
@@ -164,7 +165,8 @@ def evaluate_word(w: GroupWord, assign: Dict[str, object], ring) -> A2Matrix:
             t = assign[atom.unit]
             # alpha^v(t) = diag(t, t^-1, 1), beta^v(t) = diag(1, t, t^-1)
             d1, d2, d3 = ring.pow(t, c1), ring.pow(t, c2 - c1), ring.pow(t, -c2)
-            mat = mat_mul(ring, mat, ((d1, zero, zero), (zero, d2, zero), (zero, zero, d3)))
+            m = ((d1, zero, zero), (zero, d2, zero), (zero, zero, d3))
+            mat = m if mat is None else mat_mul(ring, mat, m)
             continue
         if isinstance(atom, RootElement):
             factors = [(atom.root.label, atom.coeff.evaluate(assign, ring))]
@@ -177,8 +179,8 @@ def evaluate_word(w: GroupWord, assign: Dict[str, object], ring) -> A2Matrix:
             i, j = _ROOT_POSITIONS[_SIGMA[label] if flag else label]
             m = [[one, zero, zero], [zero, one, zero], [zero, zero, one]]
             m[i][j] = x
-            mat = mat_mul(ring, mat, m)
-    return A2Matrix(ring, mat, flag)
+            mat = tuple(map(tuple, m)) if mat is None else mat_mul(ring, mat, m)
+    return A2Matrix(ring, identity(ring) if mat is None else mat, flag)
 
 
 def exact_word(w: GroupWord) -> A2Matrix:

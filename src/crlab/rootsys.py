@@ -22,9 +22,10 @@ systems with `is`.  RootSystem also tabulates addition once, one entry per
 ordered pair of root indices holding the sum root or None when the sum is
 not a root, so Root.__add__ is two index operations; and it tabulates each
 root's pairings with the simple coroots, so a pairing is one rank-length
-dot product.  Reflections, diagram symmetries and Weyl elements are
+dot product.  The identity map, reflections, diagram symmetries, Weyl
+elements and the table of which Weyl elements send root i to root j are
 computed once per system by functools.cache, which holds the system as long
-as root_system() does.
+as root_system() does; root maps are immutable, so sharing one is safe.
 """
 
 from __future__ import annotations
@@ -199,7 +200,7 @@ class RootMap:
 
     def compose(self, other: "RootMap") -> "RootMap":
         """self after other: (self.compose(other))(r) == self(other(r))."""
-        return RootMap(self.system, tuple(self.images[j] for j in other.images))
+        return RootMap(self.system, tuple(map(self.images.__getitem__, other.images)))
 
     def inverse(self) -> "RootMap":
         """The inverse map, built once; maps are immutable."""
@@ -211,7 +212,7 @@ class RootMap:
         return self._inverse
 
     def is_identity(self) -> bool:
-        return all(i == j for i, j in enumerate(self.images))
+        return self.images == tuple(range(len(self.images)))
 
     def __eq__(self, other) -> bool:
         return (
@@ -301,6 +302,7 @@ class RootSystem:
 
     # -- maps ---------------------------------------------------------------
 
+    @functools.cache
     def identity_map(self) -> RootMap:
         return RootMap(self, range(2 * self.n_pos))
 
@@ -375,6 +377,18 @@ class RootSystem:
             queue = nxt
         return tuple(seen.values())
 
+    @functools.cache
+    def _weyl_sends(self) -> tuple:
+        """sends[i][j]: the bitset of Weyl elements sending root i to root j,
+        bit k for the k-th element of weyl_elements()."""
+        n = len(self.roots)
+        sends = [[0] * n for _ in range(n)]
+        for k, w in enumerate(self.weyl_elements()):
+            bit = 1 << k
+            for i, j in enumerate(w.images):
+                sends[i][j] |= bit
+        return tuple(map(tuple, sends))
+
     def _weyl_diagram_pairs(self):
         """Yield (w, d), w a Weyl element and d a diagram symmetry: d in the
         order of diagram_symmetries(), 'id' first, then w in weyl_elements()
@@ -430,13 +444,9 @@ def compose_word(system: RootSystem, word: Iterable[str]) -> RootMap:
 def subsystem_roots(system: RootSystem, simples: Sequence[Root]) -> tuple:
     """Roots of the standard Levi subsystem generated by a set of simples."""
     support = {s.index for s in simples}
-    allowed = {i for i, s in enumerate(system.simple_roots) if s.index in support}
-    return tuple(
-        r
-        for r in system.roots
-        if all(c == 0 or i in allowed for i, c in enumerate(r.coeffs))
-        and any(c != 0 for c in r.coeffs)
-    )
+    outside = [i for i, s in enumerate(system.simple_roots) if s.index not in support]
+    # a root lies in it when its coefficients on the other simples are all 0
+    return tuple(r for r in system.roots if not any(map(r.coeffs.__getitem__, outside)))
 
 
 def longest_element(system: RootSystem, simples: Sequence[Root]) -> RootMap:
@@ -480,8 +490,10 @@ def extends_to_ambient(
     corresponding unipotent radical.  Returns None, or the first witness w∘d
     in the order of system.weyl_and_diagram_elements(): diagram symmetries
     as diagram_symmetries() lists them, 'id' first, Weyl elements in BFS
-    order.  Candidates are tested on root indices, and only the returned
-    witness is composed.
+    order.  For each d, the Weyl elements w with w(d(i)) = t on every
+    target are one intersection of the bitsets of system._weyl_sends(), and
+    they are tested on the radical from the lowest bit up, which is the
+    order of weyl_elements().  Only the returned witness is composed.
     """
     sub = set(subsystem_roots(system, L_simples))
     if set(partial) != sub:
@@ -489,10 +501,20 @@ def extends_to_ambient(
     targets = [(r.index, t.index) for r, t in partial.items()]
     radical = [r.index for r in system.positive_roots if r not in sub]
     radical_set = set(radical)
-    for w, d in system._weyl_diagram_pairs():
-        wi, di = w.images, d.images
-        if all(wi[di[i]] == t for i, t in targets) and all(wi[di[i]] in radical_set for i in radical):
-            return w.compose(d)
+    sends = system._weyl_sends()
+    weyl = system.weyl_elements()
+    for d in system.diagram_symmetries().values():
+        di = d.images
+        found = (1 << len(weyl)) - 1
+        for i, t in targets:
+            found &= sends[di[i]][t]
+        while found:
+            low = found & -found
+            w = weyl[low.bit_length() - 1]
+            wi = w.images
+            if all(wi[di[i]] in radical_set for i in radical):
+                return w.compose(d)
+            found ^= low
     return None
 
 

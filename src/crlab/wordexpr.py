@@ -11,7 +11,11 @@ k, and any other atom reads k modulo its order (2 for e_r(c) and n_r in
 characteristic 2; 1, 2 or 3 for a diagram symmetry), so '^-1' inverts.
 Polynomials use '+', implicit or '*' multiplication (a '*' must be followed
 by a factor), '^' powers (negative only on unit variables), and variable
-names of the shape letters-then-digits.
+names of the shape letters-then-digits.  A parenthesized or constant
+factor is bounded before it is expanded: f^k has at most |f|^popcount(k)
+terms (exactly that many in characteristic 2 when k is a power of two, as
+f^(2^j) has |f| terms), and f*g at most |f|*|g|; either bound above
+MAX_TERMS raises ExprError.
 
 Text splits into tokens: names, integers, exponents '^k' (the '^' touching
 its integer) and single characters.  Whitespace may stand between any two
@@ -35,6 +39,7 @@ _END = " "  # closes every token list; never a token, as no token holds a blank
 _LETTERS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz")
 _DIGITS = frozenset("0123456789")
 _SEPARATORS = frozenset("*.·")
+MAX_TERMS = 100_000  # the most terms a factor of a parsed polynomial may expand to
 
 
 def default_kind(name: str) -> str:
@@ -82,6 +87,11 @@ class _Parser:
             self.fail(i + 1, "an exponent")
         return int(self.toks[i][1:])
 
+    def bound(self, terms):
+        if terms > MAX_TERMS:
+            raise ExprError(f"a power or product would expand to more than {MAX_TERMS} terms"
+                            f" in {self.text[:40]!r}")
+
     def label(self, i):
         toks = self.toks
         j = i + (toks[i] == "-")
@@ -127,9 +137,17 @@ class _Parser:
                         f = reg.const(int(tok))
                         i += 1
                     if toks[i][0] == "^":
-                        f = f ** self.exponent(i)
+                        k = self.exponent(i)
+                        # n^17 > MAX_TERMS for every n >= 2, so capping popcount(k) at 17
+                        # keeps the verdict and the number small
+                        self.bound(len(f.terms) ** min(bin(k).count("1"), 17))
+                        f = f ** k
                         i += 1
-                    p = f if p is None else p * f
+                    if p is None:
+                        p = f
+                    else:
+                        self.bound(len(p.terms) * len(f.terms))
+                        p = p * f
                 elif need_factor:
                     self.fail(i, "a variable, a constant or '('")
                 else:

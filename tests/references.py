@@ -2,8 +2,9 @@
 of M(F_q), the Leibniz determinant, random points for finite-field evaluation, the literal matrix
 transpose, monomials built from exponent maps, the matrix derivative of a
 word, polynomials parsed from text, and w0 found by generating the whole
-parabolic subgroup, and the root-cocharacter pairing as the Cartan double
-sum.
+parabolic subgroup, the root-cocharacter pairing as the Cartan double
+sum, and the witness search of `rootsys.extends_to_ambient` as a linear
+scan over the (w, d) pairs of W x| Diag.
 
 The A2 matrix model's twisted group law lives here too, as the reference
 the relabeling evaluator `matrixoracle.evaluate_word` is checked against:
@@ -16,7 +17,7 @@ classifies.
 
 import itertools
 import random
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from crlab.chevalley import EPS, GraphAut, GroupWord, RootElement, TorusValue, WeylRep, word
 from crlab.coeffring import Polynomial, VariableRegistry
@@ -211,3 +212,18 @@ def generated_longest_element(system: RootSystem, simples) -> RootMap:
         queue = nxt
     sub_pos = [r for r in subsystem_roots(system, simples) if r.is_positive]
     return next(m for m in seen.values() if all(not m(r).is_positive for r in sub_pos))
+
+
+def scanned_extension(system: RootSystem, L_simples, partial) -> Optional[RootMap]:
+    """The first w∘d, over system._weyl_diagram_pairs() in order, that agrees
+    with `partial` on the Levi subsystem and maps the radical into itself,
+    each pair tested on root indices; None when there is none."""
+    sub = set(subsystem_roots(system, L_simples))
+    targets = [(r.index, t.index) for r, t in partial.items()]
+    radical = [r.index for r in system.positive_roots if r not in sub]
+    radical_set = set(radical)
+    for w, d in system._weyl_diagram_pairs():
+        wi, di = w.images, d.images
+        if all(wi[di[i]] == t for i, t in targets) and all(wi[di[i]] in radical_set for i in radical):
+            return w.compose(d)
+    return None

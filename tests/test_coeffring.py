@@ -179,6 +179,31 @@ def test_evaluate_multiplies_by_a_first_power_without_pow():
     assert ring.pow_calls == 1
 
 
+def test_evaluate_reads_0_and_1_with_no_ring_operation():
+    class CountingRing(PolyRing):
+        calls = 0
+
+        def add(self, a, b):
+            self.calls += 1
+            return a + b
+
+        def mul(self, a, b):
+            self.calls += 1
+            return a * b
+
+    reg = make_registry()
+    ring = CountingRing(reg)
+    point = ring.generic_point()
+    assert reg.zero().evaluate(point, ring) is reg.zero()
+    assert reg.one().evaluate(point, ring) is reg.one()
+    assert ring.calls == 0
+    x = reg.var("x4")
+    assert (x + reg.one()).evaluate(point, ring) == x + reg.one()
+    assert ring.calls > 0
+    gf = GF(16)
+    assert reg.zero().evaluate({}, gf) == 0 and reg.one().evaluate({}, gf) == 1
+
+
 def test_classifier_key_cases():
     # the witness is the s-free q with p = q^2 + s^2
     reg = make_registry()
@@ -227,6 +252,12 @@ def test_split_by_units():
     assert len(groups) == 2
     vals = sorted(str(p) for p in groups.values())
     assert vals == ["x4", "x4+y"]
+    # without a unit variable the polynomial is its own one group; 0 has none
+    assert x * y + x == (x * y + x).split_by_units()[()] and len((x * y + x).split_by_units()) == 1
+    assert reg.zero().split_by_units() == {}
+    # with units alone every unit monomial is its own group, of 1
+    ti = reg.index("t")
+    assert (t ** 2 + reg.one()).split_by_units() == {((ti, 2),): reg.one(), (): reg.one()}
 
 
 def test_rendering_sorted():

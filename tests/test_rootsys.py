@@ -26,7 +26,7 @@ from crlab.rootsys import (
     verify_w0_identities,
 )
 
-from references import cartan_pairing, generated_longest_element
+from references import cartan_pairing, generated_longest_element, scanned_extension
 
 
 # ---------------------------------------------------------------------------
@@ -410,26 +410,30 @@ def brute_force_extension(system, L_simples, partial):
     return None
 
 
-@pytest.mark.parametrize("label", ["A3", "D4"])
+@pytest.mark.parametrize("label", ["A1", "A2", "A3", "A4", "D4"])
 def test_extends_to_ambient_matches_brute_force(label):
-    # every Levi, -1 and seeded partial maps induced by W x| Diag: the same
-    # first witness, or None for both
+    # every Levi, -1 and seeded partial maps induced by W x| Diag, also
+    # followed by -1: the same first witness as the composed-map scan and
+    # the index scan over (w, d) pairs, or None for all three
     sys = root_system(label)
     maps = sys.weyl_and_diagram_elements()
+    minus = sys.minus_one_map()
     rng = random.Random(6)
     outcomes = set()
     for k in range(sys.rank + 1):
         for L in itertools.combinations(sys.simple_roots, k):
             sub = subsystem_roots(sys, L)
+            induced = rng.choices(maps, k=3)
             partials = [{r: -r for r in sub}]
-            partials += [{r: m(r) for r in sub} for m in rng.sample(maps, 2)]
+            partials += [{r: m(r) for r in sub} for m in induced]
+            partials += [{r: minus(m(r)) for r in sub} for m in induced]
             for partial in partials:
                 got = extends_to_ambient(sys, L, partial)
-                want = brute_force_extension(sys, L, partial)
-                assert (got is None) == (want is None)
-                assert got is None or got.images == want.images
+                for want in (brute_force_extension(sys, L, partial), scanned_extension(sys, L, partial)):
+                    assert (got is None) == (want is None)
+                    assert got is None or got.images == want.images
                 outcomes.add(got is None)
-    assert outcomes == {True, False}
+    assert outcomes == ({False} if label == "A1" else {True, False})
 
 
 def test_verify_w0_identities_d4():

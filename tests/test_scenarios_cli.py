@@ -214,9 +214,27 @@ def test_cli_rparabolic(capsys):
     assert "sigma" in out["sigma_components"]
 
 
+@pytest.mark.parametrize("argv", [["verify", "--all"], ["verify", "w0-combinatorics"]])
+def test_cli_json_is_the_indented_dump_of_its_reports(argv, capsys, monkeypatch):
+    # the report is dumped without the cycle check; the text must be what
+    # json.dumps(payload, indent=2) gives for the same reports
+    reports = []
+
+    def recording(name):
+        reports.append(run_scenario(name))
+        return reports[-1]
+
+    monkeypatch.setattr("crlab.cli.run_scenario", recording)
+    main([*argv, "--format", "json"])
+    payload = [r.to_dict() for r in reports]
+    assert capsys.readouterr().out == json.dumps(payload if len(payload) > 1 else payload[0], indent=2) + "\n"
+
+
 def test_cli_bad_input(capsys):
     assert main(["pairing", "a+d", "a", "--system", "d4"]) == 2
     capsys.readouterr()
+    assert main(["collect", "e1((x+y+z)^8191)", "--system", "a2"]) == 2
+    assert "would expand to more than 100000 terms" in capsys.readouterr().err
 
 
 def _untimed(text):

@@ -547,3 +547,21 @@ def test_deeply_nested_parentheses_are_an_expr_error():
     text = "e1(" + "(" * 5000 + "x" + ")" * 5000 + ")"
     with pytest.raises(ExprError, match=r"nested too deeply in 'e1\(\(\("):
         parse_word(text, root_system("a2"), VariableRegistry())
+
+
+@pytest.mark.parametrize("text", ["e1((x+y+z)^8191)", "e1((x+y+z)^2047)", "e1((x+y+z)^1000000001)",
+                                  "e1((x+y)^1023 (z+w)^1023)", "e1(x (x+y+z)^255 (y+z+w)^255)"])
+def test_a_coefficient_that_would_expand_past_the_limit_is_an_expr_error(text):
+    # f^k is bounded by |f|^popcount(k) terms and f*g by |f|*|g| before either is expanded
+    with pytest.raises(ExprError, match="would expand to more than 100000 terms"):
+        parse_word(text, root_system("a2"), VariableRegistry())
+
+
+@pytest.mark.parametrize("text, terms", [("(x+y)^1024", 2), ("(x+y+z)^255", 3 ** 8), ("(x+y)^1023 (z+w)^31", 2 ** 10 * 2 ** 5),
+                                         ("(t+x)^0", 1), ("(t)^-5", 1), ("(0)^1000000001", 0)])
+def test_a_coefficient_within_the_limit_expands_in_full(text, terms):
+    reg = VariableRegistry()
+    p = parse_poly(text, reg)
+    assert len(p.terms) == terms
+    if text == "(x+y)^1024":
+        assert p == parse_poly("x^1024+y^1024", reg)
